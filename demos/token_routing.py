@@ -11,14 +11,14 @@ import numpy as np
 
 from slicemix import adapters as ad
 from slicemix.numerics import make_rng
-from slicemix.routing import RouterConfig, compress_patches, route_tokens
+from slicemix.routing import RouterConfig, compress_local, route_tokens
 
 rng = make_rng(1)
 n_patches, tokens_per_patch, d_in, d_model, n_queries = 4, 9, 8, 8, 4
 
 patches = [rng.standard_normal((tokens_per_patch, d_in)) for _ in range(n_patches)]
 compressor = ad.init_qformer(rng, n_queries, d_in, d_model)
-local = compress_patches(patches, compressor)
+local = np.vstack([compress_local(p, compressor) for p in patches])
 print(f"{n_patches} patches x {tokens_per_patch} tokens -> "
       f"{local.shape[0]} compressed tokens ({n_queries} per patch)\n")
 

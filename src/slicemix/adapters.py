@@ -13,7 +13,6 @@ them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,12 +48,6 @@ __all__ = [
     "moe_forward",
     "moe_apply",
     "adapter_grads",
-    "params_to_doc",
-    "doc_to_json",
-    "json_to_doc",
-    "mlp_from_doc",
-    "qformer_from_doc",
-    "gate_from_doc",
 ]
 
 
@@ -318,66 +311,3 @@ def adapter_grads(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
                 dpooled = dpooled + gate.w_noise @ coef
             dtok = dtok + dpooled[None, :] / t.shape[0]
     return d_mlp, d_qf, d_gate, dtok
-
-
-# -- checkpoint document: {name -> {rows, cols, data}} ----------------------
-
-_MLP_FIELDS = ("w1", "b1", "w2", "b2")
-_QFORMER_FIELDS = ("queries", "wk", "wv", "wo")
-_GATE_FIELDS = ("w_g", "w_noise")
-
-
-def _entry(arr: np.ndarray) -> dict:
-    a2 = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    return {"rows": int(a2.shape[0]), "cols": int(a2.shape[1]),
-            "data": [float(x) for x in a2.ravel()]}
-
-
-def _from_entry(entry: dict, vector: bool = False) -> np.ndarray:
-    arr = np.array(entry["data"], dtype=np.float64).reshape(entry["rows"], entry["cols"])
-    return arr.reshape(-1) if vector else arr
-
-
-def params_to_doc(**named) -> dict:
-    """Flatten named parameter containers into a checkpoint document."""
-    doc: dict[str, dict] = {}
-    for name, params in named.items():
-        if isinstance(params, MlpParams):
-            fields = _MLP_FIELDS
-        elif isinstance(params, QFormerParams):
-            fields = _QFORMER_FIELDS
-        elif isinstance(params, GateParams):
-            fields = _GATE_FIELDS
-        else:
-            raise TypeError(f"cannot serialize {type(params).__name__}")
-        for f in fields:
-            doc[f"{name}.{f}"] = _entry(getattr(params, f))
-    return doc
-
-
-def doc_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
-
-
-def json_to_doc(text: str) -> dict:
-    return json.loads(text)
-
-
-def mlp_from_doc(doc: dict, name: str = "mlp") -> MlpParams:
-    return MlpParams(
-        w1=_from_entry(doc[f"{name}.w1"]),
-        b1=_from_entry(doc[f"{name}.b1"], vector=True),
-        w2=_from_entry(doc[f"{name}.w2"]),
-        b2=_from_entry(doc[f"{name}.b2"], vector=True),
-    )
-
-
-def qformer_from_doc(doc: dict, name: str = "qformer") -> QFormerParams:
-    return QFormerParams(*(_from_entry(doc[f"{name}.{f}"]) for f in _QFORMER_FIELDS))
-
-
-def gate_from_doc(doc: dict, name: str = "gate",
-                  noise_enabled: bool = True) -> GateParams:
-    return GateParams(w_g=_from_entry(doc[f"{name}.w_g"]),
-                      w_noise=_from_entry(doc[f"{name}.w_noise"]),
-                      noise_enabled=noise_enabled)

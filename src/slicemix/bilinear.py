@@ -327,6 +327,10 @@ def run_experiment(inst: BilinearInstance, init="generic",
     only). Iteration stops early once the loss moves less than stop_tol over
     stop_window steps, or when a norm exceeds the divergence bound.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if method in ("gd", "gd_vector") and not eta > 0.0:
+        raise ValueError("step size must be positive")
     alpha0, beta0 = resolve_init(init)
     rec = _Recorder(stop_tol, stop_window)
     diverged = False

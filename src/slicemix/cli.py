@@ -8,13 +8,13 @@ machine-readable JSON only; human diagnostics go to stderr. Exit codes:
 
 Matrix fixtures are whitespace-separated text with a single `rows cols`
 header line. The environment variable SLIME_KIT_SEED supplies a fallback
-seed when --seed is omitted.
+seed when a seeded command (`bilinear`, `sweep`, `train`) runs without
+--seed; other commands never read it.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -32,7 +32,7 @@ EXIT_DIVERGED = 3
 SEED_ENV_VAR = "SLIME_KIT_SEED"
 
 DEFAULT_CONFIG: dict = {
-    "slicing": {"base": 336, "max_grid": 6},
+    "slicing": {"base": 336},
     "adapter": {"feat_dim": 8, "model_dim": 8, "gate_noise": True},
     "router": {"gamma": 0.75, "local_queries": 4, "train_noise_sigma": 0.1},
     "bilinear": {"d": 16, "eta": 0.01, "steps": 20000},
@@ -49,6 +49,10 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# The sections `train` reads; the others only set command-line defaults.
+TRAIN_CONFIG: dict = {key: DEFAULT_CONFIG[key] for key in ("adapter", "router", "training")}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -59,8 +63,14 @@ def _fail(message: str) -> int:
 
 
 def default_seed() -> int:
+    """The fallback seed from SLIME_KIT_SEED, or 0 when it is unset."""
     value = os.environ.get(SEED_ENV_VAR)
-    return int(value) if value else 0
+    if not value:
+        return 0
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -171,6 +181,8 @@ def cmd_sweep(args) -> int:
         init = _parse_init(args.init)
     except ValueError as exc:
         return _fail(f"sweep: {exc}")
+    if not cs or not methods:
+        return _fail("sweep: --c and --methods each need at least one value")
     for c in cs:
         if not -1.0 < c < 1.0:
             return _fail(f"sweep: c={c} outside (-1, 1)")
@@ -178,23 +190,21 @@ def cmd_sweep(args) -> int:
         if m not in _METHOD_ALIASES:
             return _fail(f"sweep: unknown method '{m}'")
 
-    def one(c: float, method: str):
-        inst = bilinear.make_instance(d=args.d, c=c, seed=args.seed)
-        trace = bilinear.run_experiment(inst, init=init,
-                                        method=_METHOD_ALIASES[method],
-                                        steps=args.steps, eta=args.eta)
-        if args.outdir:
-            out = Path(args.outdir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"trace_{method}_c{c}.csv").write_text(trace.to_csv())
-        return trace.summary()
-
-    jobs = [(c, m) for c in cs for m in methods]
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda cm: one(*cm), jobs))
-    else:
-        results = [one(*cm) for cm in jobs]
+    results = []
+    for c in cs:
+        for method in methods:
+            try:
+                inst = bilinear.make_instance(d=args.d, c=c, seed=args.seed)
+                trace = bilinear.run_experiment(inst, init=init,
+                                                method=_METHOD_ALIASES[method],
+                                                steps=args.steps, eta=args.eta)
+            except ValueError as exc:
+                return _fail(f"sweep: {exc}")
+            if args.outdir:
+                out = Path(args.outdir)
+                out.mkdir(parents=True, exist_ok=True)
+                (out / f"trace_{method}_c{c}.csv").write_text(trace.to_csv())
+            results.append(trace.summary())
     _emit(results)
     return EXIT_DIVERGED if any(r["classification"] == "diverged" for r in results) else EXIT_OK
 
@@ -207,10 +217,12 @@ def cmd_train(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             return _fail(f"train: cannot read config: {exc}")
     try:
-        cfg = merge_config(user_cfg)
+        cfg = merge_config(user_cfg, TRAIN_CONFIG)
     except ConfigError as exc:
         return _fail(f"train: {exc}")
     tc, ac, rc = cfg["training"], cfg["adapter"], cfg["router"]
+    if tc["n_eval"] < 1:
+        return _fail("train: training.n_eval must be at least 1")
     try:
         pcfg = pipeline.PipelineConfig(
             feat_dim=ac["feat_dim"], model_dim=ac["model_dim"],
@@ -233,6 +245,9 @@ def cmd_train(args) -> int:
             json.dumps(report.summary(), sort_keys=True) + "\n")
     _emit(report.summary())
     return EXIT_DIVERGED if report.diverged else EXIT_OK
+
+
+_SEED_HELP = f"default: ${SEED_ENV_VAR}, else 0"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="generic",
                    help="generic | antisym | sym | 'alpha0,beta0'")
     p.add_argument("--d", type=int, default=DEFAULT_CONFIG["bilinear"]["d"])
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
     p.add_argument("--out", help="write the per-step CSV trace here")
     p.set_defaults(func=cmd_bilinear)
 
@@ -274,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=DEFAULT_CONFIG["bilinear"]["steps"])
     p.add_argument("--init", default="generic")
     p.add_argument("--d", type=int, default=DEFAULT_CONFIG["bilinear"]["d"])
-    p.add_argument("--seed", type=int, default=default_seed())
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
     p.add_argument("--outdir", help="optional directory for per-run traces")
     p.set_defaults(func=cmd_sweep)
 
@@ -283,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="train the toy pipeline",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="config defaults (unknown keys are rejected):\n"
-               + json.dumps(DEFAULT_CONFIG, indent=2))
+               + json.dumps(TRAIN_CONFIG, indent=2))
     p.add_argument("--mode", required=True,
                    choices=["alternating", "e2e", "only_global", "only_local"])
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
     p.add_argument("--config", help="JSON config; unknown keys are rejected")
     p.add_argument("--out", help="directory for the report CSV and summary JSON")
     p.set_defaults(func=cmd_train)
@@ -296,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "seed" in args and args.seed is None:
+        try:
+            args.seed = default_seed()
+        except ConfigError as exc:
+            return _fail(f"{args.command}: {exc}")
     return args.func(args)
 
 

@@ -84,6 +84,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.base % self.grid != 0:
             raise ValueError("tile side must be divisible by the cell grid")
+        # the router's own checks, run here so a bad value fails before any work
+        RouterConfig(gamma=self.gamma, train_noise_sigma=self.router_noise_sigma)
+        if self.n_train < 1:
+            raise ValueError("n_train must be at least 1")
 
     @property
     def cell(self) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "RouterConfig",
     "RouterSelection",
     "compress_local",
-    "compress_patches",
     "relevance_scores",
     "select_prefix",
     "route_tokens",
@@ -75,13 +74,6 @@ def compress_local(patch_tokens, params: QFormerParams) -> np.ndarray:
         warnings.warn("compression expects fewer queries than input tokens",
                       stacklevel=2)
     return qformer_forward(t, params)
-
-
-def compress_patches(patch_token_list, params: QFormerParams) -> np.ndarray:
-    """Compress every patch and stack the outputs in patch order."""
-    if len(patch_token_list) == 0:
-        raise ValueError("no patches to compress")
-    return np.vstack([compress_local(t, params) for t in patch_token_list])
 
 
 def relevance_scores(z_v, z_x) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Expert/gate contracts: hand-rolled reference evaluations, simplex and
-determinism guarantees, FD-checked gradients, and checkpoint round-trips."""
+determinism guarantees, and FD-checked gradients."""
 
-import json
 import math
 
 import numpy as np
@@ -281,29 +280,3 @@ class TestAdapterGrads:
         grad = np.concatenate([d_gate.w_g.ravel(), d_gate.w_noise.ravel()])
         point = np.concatenate([gate.w_g.ravel(), gate.w_noise.ravel()])
         assert fd_grad_check(f, grad, point) < 1e-6
-
-
-class TestCheckpointDocument:
-    def test_round_trip_bitwise(self):
-        mlp, qf, gate = make_trio(42, 5, 6, 4, noise=True)
-        doc = ad.params_to_doc(mlp=mlp, qformer=qf, gate=gate)
-        text = ad.doc_to_json(doc)
-        loaded = ad.json_to_doc(text)
-        mlp2 = ad.mlp_from_doc(loaded)
-        qf2 = ad.qformer_from_doc(loaded)
-        gate2 = ad.gate_from_doc(loaded, noise_enabled=True)
-        for a, b in ((mlp.w1, mlp2.w1), (mlp.b1, mlp2.b1), (mlp.w2, mlp2.w2),
-                     (mlp.b2, mlp2.b2), (qf.queries, qf2.queries), (qf.wk, qf2.wk),
-                     (qf.wv, qf2.wv), (qf.wo, qf2.wo), (gate.w_g, gate2.w_g),
-                     (gate.w_noise, gate2.w_noise)):
-            assert np.array_equal(a, b)
-            assert a.shape == b.shape
-
-    def test_document_schema(self):
-        mlp, qf, gate = make_trio(43, 2, 3, 2)
-        doc = ad.params_to_doc(mlp=mlp)
-        entry = doc["mlp.w1"]
-        assert set(entry) == {"rows", "cols", "data"}
-        assert entry["rows"] == 3 and entry["cols"] == 2
-        assert len(entry["data"]) == 6
-        json.dumps(doc)  # serializable as-is

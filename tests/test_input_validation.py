@@ -1,0 +1,139 @@
+"""Bad trajectory arguments, train configs and SLIME_KIT_SEED values are
+rejected before any run starts: exit 2, one stderr line, nothing on stdout."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from slicemix import bilinear as bl
+from slicemix import pipeline as pl
+from slicemix.cli import EXIT_USAGE, SEED_ENV_VAR, ConfigError, main, merge_config, write_matrix
+
+
+def run_cli(args, capsys):
+    code = main(args)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def assert_rejected(args, capsys, needle):
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert needle in err
+
+
+def train_args(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return ["train", "--mode", "e2e", "--seed", "1", "--config", str(path)]
+
+
+class TestTrajectoryInputs:
+    @pytest.mark.parametrize("method", ["gd", "alt", "gd_vector"])
+    def test_bilinear_negative_steps(self, method, capsys):
+        assert_rejected(["bilinear", "--method", method, "--c", "0.5", "--steps", "-1"],
+                        capsys, "steps must be non-negative")
+
+    @pytest.mark.parametrize("method", ["gd", "gd_vector"])
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+    def test_bilinear_nonpositive_eta_for_descent(self, method, eta, capsys):
+        assert_rejected(["bilinear", "--method", method, "--c", "0.5", "--eta", eta,
+                         "--steps", "10"], capsys, "step size must be positive")
+
+    @pytest.mark.parametrize("c, methods", [("", "gd"), (",", "gd"), ("0.5", "")])
+    def test_sweep_empty_grid(self, c, methods, capsys):
+        assert_rejected(["sweep", "--c", c, "--methods", methods], capsys,
+                        "at least one value")
+
+    @pytest.mark.parametrize("extra, needle", [
+        (["--steps", "-1"], "steps must be non-negative"),
+        (["--eta", "0"], "step size must be positive"),
+    ])
+    def test_sweep_run_errors_exit_2(self, extra, needle, tmp_path, capsys):
+        outdir = tmp_path / "traces"
+        assert_rejected(["sweep", "--c", "0.5", "--methods", "gd",
+                         "--outdir", str(outdir), *extra], capsys, needle)
+        assert not outdir.exists()
+
+    def test_run_experiment_validates_before_running(self):
+        inst = bl.make_instance(d=4, c=0.5, seed=0)
+        for method in ("gd", "gd_vector", "alternating"):
+            with pytest.raises(ValueError, match="steps"):
+                bl.run_experiment(inst, method=method, steps=-1)
+        for method in ("gd", "gd_vector"):
+            with pytest.raises(ValueError, match="step size"):
+                bl.run_experiment(inst, method=method, steps=5, eta=0.0)
+
+    def test_alternating_ignores_eta(self):
+        inst = bl.make_instance(d=4, c=0.5, seed=0)
+        a = bl.run_experiment(inst, method="alternating", steps=5, eta=0.0)
+        b = bl.run_experiment(inst, method="alternating", steps=5)
+        np.testing.assert_array_equal(a.loss, b.loss)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("config, needle", [
+        ({"slicing": {"base": 7, "max_grid": 1}}, "unknown config key 'slicing'"),
+        ({"bilinear": {"d": 4}}, "unknown config key 'bilinear'"),
+        ({"router": {"gamma": 2}}, "gamma must lie in (0, 1]"),
+        ({"router": {"gamma": 0}}, "gamma must lie in (0, 1]"),
+        ({"router": {"train_noise_sigma": -1}}, "train_noise_sigma must be non-negative"),
+        ({"training": {"n_train": 0}}, "n_train must be at least 1"),
+        ({"training": {"n_eval": 0}}, "n_eval must be at least 1"),
+    ])
+    def test_rejected_before_training(self, config, needle, tmp_path, capsys):
+        assert_rejected(train_args(tmp_path, config), capsys, needle)
+
+    def test_help_lists_only_the_sections_train_reads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        epilog = capsys.readouterr().out.split("(unknown keys are rejected):\n", 1)[1]
+        assert set(json.loads(epilog)) == {"adapter", "router", "training"}
+
+    def test_max_grid_is_not_a_config_key(self):
+        with pytest.raises(ConfigError, match="slicing.max_grid"):
+            merge_config({"slicing": {"max_grid": 1}})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gamma": 0.0}, {"gamma": -0.5}, {"gamma": 1.5}, {"gamma": math.nan},
+        {"router_noise_sigma": -0.1}, {"n_train": 0},
+    ])
+    def test_pipeline_config_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            pl.PipelineConfig(**kwargs)
+
+    def test_pipeline_config_allows_no_eval_set(self):
+        assert pl.PipelineConfig(gamma=1.0, n_train=1, n_eval=0).n_eval == 0
+
+
+class TestSeedEnvVar:
+    @pytest.mark.parametrize("args", [
+        ["bilinear", "--method", "alt", "--c", "0.5", "--steps", "5"],
+        ["sweep", "--c", "0.5", "--steps", "5"],
+        ["train", "--mode", "e2e"],
+    ])
+    def test_bad_value_exits_2_naming_it(self, args, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert_rejected(args, capsys, SEED_ENV_VAR)
+
+    def test_explicit_seed_does_not_read_it(self, monkeypatch, capsys):
+        args = ["bilinear", "--method", "alt", "--c", "0.5", "--steps", "5", "--seed", "4"]
+        _, expected, _ = run_cli(args, capsys)
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert run_cli(args, capsys) == (0, expected, "")
+
+    def test_plan_and_route_ignore_it(self, tmp_path, monkeypatch, capsys):
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        write_matrix(tok, np.log(np.array([[0.4], [0.3], [0.2], [0.1]])))
+        write_matrix(txt, np.array([[1.0]]))
+        commands = [["plan", "--width", "999", "--height", "417"],
+                    ["route", "--gamma", "0.5", "--tokens", str(tok), "--text", str(txt)]]
+        expected = [run_cli(args, capsys) for args in commands]
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert [run_cli(args, capsys) for args in commands] == expected
+        assert all(code == 0 for code, _, _ in expected)

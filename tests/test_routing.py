@@ -13,7 +13,6 @@ from slicemix.routing import (
     RouterSelection,
     apply_selection,
     compress_local,
-    compress_patches,
     relevance_scores,
     route_tokens,
     select_prefix,
@@ -197,15 +196,6 @@ class TestCompression:
         p = ad.init_qformer(rng, 4, 6, 5)
         out = compress_local(rng.standard_normal((576, 6)), p)
         assert out.shape == (4, 5)
-
-    def test_four_patches_concatenate(self):
-        rng = make_rng(61)
-        p = ad.init_qformer(rng, 144, 6, 5)
-        patches = [rng.standard_normal((576, 6)) for _ in range(4)]
-        out = compress_patches(patches, p)
-        assert out.shape == (576, 5)
-        np.testing.assert_array_equal(out[:144], compress_local(patches[0], p))
-        np.testing.assert_array_equal(out[-144:], compress_local(patches[-1], p))
 
     def test_zero_values_zero_tokens(self):
         rng = make_rng(62)
