@@ -8,12 +8,12 @@ The gate scores the mean-pooled token and, in training mode, perturbs each
 logit with a standard-normal draw scaled by softplus(x . w_noise) before the
 softmax. All gradients are hand-derived and finite-difference checked; each
 VJP runs on the activations its forward pass saved instead of recomputing
-them.
+them. The query head also takes a (P, L, d_in) stack, one matrix per patch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -147,18 +147,19 @@ def init_gate(rng: np.random.Generator, d_in: int,
 
 
 def zeros_like_params(p):
-    """A parameter container of the same type with every array replaced by
-    float64 zeros; used as a gradient store."""
-    return replace(p, **{name: np.zeros(a.shape) for name, a in vars(p).items()
-                         if isinstance(a, np.ndarray)})
+    """A parameter container of the same type, nested containers included,
+    with every array replaced by float64 zeros; used as a gradient store."""
+    return replace(p, **{name: zeros_like_params(a) if is_dataclass(a) else np.zeros(a.shape)
+                         for name, a in vars(p).items()
+                         if is_dataclass(a) or isinstance(a, np.ndarray)})
 
 
-def _check_tokens(tokens: np.ndarray, d_in: int, what: str) -> np.ndarray:
+def _check_tokens(tokens, d_in: int, what: str, ndims=(2,)) -> np.ndarray:
     t = np.asarray(tokens, dtype=np.float64)
-    if t.ndim != 2:
-        raise ValueError(f"{what} expects a 2-D token matrix")
-    if t.shape[1] != d_in:
-        raise ValueError(f"{what}: token width {t.shape[1]} != parameter width {d_in}")
+    if t.ndim not in ndims:
+        raise ValueError(f"{what} expects {' or '.join(f'{n}-D' for n in ndims)} tokens")
+    if t.shape[-1] != d_in:
+        raise ValueError(f"{what}: token width {t.shape[-1]} != parameter width {d_in}")
     return t
 
 
@@ -188,8 +189,9 @@ def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams,
 
 
 def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
-    """qformer_forward, keeping the activations qformer_vjp reuses."""
-    t = _check_tokens(tokens, p.wk.shape[0], "qformer_forward")
+    """qformer_forward, keeping the activations qformer_vjp reuses. A (P, L, d_in)
+    stack of token matrices gives a (P, n_queries, d_out) output."""
+    t = _check_tokens(tokens, p.wk.shape[0], "qformer_forward", ndims=(2, 3))
     k = t @ p.wk
     v = t @ p.wv
     w = attention_weights(p.queries, k)
@@ -206,14 +208,15 @@ def qformer_forward(tokens, p: QFormerParams) -> np.ndarray:
 
 def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
                 grads: QFormerParams, token_grads: bool = True):
-    """Add the gradients of sum(qformer_forward * dout) w.r.t. the parameters
-    into `grads`; return the token gradient, or None when token_grads is off."""
-    grads.wo += acts.attended.T @ dout
+    """Add the parameter gradients of sum(qformer_forward * dout), summed over a
+    stack, into `grads`; return the token gradient, None if token_grads is off."""
+    d_in = p.wk.shape[0]
+    grads.wo += acts.attended.reshape(-1, d_in).T @ dout.reshape(-1, p.wo.shape[1])
     dq, dk, dv = cross_attention_vjp(p.queries, acts.keys, acts.values,
                                      dout @ p.wo.T, acts.weights)
     grads.queries += dq
-    grads.wk += acts.tokens.T @ dk
-    grads.wv += acts.tokens.T @ dv
+    grads.wk += acts.tokens.reshape(-1, d_in).T @ dk.reshape(-1, d_in)
+    grads.wv += acts.tokens.reshape(-1, d_in).T @ dv.reshape(-1, d_in)
     return dk @ p.wk.T + dv @ p.wv.T if token_grads else None
 
 
@@ -270,8 +273,7 @@ def moe_forward(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
                 rng: np.random.Generator | None = None,
                 gate_override=None) -> np.ndarray:
     """Gated sum of the two expert outputs; token count is preserved."""
-    out, _ = moe_apply(tokens, mlp, qf, gate, rng, gate_override)
-    return out
+    return moe_apply(tokens, mlp, qf, gate, rng, gate_override)[0]
 
 
 def _sigmoid(x):

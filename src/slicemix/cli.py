@@ -3,7 +3,8 @@
 Subcommands: `plan` (partition planning), `route` (token selection on matrix
 fixtures), `bilinear` (one factorization trace), `sweep` (a grid of
 factorization runs), and `train` (toy training runs). stdout carries
-machine-readable JSON only; human diagnostics go to stderr. Exit codes:
+strict JSON only, with non-finite numbers as null; human diagnostics go to
+stderr. Exit codes:
 0 success, 2 usage or config error, 3 a run was flagged as diverged.
 
 Matrix fixtures are whitespace-separated text with a single `rows cols`
@@ -82,6 +83,8 @@ def read_matrix(path: str) -> np.ndarray:
     data = [float(x) for x in text[2:]]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: values must be finite")
     return np.array(data, dtype=np.float64).reshape(rows, cols)
 
 
@@ -92,16 +95,32 @@ def write_matrix(path: str, arr: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               list: "a non-empty list of positive integers"}
+
+
+def _check_type(name: str, value, default) -> None:
+    """Reject a value whose JSON type differs from its default's (an int may be a float)."""
+    if isinstance(default, list):
+        ok = isinstance(value, list) and value and all(type(v) is int and v > 0 for v in value)
+    else:
+        ok = type(value) is type(default) or (type(value), type(default)) == (int, float)
+    if not ok:
+        raise ConfigError(f"config value '{name}' must be {_TYPE_NAMES[type(default)]}, "
+                          f"got {json.dumps(value)}")
+
+
 def merge_config(user: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> dict:
-    """Overlay a user config onto the defaults, rejecting unknown keys."""
+    """Overlay a user config onto the defaults, rejecting unknown keys and
+    values whose type differs from the default's."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"config section '{path[:-1] or '(top level)'}' must be an object")
     merged = {}
     for key, default_value in defaults.items():
         if key in user and isinstance(default_value, dict):
-            sub = user[key]
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config section '{path}{key}' must be an object")
-            merged[key] = merge_config(sub, default_value, f"{path}{key}.")
+            merged[key] = merge_config(user[key], default_value, f"{path}{key}.")
         elif key in user:
+            _check_type(f"{path}{key}", user[key], default_value)
             merged[key] = user[key]
         else:
             merged[key] = default_value
@@ -111,32 +130,33 @@ def merge_config(user: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") ->
     return merged
 
 
+def _strict_json(obj, sort_keys: bool = False) -> str:
+    """Strict JSON text for `obj`, with every NaN or infinity written as null."""
+    loose = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(loose, allow_nan=False, sort_keys=sort_keys)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    print(_strict_json(obj))
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_plan(args) -> int:
-    if args.width < 1 or args.height < 1:
-        return _fail("plan: --width and --height must be positive integers")
-    plan = plan_partition(args.width, args.height, base=args.base)
+    try:
+        plan = plan_partition(args.width, args.height, base=args.base)
+    except ValueError as exc:
+        return _fail(f"plan: {exc}")
     _emit({"w": args.width, "h": args.height, "m": plan.m, "n": plan.n,
            "s": plan.scale, "utilized": plan.utilized, "wasted": plan.wasted})
     return EXIT_OK
 
 
 def cmd_route(args) -> int:
-    if not 0.0 < args.gamma <= 1.0:
-        return _fail("route: --gamma must lie in (0, 1]")
     try:
-        tokens = read_matrix(args.tokens)
-        text = read_matrix(args.text)
+        router = RouterConfig(gamma=args.gamma)
+        sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
     except (OSError, ValueError) as exc:
-        return _fail(f"route: {exc}")
-    try:
-        sel = route_tokens(tokens, text, RouterConfig(gamma=args.gamma))
-    except ValueError as exc:
         return _fail(f"route: {exc}")
     _emit(sel.to_json())
     return EXIT_OK
@@ -156,8 +176,6 @@ def _parse_init(text: str):
 
 
 def cmd_bilinear(args) -> int:
-    if not -1.0 < args.c < 1.0:
-        return _fail("bilinear: --c must lie in (-1, 1)")
     if args.method not in _METHOD_ALIASES:
         return _fail(f"bilinear: unknown --method '{args.method}'")
     try:
@@ -179,22 +197,19 @@ def cmd_sweep(args) -> int:
         cs = [float(x) for x in args.c.split(",") if x]
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         init = _parse_init(args.init)
+        insts = [bilinear.make_instance(d=args.d, c=c, seed=args.seed) for c in cs]
     except ValueError as exc:
         return _fail(f"sweep: {exc}")
     if not cs or not methods:
         return _fail("sweep: --c and --methods each need at least one value")
-    for c in cs:
-        if not -1.0 < c < 1.0:
-            return _fail(f"sweep: c={c} outside (-1, 1)")
     for m in methods:
         if m not in _METHOD_ALIASES:
             return _fail(f"sweep: unknown method '{m}'")
 
     results = []
-    for c in cs:
+    for inst in insts:
         for method in methods:
             try:
-                inst = bilinear.make_instance(d=args.d, c=c, seed=args.seed)
                 trace = bilinear.run_experiment(inst, init=init,
                                                 method=_METHOD_ALIASES[method],
                                                 steps=args.steps, eta=args.eta)
@@ -203,7 +218,7 @@ def cmd_sweep(args) -> int:
             if args.outdir:
                 out = Path(args.outdir)
                 out.mkdir(parents=True, exist_ok=True)
-                (out / f"trace_{method}_c{c}.csv").write_text(trace.to_csv())
+                (out / f"trace_{method}_c{inst.c}.csv").write_text(trace.to_csv())
             results.append(trace.summary())
     _emit(results)
     return EXIT_DIVERGED if any(r["classification"] == "diverged" for r in results) else EXIT_OK
@@ -221,9 +236,13 @@ def cmd_train(args) -> int:
     except ConfigError as exc:
         return _fail(f"train: {exc}")
     tc, ac, rc = cfg["training"], cfg["adapter"], cfg["router"]
-    if tc["n_eval"] < 1:
-        return _fail("train: training.n_eval must be at least 1")
+    for key in ("n_eval", "total_steps"):
+        if tc[key] < 1:
+            return _fail(f"train: training.{key} must be at least 1")
     try:
+        schedule = pipeline.default_schedule(args.mode, seed=args.seed,
+                                             total_steps=tc["total_steps"],
+                                             lr=tc["lr"])
         pcfg = pipeline.PipelineConfig(
             feat_dim=ac["feat_dim"], model_dim=ac["model_dim"],
             out_dim=tc["out_dim"], local_queries=rc["local_queries"],
@@ -231,9 +250,6 @@ def cmd_train(args) -> int:
             gate_noise=ac["gate_noise"], base=tc["base"], grid=tc["grid"],
             sizes=tuple(tc["sizes"]), n_train=tc["n_train"], n_eval=tc["n_eval"])
         task = pipeline.make_toy_task(args.seed, pcfg)
-        schedule = pipeline.default_schedule(args.mode, seed=args.seed,
-                                             total_steps=tc["total_steps"],
-                                             lr=tc["lr"])
     except ValueError as exc:
         return _fail(f"train: {exc}")
     report = pipeline.train(schedule, task)
@@ -242,7 +258,7 @@ def cmd_train(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / f"report_{args.mode}_seed{args.seed}.csv").write_text(report.to_csv())
         (out / f"summary_{args.mode}_seed{args.seed}.json").write_text(
-            json.dumps(report.summary(), sort_keys=True) + "\n")
+            _strict_json(report.summary(), sort_keys=True) + "\n")
     _emit(report.summary())
     return EXIT_DIVERGED if report.diverged else EXIT_OK
 

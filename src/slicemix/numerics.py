@@ -3,8 +3,8 @@ attention with its vector-Jacobian product, seeded generators, and a central
 difference gradient checker.
 
 Everything operates on plain float64 numpy arrays; a "matrix" is a 2-D array
-in row-major order and a "vector" is 1-D. Outputs are finite whenever inputs
-are finite.
+in row-major order and a "vector" is 1-D; attention also takes stacked keys
+and values. Outputs are finite whenever inputs are finite.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ def softmax(v) -> np.ndarray:
 
 
 def softmax_rows(a) -> np.ndarray:
-    """Row-wise stable softmax of a 2-D array."""
+    """Row-wise stable softmax of a 2-D array, or of each matrix in a stack."""
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError("empty matrix")
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softplus(x):
@@ -73,21 +73,23 @@ def gelu_grad(x):
     return cdf + x * pdf
 
 
-def _check_attention_shapes(q, k, v):
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("attention inputs must be 2-D")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query dim {q.shape[1]} does not match key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"{k.shape[0]} key rows vs {v.shape[0]} value rows")
-    if k.shape[0] == 0:
+def _attention_inputs(queries, keys, values):
+    q, k, v = [np.asarray(a, dtype=np.float64) for a in (queries, keys, values)]
+    if q.ndim != 2 or k.ndim not in (2, 3) or v.ndim != k.ndim:
+        raise ValueError("attention takes 2-D queries and 2-D or stacked 3-D keys and values")
+    if q.shape[1] != k.shape[-1]:
+        raise ValueError(f"query dim {q.shape[1]} does not match key dim {k.shape[-1]}")
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ValueError(f"{k.shape[-2]} key rows vs {v.shape[-2]} value rows")
+    if k.shape[-2] == 0:
         raise ValueError("attention needs at least one key")
+    return q, k, v
 
 
 def attention_weights(queries, keys) -> np.ndarray:
     """Row-stochastic weights softmax(queries . keys^T / sqrt(d)), one row per
-    query; callers have already checked the shapes."""
-    return softmax_rows(queries @ keys.T / math.sqrt(queries.shape[1]))
+    query (per stacked key matrix); callers have already checked the shapes."""
+    return softmax_rows(queries @ keys.swapaxes(-1, -2) / math.sqrt(queries.shape[-1]))
 
 
 def cross_attention(queries, keys, values) -> np.ndarray:
@@ -96,29 +98,24 @@ def cross_attention(queries, keys, values) -> np.ndarray:
     Each output row i is sum_j w_ij * values[j] with
     w_i = softmax(queries[i] . keys^T / sqrt(d)); weight rows sum to 1.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    _check_attention_shapes(q, k, v)
+    q, k, v = _attention_inputs(queries, keys, values)
     return attention_weights(q, k) @ v
 
 
 def cross_attention_vjp(queries, keys, values, dout, weights=None):
     """Gradients of cross_attention w.r.t. (queries, keys, values) given dL/dout.
 
-    `weights` are the attention weights the forward pass saved; without them
-    they are recomputed from the queries and keys.
+    `weights` are the attention weights the forward pass saved, else they are
+    recomputed; with stacked keys the query gradient sums over the stack.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    _check_attention_shapes(q, k, v)
+    q, k, v = _attention_inputs(queries, keys, values)
     w = attention_weights(q, k) if weights is None else weights
-    dv = w.T @ dout
-    dw = dout @ v.T
+    dv = w.swapaxes(-1, -2) @ dout
+    dw = dout @ v.swapaxes(-1, -2)
     # gradient of the scaled scores q . k^T / sqrt(d)
-    ds = w * (dw - (dw * w).sum(axis=1, keepdims=True)) / math.sqrt(q.shape[1])
-    return ds @ k, ds.T @ q, dv
+    ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) / math.sqrt(q.shape[1])
+    dq = ds.swapaxes(0, -2).reshape(q.shape[0], -1) @ k.reshape(-1, q.shape[1])
+    return dq, ds.swapaxes(-1, -2) @ q, dv
 
 
 def fd_grad_check(f, analytic_grad, point, step: float = 1e-5) -> float:

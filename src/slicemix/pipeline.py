@@ -1,6 +1,6 @@
 """End-to-end toy study: synthetic images flow through partition planning,
-the gated global mixture, per-patch query compression, relevance routing,
-and a linear readout trained against a frozen teacher.
+the gated global mixture, stacked query compression of all patches,
+relevance routing, and a linear readout trained against a frozen teacher.
 
 The teacher reads the mean feature token over every full-scale patch of the
 image, so the downsampled global view alone cannot reach zero error while
@@ -103,7 +103,7 @@ class Sample:
     width: int
     height: int
     global_tokens: np.ndarray            # (grid^2, feat_dim)
-    patch_tokens: list[np.ndarray]       # per patch, (grid^2, feat_dim)
+    patch_tokens: np.ndarray             # (n_patches, grid^2, feat_dim)
     target: np.ndarray                   # (out_dim,)
 
 
@@ -137,9 +137,9 @@ def _build_sample(pixels: np.ndarray, cfg: PipelineConfig, w_feat: np.ndarray,
     h, w = pixels.shape
     plan = plan_partition(w, h, base=cfg.base, max_grid=cfg.max_grid)
     g_tokens = _featurize_tile(make_global_view(pixels, base=cfg.base), w_feat, cfg.grid)
-    p_tokens = [_featurize_tile(p, w_feat, cfg.grid)
-                for p in extract_patches(pixels, plan)]
-    target = (np.vstack(p_tokens).mean(axis=0) @ w_teacher
+    p_tokens = np.stack([_featurize_tile(p, w_feat, cfg.grid)
+                         for p in extract_patches(pixels, plan)])
+    target = (p_tokens.reshape(-1, cfg.feat_dim).mean(axis=0) @ w_teacher
               + g_tokens.mean(axis=0) @ w_teacher_coarse)
     return Sample(width=w, height=h, global_tokens=g_tokens,
                   patch_tokens=p_tokens, target=target)
@@ -231,14 +231,14 @@ class ForwardCache:
     """The activations one forward pass saves for its backward.
 
     The gate sample carries both global experts' activations (see moe_apply)
-    and `patches` holds each local patch's query-head activations, so the
-    backward only runs VJP arithmetic and draws no random numbers.
+    and `patches` holds all local patches' stacked query-head activations, so
+    the backward only runs VJP arithmetic and draws no random numbers.
     """
 
     mode: str
     gate_sample: GateSample | None
     selection: RouterSelection | None
-    patches: list[QFormerActivations]
+    patches: QFormerActivations | None
     n_global: int
     n_rows: int
     pooled: np.ndarray
@@ -258,9 +258,7 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
         raise ValueError(f"unknown forward mode '{mode}'")
     cfg = task.cfg
     rows = []
-    gate_s = None
-    sel = None
-    patches = []
+    gate_s = sel = patches = None
     n_global = 0
     if mode != "local_only":
         g_out, gate_s = moe_apply(sample.global_tokens, params.mlp,
@@ -269,8 +267,8 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
         n_global = g_out.shape[0]
         rows.append(g_out)
     if mode != "global_only":
-        patches = [qformer_apply(t, params.qf_local) for t in sample.patch_tokens]
-        local = np.vstack([acts.out for acts in patches])
+        patches = qformer_apply(sample.patch_tokens, params.qf_local)
+        local = patches.out.reshape(-1, patches.out.shape[-1])
         if fixed_selection is not None:
             sel = fixed_selection
         else:
@@ -288,16 +286,6 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
     return pred, cache
 
 
-def _zero_grads(params: PipelineParams) -> PipelineParams:
-    return PipelineParams(
-        mlp=zeros_like_params(params.mlp),
-        qf_global=zeros_like_params(params.qf_global),
-        gate=zeros_like_params(params.gate),
-        qf_local=zeros_like_params(params.qf_local),
-        readout=np.zeros_like(params.readout),
-    )
-
-
 def _backward(sample: Sample, params: PipelineParams, cache: ForwardCache,
               dpred: np.ndarray, grads: PipelineParams) -> None:
     """Add one image's parameter gradients, given dL/dpred, into `grads`."""
@@ -310,15 +298,11 @@ def _backward(sample: Sample, params: PipelineParams, cache: ForwardCache,
                       grads=(grads.mlp, grads.qf_global, grads.gate),
                       token_grads=False)
     if cache.mode != "global_only":
-        # the selection is a hard gather: only kept rows receive gradient
-        nq = params.qf_local.n_queries
-        dlocal = np.zeros((nq * len(cache.patches), drow.size))
-        dlocal[cache.selection.kept_indices] = drow
-        for p_idx, acts in enumerate(cache.patches):
-            dout_p = dlocal[p_idx * nq:(p_idx + 1) * nq]
-            if dout_p.any():
-                qformer_vjp(acts, params.qf_local, dout_p, grads.qf_local,
-                            token_grads=False)
+        # the selection is a hard gather: unkept rows add exact zero gradient
+        dlocal = np.zeros(cache.patches.out.shape)
+        dlocal.reshape(-1, drow.size)[cache.selection.kept_indices] = drow
+        qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local,
+                    token_grads=False)
 
 
 def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
@@ -331,7 +315,7 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
     exactly as over the forward passes alone. All images write into one
     gradient store, each with its upstream gradient scaled by 1/B.
     """
-    grads = _zero_grads(params)
+    grads = zeros_like_params(params)
     total_loss = 0.0
     inv = 1.0 / len(samples)
     for i, sample in enumerate(samples):
@@ -375,6 +359,8 @@ class StageSchedule:
         n = len(stage_plan(self.mode))
         if len(self.steps) != n or len(self.lr) != n:
             raise ValueError(f"mode '{self.mode}' takes exactly {n} stage(s)")
+        if not all(0.0 < lr < np.inf for lr in self.lr):
+            raise ValueError("learning rates must be positive and finite")
 
 
 def stage_plan(mode: str) -> list[tuple[str, str, frozenset]]:
@@ -456,18 +442,16 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
                 if not np.isfinite(loss_val):
                     diverged = True
                     break
-                garr = params_arrays(grads)
-                for group, arrs in params_arrays(params).items():
-                    if group not in groups:
-                        continue
-                    for p_arr, g_arr in zip(arrs, garr[group]):
+                parr, garr = params_arrays(params), params_arrays(grads)
+                for group in groups:
+                    for p_arr, g_arr in zip(parr[group], garr[group]):
                         p_arr -= lr * g_arr
             if diverged:
                 break
         final_eval = evaluate(params, task, "full")
         only_global = ablate(params, task, "only_global")
         only_local = ablate(params, task, "only_local")
-    report = RunReport(
+    return RunReport(
         mode=schedule.mode,
         seed=schedule.seed,
         steps=rows,
@@ -486,4 +470,3 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
         },
         diverged=diverged,
     )
-    return report

@@ -1,6 +1,7 @@
 """Local token compression and the text-guided relevance router.
 
-Per-patch token grids are condensed to a fixed number of query tokens, then
+Patch token grids are condensed to a fixed number of query tokens (the
+pipeline compresses all of an image's patches in one stacked pass), then
 scored against the text embedding: scores = softmax over image tokens of the
 text-averaged similarity z_v . z_x^T. Tokens are kept greedily from the top
 score down until the accumulated mass reaches the threshold gamma

@@ -65,6 +65,8 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
     """Pick the best tiling among all max_grid x max_grid grid options."""
     if width < 1 or height < 1:
         raise ValueError("image size must be positive")
+    if base < 1:
+        raise ValueError("base (the tile side) must be positive")
     w = float(width)
     h = float(height)
     cands = [_candidate(w, h, m, n, base)

@@ -280,3 +280,66 @@ class TestAdapterGrads:
         grad = np.concatenate([d_gate.w_g.ravel(), d_gate.w_noise.ravel()])
         point = np.concatenate([gate.w_g.ravel(), gate.w_noise.ravel()])
         assert fd_grad_check(f, grad, point) < 1e-6
+
+
+class TestStackedQueryHead:
+    """qformer_apply and qformer_vjp on a stack of token matrices, the form
+    the pipeline uses to compress all of an image's patches in one pass."""
+
+    def setup_method(self):
+        rng = make_rng(50)
+        self.p = ad.init_qformer(rng, 4, 5, 3)
+        self.tokens = rng.standard_normal((3, 6, 5))   # 3 patches of 6 tokens
+        self.dout = rng.standard_normal((3, 4, 3))
+
+    def test_matches_per_patch_loop(self):
+        acts = ad.qformer_apply(self.tokens, self.p)
+        grads = ad.zeros_like_params(self.p)
+        dtok = ad.qformer_vjp(acts, self.p, self.dout, grads)
+        loop = ad.zeros_like_params(self.p)
+        for i, t in enumerate(self.tokens):
+            a = ad.qformer_apply(t, self.p)
+            np.testing.assert_allclose(acts.out[i], a.out, rtol=1e-13, atol=0)
+            dtok_i = ad.qformer_vjp(a, self.p, self.dout[i], loop)
+            np.testing.assert_allclose(dtok[i], dtok_i, rtol=1e-13, atol=1e-13)
+        for name in ("queries", "wk", "wv", "wo"):
+            got, want = getattr(grads, name), getattr(loop, name)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_fd_including_token_grads(self):
+        d_in, n_q, d_out = 5, 4, 3
+        shapes = [(n_q, d_in), (d_in, d_in), (d_in, d_in), (d_in, d_out)]
+
+        def unflatten(vec):
+            arrs, pos = [], 0
+            for s in shapes:
+                n = int(np.prod(s))
+                arrs.append(vec[pos:pos + n].reshape(s))
+                pos += n
+            return ad.QFormerParams(*arrs), vec[pos:].reshape(self.tokens.shape)
+
+        def f(vec):
+            q, tokens = unflatten(vec)
+            return float(np.vdot(ad.qformer_forward(tokens, q), self.dout))
+
+        grads = ad.zeros_like_params(self.p)
+        dtok = ad.qformer_vjp(ad.qformer_apply(self.tokens, self.p), self.p,
+                              self.dout, grads)
+        assert dtok.shape == self.tokens.shape
+        point = np.concatenate([a.ravel() for a in (
+            self.p.queries, self.p.wk, self.p.wv, self.p.wo, self.tokens)])
+        analytic = np.concatenate([a.ravel() for a in (
+            grads.queries, grads.wk, grads.wv, grads.wo, dtok)])
+        assert fd_grad_check(f, analytic, point) < 1e-6
+
+    def test_stack_of_one_equals_the_matrix(self):
+        t = self.tokens[0]
+        stacked = ad.qformer_apply(t[None], self.p)
+        assert stacked.out.shape == (1, 4, 3)
+        assert np.array_equal(stacked.out[0], ad.qformer_forward(t, self.p))
+
+    def test_other_ranks_rejected(self):
+        with pytest.raises(ValueError, match="expects 2-D or 3-D tokens"):
+            ad.qformer_forward(self.tokens[None], self.p)
+        with pytest.raises(ValueError, match="expects 2-D tokens"):
+            ad.mlp_forward(self.tokens, ad.init_mlp(make_rng(0), 5, 3))

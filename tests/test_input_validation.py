@@ -1,5 +1,6 @@
-"""Bad trajectory arguments, train configs and SLIME_KIT_SEED values are
-rejected before any run starts: exit 2, one stderr line, nothing on stdout."""
+"""Bad plan geometry, trajectory arguments, train configs, matrix fixtures
+and SLIME_KIT_SEED values are rejected before any run starts: exit 2, one
+stderr line, nothing on stdout. What does reach stdout is strict JSON."""
 
 import json
 import math
@@ -9,7 +10,9 @@ import pytest
 
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
-from slicemix.cli import EXIT_USAGE, SEED_ENV_VAR, ConfigError, main, merge_config, write_matrix
+from slicemix.cli import (EXIT_DIVERGED, EXIT_USAGE, SEED_ENV_VAR, ConfigError, main,
+                          merge_config, write_matrix)
+from slicemix.slicing import plan_partition
 
 
 def run_cli(args, capsys):
@@ -30,6 +33,23 @@ def train_args(tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     return ["train", "--mode", "e2e", "--seed", "1", "--config", str(path)]
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestPlanInputs:
+    @pytest.mark.parametrize("base", ["0", "-5"])
+    def test_nonpositive_base(self, base, capsys):
+        assert_rejected(["plan", "--width", "100", "--height", "100", "--base", base],
+                        capsys, "base (the tile side) must be positive")
+
+    def test_plan_partition_raises(self):
+        with pytest.raises(ValueError, match="base"):
+            plan_partition(100, 100, base=0)
 
 
 class TestTrajectoryInputs:
@@ -84,9 +104,40 @@ class TestTrainConfig:
         ({"router": {"train_noise_sigma": -1}}, "train_noise_sigma must be non-negative"),
         ({"training": {"n_train": 0}}, "n_train must be at least 1"),
         ({"training": {"n_eval": 0}}, "n_eval must be at least 1"),
+        ({"training": {"sizes": 5}}, "'training.sizes' must be a non-empty list"),
+        ({"training": {"sizes": []}}, "'training.sizes' must be a non-empty list"),
+        ({"training": {"sizes": [96, 0]}}, "'training.sizes' must be a non-empty list"),
+        ({"training": {"sizes": [96, 128.0]}}, "'training.sizes' must be a non-empty list"),
+        ({"router": {"gamma": "x"}}, "'router.gamma' must be a number"),
+        ({"router": {"gamma": True}}, "'router.gamma' must be a number"),
+        ({"training": {"n_train": 2.5}}, "'training.n_train' must be an integer"),
+        ({"adapter": {"gate_noise": 1}}, "'adapter.gate_noise' must be true or false"),
+        ({"training": {"lr": -1}}, "learning rates must be positive and finite"),
+        ({"training": {"lr": 0}}, "learning rates must be positive and finite"),
+        ({"training": {"total_steps": -3}}, "total_steps must be at least 1"),
+        ({"training": {"total_steps": 0}}, "total_steps must be at least 1"),
+        ([1, 2], "config section '(top level)' must be an object"),
+        ({"router": 5}, "config section 'router' must be an object"),
     ])
     def test_rejected_before_training(self, config, needle, tmp_path, capsys):
         assert_rejected(train_args(tmp_path, config), capsys, needle)
+
+    @pytest.mark.parametrize("lr", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_lr(self, lr, tmp_path, capsys):
+        # Python's json module reads these literals, so they reach the check
+        path = tmp_path / "cfg.json"
+        path.write_text('{"training": {"lr": %s}}' % lr)
+        assert_rejected(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
+                        capsys, "learning rates must be positive and finite")
+
+    def test_int_stands_in_for_float(self):
+        cfg = merge_config({"router": {"gamma": 1}, "training": {"lr": 1}})
+        assert cfg["router"]["gamma"] == 1 and cfg["training"]["lr"] == 1
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
+    def test_stage_schedule_rejects_lr(self, lr):
+        with pytest.raises(ValueError, match="learning rates"):
+            pl.default_schedule("alternating", lr=lr)
 
     def test_help_lists_only_the_sections_train_reads(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -137,3 +188,34 @@ class TestSeedEnvVar:
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
         assert [run_cli(args, capsys) for args in commands] == expected
         assert all(code == 0 for code, _, _ in expected)
+
+
+class TestStrictJson:
+    def test_diverged_train_reports_null_evals(self, tmp_path, capsys):
+        config = {"training": {"lr": 40, "total_steps": 20, "n_train": 3, "n_eval": 2}}
+        out_dir = tmp_path / "runs"
+        code, out, _ = run_cli(train_args(tmp_path, config) + ["--out", str(out_dir)],
+                               capsys)
+        assert code == EXIT_DIVERGED
+        doc = strict_json(out)
+        assert doc["diverged"] is True
+        assert doc["final_eval"] is None
+        assert strict_json((out_dir / "summary_e2e_seed1.json").read_text()) == doc
+
+    def test_diverged_bilinear_reports_null_loss(self, capsys):
+        # a huge step size overflows the loss to infinity before the norm check
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(["bilinear", "--method", "gd", "--c", "0.5",
+                                    "--eta", "1e200", "--steps", "50", "--seed", "1"],
+                                   capsys)
+        assert code == EXIT_DIVERGED
+        doc = strict_json(out)
+        assert doc["classification"] == "diverged" and doc["final_loss"] is None
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_route_rejects_non_finite_fixture(self, value, tmp_path, capsys):
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        tok.write_text(f"3 1\n0.1 {value} 0.2\n")
+        write_matrix(txt, np.array([[1.0]]))
+        assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
+                        "values must be finite")

@@ -154,6 +154,49 @@ class TestGradients:
             pl.forward(s, params, task, "full", rng=r2)
         assert r1.bit_generator.state == r2.bit_generator.state
 
+    @pytest.mark.parametrize("mode", ["full", "local_only"])
+    def test_fd_check_one_patch_images(self, mode):
+        # 96 px images plan a single tile, so the patch stack has P = 1
+        t = pl.make_toy_task(8, pl.PipelineConfig(sizes=(96,), n_train=2, n_eval=1))
+        p = pl.init_params(t, 8)
+        assert all(s.patch_tokens.shape[0] == 1 for s in t.train_set)
+        sels = [pl.forward(s, p, t, mode)[1].selection for s in t.train_set]
+        _, grads = pl.batch_loss_and_grads(t.train_set, p, t, mode,
+                                           fixed_selections=sels)
+        assert np.any(grads.qf_local.queries != 0.0)
+
+        def f(vec):
+            p2 = copy.deepcopy(p)
+            pl.set_params_vector(p2, vec)
+            return pl.batch_loss_and_grads(t.train_set, p2, t, mode,
+                                           fixed_selections=sels)[0]
+
+        assert fd_grad_check(f, pl.params_vector(grads), pl.params_vector(p)) < 1e-4
+
+    def test_one_query_head_call_per_image(self, task, params, monkeypatch):
+        # all of an image's patches are compressed, and differentiated, in one
+        # stacked call through the names the pipeline binds
+        calls = {"apply": [], "vjp": 0}
+        apply, vjp = pl.qformer_apply, pl.qformer_vjp
+
+        def counting_apply(tokens, p):
+            calls["apply"].append(np.shape(tokens))
+            return apply(tokens, p)
+
+        def counting_vjp(*args, **kwargs):
+            calls["vjp"] += 1
+            return vjp(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "qformer_apply", counting_apply)
+        monkeypatch.setattr(pl, "qformer_vjp", counting_vjp)
+        batch = task.train_set[:3]
+        pl.batch_loss_and_grads(batch, params, task, "full", rng=make_rng(13))
+        assert calls["apply"] == [s.patch_tokens.shape for s in batch]
+        assert calls["vjp"] == len(batch)
+        calls["apply"].clear()
+        pl.forward(task.eval_set[0], params, task, "local_only")
+        assert len(calls["apply"]) == 1
+
     def test_frozen_groups_get_zero_grads_in_global_mode(self, task, params):
         _, grads = pl.batch_loss_and_grads(task.train_set[:2], params, task,
                                            "global_only")
