@@ -8,7 +8,8 @@ The gate scores the mean-pooled token and, in training mode, perturbs each
 logit with a standard-normal draw scaled by softplus(x . w_noise) before the
 softmax. All gradients are hand-derived and finite-difference checked; each
 VJP runs on the activations its forward pass saved instead of recomputing
-them. The query head also takes a (P, L, d_in) stack, one matrix per patch.
+them. Each function also takes a stack of token matrices (one per patch or
+image), so a batch runs as one pass; parameter gradients sum over a stack.
 """
 
 from __future__ import annotations
@@ -102,15 +103,15 @@ class QFormerActivations:
 
 @dataclass
 class GateSample:
-    """One gate evaluation plus what the backward pass needs to replay it.
+    """One gate evaluation (or a stack) plus what the backward needs to replay it.
 
     moe_apply also saves both experts' activations here, so adapter_grads
     recomputes nothing.
     """
 
-    pooled: np.ndarray
-    weights: np.ndarray
-    eps: np.ndarray | None = None      # the two normal draws, None when noiseless
+    pooled: np.ndarray                 # (d_in,), or (B, d_in) for a stack
+    weights: np.ndarray                # (2,), or (B, 2)
+    eps: np.ndarray | None = None      # the normal draws, None when noiseless
     override: bool = False
     mlp: MlpActivations | None = None
     qformer: QFormerActivations | None = None
@@ -163,9 +164,14 @@ def _check_tokens(tokens, d_in: int, what: str, ndims=(2,)) -> np.ndarray:
     return t
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A vector, matrix or stack of matrices as one matrix of all its rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
-    """mlp_forward, keeping the activations mlp_vjp reuses."""
-    t = _check_tokens(tokens, p.w1.shape[0], "mlp_forward")
+    """mlp_forward, keeping the activations mlp_vjp reuses; also takes a stack."""
+    t = _check_tokens(tokens, p.w1.shape[0], "mlp_apply", ndims=(2, 3))
     pre = t @ p.w1 + p.b1
     hidden = gelu(pre)
     return MlpActivations(tokens=t, pre=pre, hidden=hidden, out=hidden @ p.w2 + p.b2)
@@ -173,18 +179,18 @@ def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
 
 def mlp_forward(tokens, p: MlpParams) -> np.ndarray:
     """Per-token gelu(x W1 + b1) W2 + b2; the token count is preserved."""
-    return mlp_apply(tokens, p).out
+    return mlp_apply(_check_tokens(tokens, p.w1.shape[0], "mlp_forward"), p).out
 
 
 def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams,
             token_grads: bool = True):
-    """Add the gradients of sum(mlp_forward * dout) w.r.t. the parameters into
-    `grads`; return the token gradient, or None when token_grads is off."""
-    grads.w2 += acts.hidden.T @ dout
-    grads.b2 += dout.sum(axis=0)
+    """Add the parameter gradients of sum(mlp_forward * dout), summed over a
+    stack, into `grads`; return the token gradient, None if token_grads is off."""
+    grads.w2 += _rows(acts.hidden).T @ _rows(dout)
+    grads.b2 += _rows(dout).sum(axis=0)
     dh = (dout @ p.w2.T) * gelu_grad(acts.pre)
-    grads.w1 += acts.tokens.T @ dh
-    grads.b1 += dh.sum(axis=0)
+    grads.w1 += _rows(acts.tokens).T @ _rows(dh)
+    grads.b1 += _rows(dh).sum(axis=0)
     return dh @ p.w1.T if token_grads else None
 
 
@@ -210,37 +216,43 @@ def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
                 grads: QFormerParams, token_grads: bool = True):
     """Add the parameter gradients of sum(qformer_forward * dout), summed over a
     stack, into `grads`; return the token gradient, None if token_grads is off."""
-    d_in = p.wk.shape[0]
-    grads.wo += acts.attended.reshape(-1, d_in).T @ dout.reshape(-1, p.wo.shape[1])
+    grads.wo += _rows(acts.attended).T @ _rows(dout)
     dq, dk, dv = cross_attention_vjp(p.queries, acts.keys, acts.values,
                                      dout @ p.wo.T, acts.weights)
     grads.queries += dq
-    grads.wk += acts.tokens.reshape(-1, d_in).T @ dk.reshape(-1, d_in)
-    grads.wv += acts.tokens.reshape(-1, d_in).T @ dv.reshape(-1, d_in)
+    grads.wk += _rows(acts.tokens).T @ _rows(dk)
+    grads.wv += _rows(acts.tokens).T @ _rows(dv)
     return dk @ p.wk.T + dv @ p.wv.T if token_grads else None
 
 
 def gate_sample(pooled, p: GateParams, rng: np.random.Generator | None = None,
-                override=None) -> GateSample:
-    """Evaluate the gate on a pooled feature vector.
+                override=None, eps=None) -> GateSample:
+    """Evaluate the gate on a pooled feature vector, or on each row of a stack.
 
     Noise is applied only when the parameters enable it AND a generator is
     provided (training mode); without a generator the gate is deterministic.
-    An explicit override substitutes the mixing weights verbatim.
+    A stack draws as its rows would one by one; `eps`, shaped like the
+    weights, supplies the draws instead. An explicit override substitutes
+    the mixing weights verbatim.
     """
-    x = np.asarray(pooled, dtype=np.float64).ravel()
-    if x.shape[0] != p.w_g.shape[0]:
+    x = np.asarray(pooled, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
         raise ValueError("pooled feature width does not match gate parameters")
     if override is not None:
         w = np.asarray(override, dtype=np.float64).ravel()
         if w.shape != (2,):
             raise ValueError("gate override must have exactly 2 entries")
-        return GateSample(pooled=x, weights=w, override=True)
-    logits = x @ p.w_g
-    eps = None
-    if p.noise_enabled and rng is not None:
-        eps = rng.standard_normal(2)
-        logits = logits + eps * softplus(x @ p.w_noise)
+        return GateSample(pooled=x, weights=np.broadcast_to(w, x.shape[:-1] + (2,)),
+                          override=True)
+    rows = x[..., None, :]   # row by row, so a stack's products are bitwise its rows'
+    logits = (rows @ p.w_g)[..., 0, :]
+    if p.noise_enabled and eps is None and rng is not None:
+        eps = rng.standard_normal(logits.shape)
+    if not p.noise_enabled or eps is None:
+        return GateSample(pooled=x, weights=softmax(logits))
+    if np.shape(eps) != logits.shape:
+        raise ValueError("gate noise draws must match the gate weights' shape")
+    logits = logits + eps * softplus((rows @ p.w_noise)[..., 0, :])
     return GateSample(pooled=x, weights=softmax(logits), eps=eps)
 
 
@@ -251,20 +263,21 @@ def gate_weights(pooled, p: GateParams,
 
 
 def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
-              rng: np.random.Generator | None = None, gate_override=None):
+              rng: np.random.Generator | None = None, gate_override=None, eps=None):
     """Soft two-expert mixture; returns (output, gate sample).
 
     The gate sees the column mean of the tokens, so one weight pair applies
-    to the whole image. The gate sample also carries both experts' saved
+    to the whole image (one pair per image of a stack); `eps` goes to
+    gate_sample. The gate sample also carries both experts' saved
     activations for adapter_grads.
     """
-    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
-    if qf.n_queries != t.shape[0]:
+    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply", ndims=(2, 3))
+    if qf.n_queries != t.shape[-2]:
         raise ValueError("global expert shape mismatch")
-    sample = gate_sample(t.mean(axis=0), gate, rng, gate_override)
+    sample = gate_sample(t.sum(axis=-2) / t.shape[-2], gate, rng, gate_override, eps)
     sample.mlp = mlp_apply(t, mlp)
     sample.qformer = qformer_apply(t, qf)
-    g = sample.weights
+    g = sample.weights.T[..., None, None]   # one scale per expert and image
     out = g[0] * sample.mlp.out + g[1] * sample.qformer.out
     return out, sample
 
@@ -292,24 +305,26 @@ def adapter_grads(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     Returns (d_mlp, d_qformer, d_gate, d_tokens); d_tokens is None when
     token_grads is off.
     """
-    t = _check_tokens(tokens, mlp.w1.shape[0], "adapter_grads")
+    t = _check_tokens(tokens, mlp.w1.shape[0], "adapter_grads", ndims=(2, 3))
     if grads is None:
         grads = (zeros_like_params(mlp), zeros_like_params(qf), zeros_like_params(gate))
     d_mlp, d_qf, d_gate = grads
     g = sample.weights
-    dtok_mlp = mlp_vjp(sample.mlp, mlp, g[0] * dout, d_mlp, token_grads)
-    dtok_qf = qformer_vjp(sample.qformer, qf, g[1] * dout, d_qf, token_grads)
+    scale = g.T[..., None, None]
+    dtok_mlp = mlp_vjp(sample.mlp, mlp, scale[0] * dout, d_mlp, token_grads)
+    dtok_qf = qformer_vjp(sample.qformer, qf, scale[1] * dout, d_qf, token_grads)
     dtok = dtok_mlp + dtok_qf if token_grads else None
     if not sample.override:
-        dg = np.array([np.vdot(dout, sample.mlp.out), np.vdot(dout, sample.qformer.out)])
-        dlogits = g * (dg - float(dg @ g))
-        d_gate.w_g += np.outer(sample.pooled, dlogits)
+        dg = np.stack([(dout * sample.mlp.out).sum(axis=(-2, -1)),
+                       (dout * sample.qformer.out).sum(axis=(-2, -1))], axis=-1)
+        dlogits = g * (dg - (dg * g).sum(axis=-1, keepdims=True))
+        d_gate.w_g += _rows(sample.pooled).T @ _rows(dlogits)
         if sample.eps is not None:
             coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits
-            d_gate.w_noise += np.outer(sample.pooled, coef)
+            d_gate.w_noise += _rows(sample.pooled).T @ _rows(coef)
         if token_grads:
-            dpooled = gate.w_g @ dlogits
+            dpooled = dlogits @ gate.w_g.T
             if sample.eps is not None:
-                dpooled = dpooled + gate.w_noise @ coef
-            dtok = dtok + dpooled[None, :] / t.shape[0]
+                dpooled = dpooled + coef @ gate.w_noise.T
+            dtok = dtok + dpooled[..., None, :] / t.shape[-2]
     return d_mlp, d_qf, d_gate, dtok

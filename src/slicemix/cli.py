@@ -155,7 +155,10 @@ def cmd_plan(args) -> int:
 def cmd_route(args) -> int:
     try:
         router = RouterConfig(gamma=args.gamma)
-        sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
+        if not np.isfinite(sel.scores).all():
+            raise ValueError("token-text similarities overflow, so the scores are not finite")
     except (OSError, ValueError) as exc:
         return _fail(f"route: {exc}")
     _emit(sel.to_json())

@@ -17,7 +17,6 @@ from scipy.special import erf
 __all__ = [
     "make_rng",
     "softmax",
-    "softmax_rows",
     "softplus",
     "gelu",
     "gelu_grad",
@@ -37,20 +36,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def softmax(v) -> np.ndarray:
-    """Stable softmax of a vector (the max is subtracted before exponentiating)."""
+    """Stable softmax of a vector, or of each row of a matrix or stack (the max
+    is subtracted before exponentiating)."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
-        raise ValueError("empty vector")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def softmax_rows(a) -> np.ndarray:
-    """Row-wise stable softmax of a 2-D array, or of each matrix in a stack."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("empty matrix")
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
+        raise ValueError("empty vector or matrix")
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -89,7 +80,7 @@ def _attention_inputs(queries, keys, values):
 def attention_weights(queries, keys) -> np.ndarray:
     """Row-stochastic weights softmax(queries . keys^T / sqrt(d)), one row per
     query (per stacked key matrix); callers have already checked the shapes."""
-    return softmax_rows(queries @ keys.swapaxes(-1, -2) / math.sqrt(queries.shape[-1]))
+    return softmax(queries @ keys.swapaxes(-1, -2) / math.sqrt(queries.shape[-1]))
 
 
 def cross_attention(queries, keys, values) -> np.ndarray:

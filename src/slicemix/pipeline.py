@@ -1,6 +1,7 @@
 """End-to-end toy study: synthetic images flow through partition planning,
 the gated global mixture, stacked query compression of all patches,
 relevance routing, and a linear readout trained against a frozen teacher.
+A batch runs through each expert and the local query head in one stacked pass.
 
 The teacher reads the mean feature token over every full-scale patch of the
 image, so the downsampled global view alone cannot reach zero error while
@@ -18,6 +19,7 @@ its forward pass saved and draws no random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,12 +84,14 @@ class PipelineConfig:
     n_eval: int = 10
 
     def __post_init__(self):
+        for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base",
+                     "grid", "max_grid", "n_train"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.base % self.grid != 0:
             raise ValueError("tile side must be divisible by the cell grid")
         # the router's own checks, run here so a bad value fails before any work
         RouterConfig(gamma=self.gamma, train_noise_sigma=self.router_noise_sigma)
-        if self.n_train < 1:
-            raise ValueError("n_train must be at least 1")
 
     @property
     def cell(self) -> int:
@@ -228,79 +232,102 @@ def set_params_vector(params: PipelineParams, vec: np.ndarray) -> None:
 
 @dataclass
 class ForwardCache:
-    """The activations one forward pass saves for its backward.
+    """What one stacked forward pass over a batch saves, so its backward only
+    runs VJP arithmetic (see moe_apply for the gate sample) and draws nothing."""
 
-    The gate sample carries both global experts' activations (see moe_apply)
-    and `patches` holds all local patches' stacked query-head activations, so
-    the backward only runs VJP arithmetic and draws no random numbers.
-    """
-
-    mode: str
     gate_sample: GateSample | None
-    selection: RouterSelection | None
+    selections: list[RouterSelection]   # one per image, none in global_only
     patches: QFormerActivations | None
-    n_global: int
-    n_rows: int
-    pooled: np.ndarray
-    pred: np.ndarray
+    offsets: list[int]                  # B + 1 patch offsets
+    n_rows: np.ndarray                  # pooled rows per image
+    pooled: np.ndarray                  # (B, model_dim)
+    pred: np.ndarray                    # (B, out_dim)
+
+    @property
+    def selection(self) -> RouterSelection | None:
+        """The first image's selection: forward's one image."""
+        return self.selections[0] if self.selections else None
+
+
+def _stack(samples):
+    """A batch's global views, all its patches in one stack, and image offsets."""
+    return (np.array([s.global_tokens for s in samples]),
+            np.concatenate([s.patch_tokens for s in samples]),
+            [0, *accumulate(len(s.patch_tokens) for s in samples)])
+
+
+def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: ToyTask,
+                   mode: str, rng=None, gate_override=None, fixed_selections=None) -> ForwardCache:
+    """A batch, stacked as _stack returns it, through the pipeline in one pass.
+    The router runs per image, and each image draws its gate noise, then its
+    router noise, so a generator advances as over the images one by one."""
+    if mode not in FORWARD_MODES:
+        raise ValueError(f"unknown forward mode '{mode}'")
+    gate_s = patches = None
+    eps, sels = [], []
+    # each image's row blocks; a branch the mode leaves out adds no rows
+    g_out = np.empty((len(views), 0, params.readout.shape[0]))
+    kept = [g_out[0]] * len(views)
+    if mode != "global_only":
+        patches = qformer_apply(patch_tokens, params.qf_local)
+        router = RouterConfig(gamma=task.cfg.gamma,
+                              train_noise_sigma=task.cfg.router_noise_sigma,
+                              training_mode=rng is not None)
+    noisy_gate = (mode != "local_only" and rng is not None and gate_override is None
+                  and params.gate.noise_enabled)
+    for i in range(len(views)):
+        if noisy_gate:
+            eps.append(rng.standard_normal(2))
+        if patches is not None:
+            local = patches.out[offsets[i]:offsets[i + 1]].reshape(-1, patches.out.shape[-1])
+            sels.append(fixed_selections[i] if fixed_selections is not None
+                        else route_tokens(local, task.text_embed, router, rng))
+            kept[i] = apply_selection(local, sels[i])
+    if mode != "local_only":
+        g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate,
+                                  gate_override=gate_override,
+                                  eps=np.array(eps) if eps else None)
+    feats = [np.concatenate(rows) for rows in zip(g_out, kept)]
+    # np.mean's arithmetic and a row-by-row readout: bitwise a lone image's pass
+    pooled = np.array([f.sum(axis=0) / len(f) for f in feats])
+    n_rows = np.array([len(f) for f in feats])
+    return ForwardCache(gate_sample=gate_s, selections=sels, patches=patches,
+                        offsets=offsets, n_rows=n_rows, pooled=pooled,
+                        pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
 def forward(sample: Sample, params: PipelineParams, task: ToyTask,
             mode: str = "full", rng: np.random.Generator | None = None,
             gate_override=None,
             fixed_selection: RouterSelection | None = None):
-    """One image through the pipeline; returns (prediction, cache).
+    """One image through the pipeline (a batch of one); returns (prediction, cache).
 
     With a generator the gate noise and router sort noise are live (training
     mode); without one the pass is deterministic (evaluation mode).
     """
-    if mode not in FORWARD_MODES:
-        raise ValueError(f"unknown forward mode '{mode}'")
-    cfg = task.cfg
-    rows = []
-    gate_s = sel = patches = None
-    n_global = 0
-    if mode != "local_only":
-        g_out, gate_s = moe_apply(sample.global_tokens, params.mlp,
-                                  params.qf_global, params.gate,
-                                  rng=rng, gate_override=gate_override)
-        n_global = g_out.shape[0]
-        rows.append(g_out)
-    if mode != "global_only":
-        patches = qformer_apply(sample.patch_tokens, params.qf_local)
-        local = patches.out.reshape(-1, patches.out.shape[-1])
-        if fixed_selection is not None:
-            sel = fixed_selection
-        else:
-            router = RouterConfig(gamma=cfg.gamma,
-                                  train_noise_sigma=cfg.router_noise_sigma,
-                                  training_mode=rng is not None)
-            sel = route_tokens(local, task.text_embed, router, rng)
-        rows.append(apply_selection(local, sel))
-    feats = np.vstack(rows)
-    pooled = feats.mean(axis=0)
-    pred = pooled @ params.readout
-    cache = ForwardCache(mode=mode, gate_sample=gate_s, selection=sel,
-                         patches=patches, n_global=n_global,
-                         n_rows=feats.shape[0], pooled=pooled, pred=pred)
-    return pred, cache
+    fixed = None if fixed_selection is None else [fixed_selection]
+    cache = _forward_batch(sample.global_tokens[None], sample.patch_tokens,
+                           [0, len(sample.patch_tokens)], params, task, mode, rng,
+                           gate_override, fixed)
+    return cache.pred[0], cache
 
 
-def _backward(sample: Sample, params: PipelineParams, cache: ForwardCache,
-              dpred: np.ndarray, grads: PipelineParams) -> None:
-    """Add one image's parameter gradients, given dL/dpred, into `grads`."""
-    grads.readout += np.outer(cache.pooled, dpred)
-    drow = (params.readout @ dpred) / cache.n_rows
-    if cache.mode != "local_only":
-        dglobal = drow[None, :].repeat(cache.n_global, axis=0)
-        adapter_grads(sample.global_tokens, params.mlp, params.qf_global,
-                      params.gate, dglobal, cache.gate_sample,
+def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
+              grads: PipelineParams) -> None:
+    """Add the batch's parameter gradients, given dL/dpred per image, into `grads`."""
+    grads.readout += cache.pooled.T @ dpred
+    drow = (dpred @ params.readout.T) / cache.n_rows[:, None]
+    if cache.gate_sample is not None:
+        g = cache.gate_sample
+        adapter_grads(g.mlp.tokens, params.mlp, params.qf_global, params.gate,
+                      np.broadcast_to(drow[:, None, :], g.mlp.out.shape), g,
                       grads=(grads.mlp, grads.qf_global, grads.gate),
                       token_grads=False)
-    if cache.mode != "global_only":
+    if cache.patches is not None:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
-        dlocal.reshape(-1, drow.size)[cache.selection.kept_indices] = drow
+        for a, b, sel, d in zip(cache.offsets, cache.offsets[1:], cache.selections, drow):
+            dlocal[a:b].reshape(-1, d.size)[sel.kept_indices] = d
         qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local,
                     token_grads=False)
 
@@ -310,31 +337,25 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
                          fixed_selections=None):
     """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients.
 
-    Each image's backward reuses the activations its forward saved in the
-    ForwardCache and draws no random numbers, so the generator advances
-    exactly as over the forward passes alone. All images write into one
-    gradient store, each with its upstream gradient scaled by 1/B.
+    The batch runs as one stacked pass. The backward reuses the activations
+    the forward saved in the ForwardCache and draws no random numbers, so
+    the generator advances exactly as over the forward pass alone. Each
+    image's upstream gradient is scaled by 1/B.
     """
-    grads = zeros_like_params(params)
-    total_loss = 0.0
+    cache = _forward_batch(*_stack(samples), params, task, mode, rng, gate_override,
+                           fixed_selections)
+    resid = cache.pred - np.array([s.target for s in samples])
     inv = 1.0 / len(samples)
-    for i, sample in enumerate(samples):
-        fixed = fixed_selections[i] if fixed_selections is not None else None
-        pred, cache = forward(sample, params, task, mode, rng, gate_override, fixed)
-        resid = pred - sample.target
-        total_loss += inv * (0.5 * float(resid @ resid))
-        _backward(sample, params, cache, inv * resid, grads)
-    return total_loss, grads
+    grads = zeros_like_params(params)
+    _backward(params, cache, inv * resid, grads)
+    return sum(inv * (0.5 * float(r @ r)) for r in resid), grads
 
 
 def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float:
     """Mean held-out loss with gate and router noise disabled."""
-    total = 0.0
-    for sample in task.eval_set:
-        pred, _ = forward(sample, params, task, mode, rng=None)
-        resid = pred - sample.target
-        total += 0.5 * float(resid @ resid)
-    return total / len(task.eval_set)
+    cache = _forward_batch(*_stack(task.eval_set), params, task, mode)
+    resid = cache.pred - np.array([s.target for s in task.eval_set])
+    return sum(0.5 * float(r @ r) for r in resid) / len(task.eval_set)
 
 
 def ablate(params: PipelineParams, task: ToyTask, arm: str) -> float:

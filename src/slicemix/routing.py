@@ -1,7 +1,7 @@
 """Local token compression and the text-guided relevance router.
 
 Patch token grids are condensed to a fixed number of query tokens (the
-pipeline compresses all of an image's patches in one stacked pass), then
+pipeline compresses all of a batch's patches in one stacked pass), then
 scored against the text embedding: scores = softmax over image tokens of the
 text-averaged similarity z_v . z_x^T. Tokens are kept greedily from the top
 score down until the accumulated mass reaches the threshold gamma
@@ -86,7 +86,7 @@ def relevance_scores(z_v, z_x) -> np.ndarray:
         raise ValueError("router inputs must be non-empty 2-D matrices")
     if v.shape[1] != x.shape[1]:
         raise ValueError("image and text tokens must share their feature width")
-    return softmax((v @ x.T).mean(axis=1))
+    return softmax((v @ x.T).sum(axis=1) / x.shape[0])
 
 
 def select_prefix(scores: np.ndarray, gamma: float,

@@ -343,3 +343,94 @@ class TestStackedQueryHead:
             ad.qformer_forward(self.tokens[None], self.p)
         with pytest.raises(ValueError, match="expects 2-D tokens"):
             ad.mlp_forward(self.tokens, ad.init_mlp(make_rng(0), 5, 3))
+
+
+class TestStackedMixture:
+    """moe_apply, gate_sample and adapter_grads on a (B, L, d_in) stack of
+    token matrices, the form the pipeline uses to run every global view of a
+    batch in one pass."""
+
+    def setup_method(self):
+        rng = make_rng(60)
+        self.mlp, self.qf, self.gate = make_trio(61, 4, 5, 3, noise=True)
+        self.tokens = rng.standard_normal((3, 4, 5))   # 3 images of 4 tokens
+        self.dout = rng.standard_normal((3, 4, 3))
+
+    def test_fd_with_live_gate_noise_including_token_grads(self):
+        # a fresh generator per evaluation replays the same (B, 2) draws
+        d_in, d_out, n = 5, 3, 4
+        shapes = [(d_in, d_out), (d_out,), (d_out, d_out), (d_out,),
+                  (n, d_in), (d_in, d_in), (d_in, d_in), (d_in, d_out),
+                  (d_in, 2), (d_in, 2), self.tokens.shape]
+
+        def unflatten(vec):
+            arrs, pos = [], 0
+            for s in shapes:
+                k = int(np.prod(s))
+                arrs.append(vec[pos:pos + k].reshape(s))
+                pos += k
+            return (ad.MlpParams(*arrs[:4]), ad.QFormerParams(*arrs[4:8]),
+                    ad.GateParams(arrs[8], arrs[9], noise_enabled=True), arrs[10])
+
+        def f(vec):
+            m, q, g, tokens = unflatten(vec)
+            out, _ = ad.moe_apply(tokens, m, q, g, rng=make_rng(9))
+            return float(np.vdot(out, self.dout))
+
+        _, sample = ad.moe_apply(self.tokens, self.mlp, self.qf, self.gate, rng=make_rng(9))
+        assert sample.eps.shape == (3, 2) and sample.weights.shape == (3, 2)
+        d_mlp, d_qf, d_gate, dtok = ad.adapter_grads(self.tokens, self.mlp, self.qf,
+                                                      self.gate, self.dout, sample)
+        assert np.any(d_gate.w_noise != 0.0)
+        point = np.concatenate([flatten_all(self.mlp, self.qf, self.gate),
+                                self.tokens.ravel()])
+        analytic = np.concatenate([flatten_all(d_mlp, d_qf, d_gate), dtok.ravel()])
+        assert fd_grad_check(f, analytic, point) < 1e-6
+
+    def test_matches_per_image_loop(self):
+        # a stack draws the same noise as its images one by one; outputs and
+        # gate weights are bitwise equal, gradients sum over the stack
+        out, sample = ad.moe_apply(self.tokens, self.mlp, self.qf, self.gate,
+                                   rng=make_rng(10))
+        grads = ad.adapter_grads(self.tokens, self.mlp, self.qf, self.gate,
+                                 self.dout, sample)
+        rng = make_rng(10)
+        loop = (ad.zeros_like_params(self.mlp), ad.zeros_like_params(self.qf),
+                ad.zeros_like_params(self.gate))
+        for i, t in enumerate(self.tokens):
+            out_i, sample_i = ad.moe_apply(t, self.mlp, self.qf, self.gate, rng=rng)
+            assert np.array_equal(out[i], out_i)
+            assert np.array_equal(sample.weights[i], sample_i.weights)
+            *_, dtok_i = ad.adapter_grads(t, self.mlp, self.qf, self.gate,
+                                          self.dout[i], sample_i, grads=loop)
+            np.testing.assert_allclose(grads[3][i], dtok_i, rtol=1e-13, atol=1e-13)
+        got, want = flatten_all(*grads[:3]), flatten_all(*loop)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_stack_of_one_equals_the_matrix(self):
+        t, dout = self.tokens[0], self.dout[0]
+        out, sample = ad.moe_apply(t, self.mlp, self.qf, self.gate, rng=make_rng(11))
+        out1, sample1 = ad.moe_apply(t[None], self.mlp, self.qf, self.gate,
+                                     rng=make_rng(11))
+        assert out.shape == t.shape[:1] + (3,) and sample.weights.shape == (2,)
+        assert np.array_equal(out1[0], out)
+        assert np.array_equal(sample1.weights[0], sample.weights)
+        grads = ad.adapter_grads(t, self.mlp, self.qf, self.gate, dout, sample)
+        grads1 = ad.adapter_grads(t[None], self.mlp, self.qf, self.gate, dout[None],
+                                  sample1)
+        assert np.array_equal(flatten_all(*grads[:3]), flatten_all(*grads1[:3]))
+        assert np.array_equal(grads1[3][0], grads[3])
+
+    def test_supplied_draws_replace_the_generator(self):
+        pooled = self.tokens.mean(axis=1)
+        drawn = ad.gate_sample(pooled, self.gate, make_rng(12))
+        given = ad.gate_sample(pooled, self.gate, eps=make_rng(12).standard_normal((3, 2)))
+        assert np.array_equal(drawn.weights, given.weights)
+        with pytest.raises(ValueError, match="noise draws"):
+            ad.gate_sample(pooled, self.gate, eps=np.zeros(2))
+
+    def test_override_applies_to_every_image(self):
+        out, sample = ad.moe_apply(self.tokens, self.mlp, self.qf, self.gate,
+                                   gate_override=[1.0, 0.0])
+        assert sample.weights.shape == (3, 2)
+        assert np.array_equal(out, ad.mlp_apply(self.tokens, self.mlp).out)

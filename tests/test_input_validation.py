@@ -4,6 +4,7 @@ stderr line, nothing on stdout. What does reach stdout is strict JSON."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,43 @@ class TestTrainConfig:
 
     def test_pipeline_config_allows_no_eval_set(self):
         assert pl.PipelineConfig(gamma=1.0, n_train=1, n_eval=0).n_eval == 0
+
+
+class TestConfigRanges:
+    """Every count and size in a train config is at least 1 (n_eval, which
+    the benchmark sets to 0, is checked by `train` itself)."""
+
+    @pytest.mark.parametrize("config, needle", [
+        ({"training": {"grid": 0}}, "grid must be at least 1"),
+        ({"training": {"base": 0}}, "base must be at least 1"),
+        ({"training": {"out_dim": 0}}, "out_dim must be at least 1"),
+        ({"router": {"local_queries": 0}}, "local_queries must be at least 1"),
+        ({"router": {"local_queries": -2}}, "local_queries must be at least 1"),
+        ({"adapter": {"feat_dim": 0}}, "feat_dim must be at least 1"),
+        ({"adapter": {"model_dim": -1}}, "model_dim must be at least 1"),
+    ])
+    def test_rejected_before_training(self, config, needle, tmp_path, capsys):
+        assert_rejected(train_args(tmp_path, config), capsys, needle)
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        ({"grid": 0}, "grid"), ({"max_grid": 0}, "max_grid"),
+        ({"local_queries": 0}, "local_queries"), ({"base": -96}, "base"),
+    ])
+    def test_pipeline_config_rejects(self, kwargs, needle):
+        with pytest.raises(ValueError, match=needle):
+            pl.PipelineConfig(**kwargs)
+
+
+class TestRouteOverflow:
+    def test_overflowing_similarities_exit_2_without_warnings(self, tmp_path, capsys):
+        # finite fixtures whose token-text products overflow to infinity
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        tok.write_text("2 1\n1e200 1e200\n")
+        txt.write_text("1 1\n1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
+                            "scores are not finite")
 
 
 class TestSeedEnvVar:

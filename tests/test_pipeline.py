@@ -174,33 +174,99 @@ class TestGradients:
         assert fd_grad_check(f, pl.params_vector(grads), pl.params_vector(p)) < 1e-4
 
     def test_one_query_head_call_per_image(self, task, params, monkeypatch):
-        # all of an image's patches are compressed, and differentiated, in one
-        # stacked call through the names the pipeline binds
-        calls = {"apply": [], "vjp": 0}
-        apply, vjp = pl.qformer_apply, pl.qformer_vjp
+        # a batch runs each branch once, forward and backward, on the stack
+        # of all its patches and of all its global views, through the names
+        # the pipeline binds; a single forward is a batch of one
+        calls = {name: [] for name in ("qformer_apply", "qformer_vjp",
+                                       "moe_apply", "adapter_grads")}
 
-        def counting_apply(tokens, p):
-            calls["apply"].append(np.shape(tokens))
-            return apply(tokens, p)
+        def counting(name):
+            fn = getattr(pl, name)
 
-        def counting_vjp(*args, **kwargs):
-            calls["vjp"] += 1
-            return vjp(*args, **kwargs)
+            def wrapper(first, *args, **kwargs):
+                calls[name].append(np.shape(getattr(first, "out", first)))
+                return fn(first, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(pl, "qformer_apply", counting_apply)
-        monkeypatch.setattr(pl, "qformer_vjp", counting_vjp)
+        for name in calls:
+            monkeypatch.setattr(pl, name, counting(name))
         batch = task.train_set[:3]
+        n_q = params.qf_local.n_queries
+        patches = (sum(len(s.patch_tokens) for s in batch),) + batch[0].patch_tokens.shape[1:]
+        views = (len(batch),) + batch[0].global_tokens.shape
         pl.batch_loss_and_grads(batch, params, task, "full", rng=make_rng(13))
-        assert calls["apply"] == [s.patch_tokens.shape for s in batch]
-        assert calls["vjp"] == len(batch)
-        calls["apply"].clear()
+        assert calls == {"qformer_apply": [patches],
+                         "qformer_vjp": [(patches[0], n_q, task.cfg.model_dim)],
+                         "moe_apply": [views], "adapter_grads": [views]}
+        for name in calls:
+            calls[name].clear()
         pl.forward(task.eval_set[0], params, task, "local_only")
-        assert len(calls["apply"]) == 1
+        assert calls["qformer_apply"] == [task.eval_set[0].patch_tokens.shape]
+        assert not calls["moe_apply"]
 
     def test_frozen_groups_get_zero_grads_in_global_mode(self, task, params):
         _, grads = pl.batch_loss_and_grads(task.train_set[:2], params, task,
                                            "global_only")
         assert all(np.all(a == 0.0) for a in pl.params_arrays(grads)["local"])
+
+
+class TestBatchedPass:
+    """A batch runs as one stacked pass; it must give every image exactly what
+    a loop of single-image forwards gives it, with the same noise draws."""
+
+    @pytest.mark.parametrize("n", [3, 20])
+    @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
+    def test_matches_a_loop_of_forwards(self, task, params, n, mode):
+        batch = task.train_set[:n]
+        assert len(batch) == n
+        r_batch, r_loop, r_loss = make_rng(21), make_rng(21), make_rng(21)
+        cache = pl._forward_batch(*pl._stack(batch), params, task, mode, rng=r_batch)
+        preds, sels = [], []
+        for s in batch:
+            pred, c = pl.forward(s, params, task, mode, rng=r_loop)
+            preds.append(pred)
+            sels.append(c.selection)
+        assert np.array_equal(cache.pred, np.array(preds))
+        if mode == "global_only":
+            assert cache.selections == [] and sels == [None] * n
+        else:
+            for got, want in zip(cache.selections, sels):
+                assert np.array_equal(got.kept_indices, want.kept_indices)
+        assert r_batch.bit_generator.state == r_loop.bit_generator.state
+        # the draws themselves: per image, the gate pair, then one router
+        # draw per compressed local token
+        r_ref = make_rng(21)
+        for s in batch:
+            if mode != "local_only":
+                r_ref.standard_normal(2)
+            if mode != "global_only":
+                r_ref.standard_normal(len(s.patch_tokens) * task.cfg.local_queries)
+        assert r_batch.bit_generator.state == r_ref.bit_generator.state
+        loss, _ = pl.batch_loss_and_grads(batch, params, task, mode, rng=r_loss)
+        expect = 0.0
+        for pred, s in zip(preds, batch):
+            expect += (1.0 / n) * (0.5 * float((pred - s.target) @ (pred - s.target)))
+        assert loss == expect
+        assert r_loss.bit_generator.state == r_loop.bit_generator.state
+
+    @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
+    def test_gradients_are_the_mean_of_single_image_gradients(self, task, params, mode):
+        batch = task.train_set[:5]
+        _, grads = pl.batch_loss_and_grads(batch, params, task, mode, rng=make_rng(22))
+        rng, total = make_rng(22), 0.0
+        for s in batch:
+            total = total + pl.params_vector(
+                pl.batch_loss_and_grads([s], params, task, mode, rng=rng)[1])
+        got, want = pl.params_vector(grads), total / len(batch)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
+    def test_evaluate_is_the_per_image_mean(self, task, params, mode):
+        total = 0.0
+        for s in task.eval_set:
+            resid = pl.forward(s, params, task, mode)[0] - s.target
+            total += 0.5 * float(resid @ resid)
+        assert pl.evaluate(params, task, mode) == total / len(task.eval_set)
 
 
 class TestTrain:
