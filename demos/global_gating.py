@@ -31,9 +31,9 @@ for k in range(5):
     print(f"  draw {k}: [{w[0]:.4f}, {w[1]:.4f}]")
 
 print("\nmixture output vs the pure branches (first token, first 4 dims):")
-out = ad.moe_forward(tokens, mlp, qf, gate)
-only_mlp = ad.moe_forward(tokens, mlp, qf, gate, gate_override=[1.0, 0.0])
-only_qf = ad.moe_forward(tokens, mlp, qf, gate, gate_override=[0.0, 1.0])
+out = ad.moe_apply(tokens, mlp, qf, gate)[0]
+only_mlp = ad.moe_apply(tokens, mlp, qf, gate, gate_override=[1.0, 0.0])[0]
+only_qf = ad.moe_apply(tokens, mlp, qf, gate, gate_override=[0.0, 1.0])[0]
 np.set_printoptions(precision=4, suppress=True)
 print(f"  mixed : {out[0, :4]}")
 print(f"  mlp   : {only_mlp[0, :4]}")

@@ -37,8 +37,7 @@ print(f"\nat gamma=0.75 the kept mass is {sel.cumulative_at_cut:.4f} "
       f"(first prefix to reach 0.75); dropping the last kept token "
       f"would leave {sel.cumulative_at_cut - sel.scores[sel.kept_indices[-1]]:.4f}.")
 
-noisy = route_tokens(local, text, RouterConfig(gamma=0.75, training_mode=True),
-                     make_rng(7))
+noisy = route_tokens(local, text, RouterConfig(gamma=0.75), make_rng(7))
 print(f"training mode perturbs the sort order with N(0, 0.1) noise: kept "
       f"{len(noisy.kept_indices)} tokens this draw (mass accounting stays "
       "noiseless, so gamma keeps its meaning).")

@@ -4,12 +4,12 @@ The experts map vision-feature tokens (L, d_in) into readout space (d_out):
 a GELU MLP that keeps every position, and a query head whose learnable query
 embeddings cross-attend over the tokens. The soft mixture configures the
 query head with exactly L queries so the expert outputs add positionwise.
-The gate scores the mean-pooled token and, in training mode, perturbs each
+The gate scores the mean-pooled token and, given a generator, perturbs each
 logit with a standard-normal draw scaled by softplus(x . w_noise) before the
-softmax. All gradients are hand-derived and finite-difference checked; each
-VJP runs on the activations its forward pass saved instead of recomputing
-them. Each function also takes a stack of token matrices (one per patch or
-image), so a batch runs as one pass; parameter gradients sum over a stack.
+softmax. The tokens are frozen features, so the VJPs give parameter gradients
+only: hand-derived, FD-checked, and run on the activations the forward pass
+saved. Each function also takes a stack of token matrices (one per patch or
+image), so a batch runs as one pass; gradients sum over a stack.
 """
 
 from __future__ import annotations
@@ -39,14 +39,11 @@ __all__ = [
     "init_gate",
     "zeros_like_params",
     "mlp_apply",
-    "mlp_forward",
     "mlp_vjp",
     "qformer_apply",
-    "qformer_forward",
     "qformer_vjp",
     "gate_weights",
     "gate_sample",
-    "moe_forward",
     "moe_apply",
     "adapter_grads",
 ]
@@ -155,10 +152,10 @@ def zeros_like_params(p):
                          if is_dataclass(a) or isinstance(a, np.ndarray)})
 
 
-def _check_tokens(tokens, d_in: int, what: str, ndims=(2,)) -> np.ndarray:
+def _check_tokens(tokens, d_in: int, what: str) -> np.ndarray:
     t = np.asarray(tokens, dtype=np.float64)
-    if t.ndim not in ndims:
-        raise ValueError(f"{what} expects {' or '.join(f'{n}-D' for n in ndims)} tokens")
+    if t.ndim not in (2, 3):
+        raise ValueError(f"{what} expects 2-D or 3-D tokens")
     if t.shape[-1] != d_in:
         raise ValueError(f"{what}: token width {t.shape[-1]} != parameter width {d_in}")
     return t
@@ -170,34 +167,29 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
-    """mlp_forward, keeping the activations mlp_vjp reuses; also takes a stack."""
-    t = _check_tokens(tokens, p.w1.shape[0], "mlp_apply", ndims=(2, 3))
+    """Per-token gelu(x W1 + b1) W2 + b2 on a token matrix or a stack of them;
+    the token count is preserved. Keeps the activations mlp_vjp reuses."""
+    t = _check_tokens(tokens, p.w1.shape[0], "mlp_apply")
     pre = t @ p.w1 + p.b1
     hidden = gelu(pre)
     return MlpActivations(tokens=t, pre=pre, hidden=hidden, out=hidden @ p.w2 + p.b2)
 
 
-def mlp_forward(tokens, p: MlpParams) -> np.ndarray:
-    """Per-token gelu(x W1 + b1) W2 + b2; the token count is preserved."""
-    return mlp_apply(_check_tokens(tokens, p.w1.shape[0], "mlp_forward"), p).out
-
-
-def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams,
-            token_grads: bool = True):
-    """Add the parameter gradients of sum(mlp_forward * dout), summed over a
-    stack, into `grads`; return the token gradient, None if token_grads is off."""
+def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams) -> None:
+    """Add the parameter gradients of sum(acts.out * dout), summed over a
+    stack, into `grads`."""
     grads.w2 += _rows(acts.hidden).T @ _rows(dout)
     grads.b2 += _rows(dout).sum(axis=0)
     dh = (dout @ p.w2.T) * gelu_grad(acts.pre)
     grads.w1 += _rows(acts.tokens).T @ _rows(dh)
     grads.b1 += _rows(dh).sum(axis=0)
-    return dh @ p.w1.T if token_grads else None
 
 
 def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
-    """qformer_forward, keeping the activations qformer_vjp reuses. A (P, L, d_in)
-    stack of token matrices gives a (P, n_queries, d_out) output."""
-    t = _check_tokens(tokens, p.wk.shape[0], "qformer_forward", ndims=(2, 3))
+    """Learnable queries cross-attend over projected tokens, keeping the
+    activations qformer_vjp reuses. The output always has n_queries rows
+    whatever the input length; a (P, L, d_in) stack gives (P, n_queries, d_out)."""
+    t = _check_tokens(tokens, p.wk.shape[0], "qformer_apply")
     k = t @ p.wk
     v = t @ p.wv
     w = attention_weights(p.queries, k)
@@ -206,23 +198,16 @@ def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
                               attended=att, out=att @ p.wo)
 
 
-def qformer_forward(tokens, p: QFormerParams) -> np.ndarray:
-    """Learnable queries cross-attend over projected tokens; the output always
-    has exactly n_queries rows regardless of the input length."""
-    return qformer_apply(tokens, p).out
-
-
 def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
-                grads: QFormerParams, token_grads: bool = True):
-    """Add the parameter gradients of sum(qformer_forward * dout), summed over a
-    stack, into `grads`; return the token gradient, None if token_grads is off."""
+                grads: QFormerParams) -> None:
+    """Add the parameter gradients of sum(acts.out * dout), summed over a
+    stack, into `grads`."""
     grads.wo += _rows(acts.attended).T @ _rows(dout)
     dq, dk, dv = cross_attention_vjp(p.queries, acts.keys, acts.values,
                                      dout @ p.wo.T, acts.weights)
     grads.queries += dq
     grads.wk += _rows(acts.tokens).T @ _rows(dk)
     grads.wv += _rows(acts.tokens).T @ _rows(dv)
-    return dk @ p.wk.T + dv @ p.wv.T if token_grads else None
 
 
 def gate_sample(pooled, p: GateParams, rng: np.random.Generator | None = None,
@@ -271,7 +256,7 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     gate_sample. The gate sample also carries both experts' saved
     activations for adapter_grads.
     """
-    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply", ndims=(2, 3))
+    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
     if qf.n_queries != t.shape[-2]:
         raise ValueError("global expert shape mismatch")
     sample = gate_sample(t.sum(axis=-2) / t.shape[-2], gate, rng, gate_override, eps)
@@ -282,38 +267,25 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     return out, sample
 
 
-def moe_forward(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
-                rng: np.random.Generator | None = None,
-                gate_override=None) -> np.ndarray:
-    """Gated sum of the two expert outputs; token count is preserved."""
-    return moe_apply(tokens, mlp, qf, gate, rng, gate_override)[0]
-
-
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def adapter_grads(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
-                  dout, sample: GateSample, grads=None, token_grads: bool = True):
+def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
+                  sample: GateSample, grads) -> None:
     """VJP through the soft mixture for a downstream scalar loss.
 
-    `sample` must come from the forward pass (moe_apply) on these tokens: the
-    backward reuses the expert activations it saved, and its noise draws, when
-    present, are treated as constants so the noise-scale weights still
-    receive gradient. Parameter gradients are added into `grads`, a
-    (d_mlp, d_qformer, d_gate) triple, or into fresh zeros when it is None.
-    Returns (d_mlp, d_qformer, d_gate, d_tokens); d_tokens is None when
-    token_grads is off.
+    `sample` must come from the forward pass (moe_apply): the backward reuses
+    the expert activations it saved, and its noise draws, when present, are
+    treated as constants so the noise-scale weights still receive gradient.
+    Parameter gradients are added into `grads`, a (d_mlp, d_qformer, d_gate)
+    triple.
     """
-    t = _check_tokens(tokens, mlp.w1.shape[0], "adapter_grads", ndims=(2, 3))
-    if grads is None:
-        grads = (zeros_like_params(mlp), zeros_like_params(qf), zeros_like_params(gate))
     d_mlp, d_qf, d_gate = grads
     g = sample.weights
     scale = g.T[..., None, None]
-    dtok_mlp = mlp_vjp(sample.mlp, mlp, scale[0] * dout, d_mlp, token_grads)
-    dtok_qf = qformer_vjp(sample.qformer, qf, scale[1] * dout, d_qf, token_grads)
-    dtok = dtok_mlp + dtok_qf if token_grads else None
+    mlp_vjp(sample.mlp, mlp, scale[0] * dout, d_mlp)
+    qformer_vjp(sample.qformer, qf, scale[1] * dout, d_qf)
     if not sample.override:
         dg = np.stack([(dout * sample.mlp.out).sum(axis=(-2, -1)),
                        (dout * sample.qformer.out).sum(axis=(-2, -1))], axis=-1)
@@ -322,9 +294,3 @@ def adapter_grads(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
         if sample.eps is not None:
             coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits
             d_gate.w_noise += _rows(sample.pooled).T @ _rows(coef)
-        if token_grads:
-            dpooled = dlogits @ gate.w_g.T
-            if sample.eps is not None:
-                dpooled = dpooled + coef @ gate.w_noise.T
-            dtok = dtok + dpooled[..., None, :] / t.shape[-2]
-    return d_mlp, d_qf, d_gate, dtok

@@ -187,8 +187,8 @@ def gd_step(state: BilinearState, inst: BilinearInstance,
     """One simultaneous raw-vector descent step; both gradients use the
     pre-step iterates. Coordinates are recomputed from the new vectors."""
     eta = state.eta if eta is None else eta
-    if eta <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError("step size must be positive and finite")
     gu, gv = loss_grads(state.u, state.v, inst)
     return BilinearState.from_vectors(inst, state.u - eta * gu, state.v - eta * gv, eta)
 
@@ -230,8 +230,10 @@ def resolve_init(init) -> tuple[float, float]:
             return INITS[init]
         except KeyError:
             raise ValueError(f"unknown init '{init}'; options: {sorted(INITS)}") from None
-    alpha0, beta0 = init
-    return float(alpha0), float(beta0)
+    alpha0, beta0 = (float(x) for x in init)
+    if not np.isfinite([alpha0, beta0]).all():
+        raise ValueError("init coordinates must be finite")
+    return alpha0, beta0
 
 
 @dataclass
@@ -329,8 +331,8 @@ def run_experiment(inst: BilinearInstance, init="generic",
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if method in ("gd", "gd_vector") and not eta > 0.0:
-        raise ValueError("step size must be positive")
+    if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
+        raise ValueError("step size must be positive and finite")
     alpha0, beta0 = resolve_init(init)
     rec = _Recorder(stop_tol, stop_window)
     diverged = False

@@ -93,18 +93,16 @@ def cross_attention(queries, keys, values) -> np.ndarray:
     return attention_weights(q, k) @ v
 
 
-def cross_attention_vjp(queries, keys, values, dout, weights=None):
-    """Gradients of cross_attention w.r.t. (queries, keys, values) given dL/dout.
-
-    `weights` are the attention weights the forward pass saved, else they are
-    recomputed; with stacked keys the query gradient sums over the stack.
+def cross_attention_vjp(queries, keys, values, dout, weights):
+    """Gradients of cross_attention w.r.t. (queries, keys, values) given dL/dout
+    and the attention weights the forward pass saved; with stacked keys the
+    query gradient sums over the stack.
     """
     q, k, v = _attention_inputs(queries, keys, values)
-    w = attention_weights(q, k) if weights is None else weights
-    dv = w.swapaxes(-1, -2) @ dout
+    dv = weights.swapaxes(-1, -2) @ dout
     dw = dout @ v.swapaxes(-1, -2)
     # gradient of the scaled scores q . k^T / sqrt(d)
-    ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) / math.sqrt(q.shape[1])
+    ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) / math.sqrt(q.shape[1])
     dq = ds.swapaxes(0, -2).reshape(q.shape[0], -1) @ k.reshape(-1, q.shape[1])
     return dq, ds.swapaxes(-1, -2) @ q, dv
 

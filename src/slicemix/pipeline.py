@@ -271,8 +271,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     if mode != "global_only":
         patches = qformer_apply(patch_tokens, params.qf_local)
         router = RouterConfig(gamma=task.cfg.gamma,
-                              train_noise_sigma=task.cfg.router_noise_sigma,
-                              training_mode=rng is not None)
+                              train_noise_sigma=task.cfg.router_noise_sigma)
     noisy_gate = (mode != "local_only" and rng is not None and gate_override is None
                   and params.gate.noise_enabled)
     for i in range(len(views)):
@@ -319,17 +318,15 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
     drow = (dpred @ params.readout.T) / cache.n_rows[:, None]
     if cache.gate_sample is not None:
         g = cache.gate_sample
-        adapter_grads(g.mlp.tokens, params.mlp, params.qf_global, params.gate,
+        adapter_grads(params.mlp, params.qf_global, params.gate,
                       np.broadcast_to(drow[:, None, :], g.mlp.out.shape), g,
-                      grads=(grads.mlp, grads.qf_global, grads.gate),
-                      token_grads=False)
+                      (grads.mlp, grads.qf_global, grads.gate))
     if cache.patches is not None:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
         for a, b, sel, d in zip(cache.offsets, cache.offsets[1:], cache.selections, drow):
             dlocal[a:b].reshape(-1, d.size)[sel.kept_indices] = d
-        qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local,
-                    token_grads=False)
+        qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local)
 
 
 def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,

@@ -5,8 +5,9 @@ pipeline compresses all of a batch's patches in one stacked pass), then
 scored against the text embedding: scores = softmax over image tokens of the
 text-averaged similarity z_v . z_x^T. Tokens are kept greedily from the top
 score down until the accumulated mass reaches the threshold gamma
-(inclusive); in training mode Gaussian noise perturbs the sort order only,
-while the gamma accounting always uses the noiseless scores.
+(inclusive). Given a generator and a positive noise scale, Gaussian noise
+perturbs the sort order only, and the gamma accounting always uses the
+noiseless scores; without a generator routing is deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import QFormerParams, qformer_forward
+from .adapters import QFormerParams, qformer_apply
 from .numerics import softmax
 
 __all__ = [
@@ -39,7 +40,6 @@ DEFAULT_GAMMA = 0.75
 class RouterConfig:
     gamma: float = DEFAULT_GAMMA
     train_noise_sigma: float = 0.1
-    training_mode: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -74,7 +74,7 @@ def compress_local(patch_tokens, params: QFormerParams) -> np.ndarray:
     if params.n_queries >= t.shape[0]:
         warnings.warn("compression expects fewer queries than input tokens",
                       stacklevel=2)
-    return qformer_forward(t, params)
+    return qformer_apply(t, params).out
 
 
 def relevance_scores(z_v, z_x) -> np.ndarray:
@@ -108,11 +108,11 @@ def select_prefix(scores: np.ndarray, gamma: float,
 
 def route_tokens(z_v, z_x, cfg: RouterConfig,
                  rng: np.random.Generator | None = None) -> RouterSelection:
-    """Score local tokens against the text embedding and keep the top prefix."""
+    """Score local tokens against the text embedding and keep the top prefix.
+    Given a generator and sigma > 0, one normal per token perturbs the order;
+    otherwise nothing is drawn."""
     scores = relevance_scores(z_v, z_x)
-    if cfg.training_mode and cfg.train_noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("training-mode routing needs a random generator")
+    if rng is not None and cfg.train_noise_sigma > 0.0:
         noisy = scores + cfg.train_noise_sigma * rng.standard_normal(scores.shape)
         order = np.argsort(-noisy, kind="stable")
     else:

@@ -10,6 +10,7 @@ smaller wasted resolution m*base*n*base - utilized, then by the smaller
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
         raise ValueError("image size must be positive")
     if base < 1:
         raise ValueError("base (the tile side) must be positive")
+    # the candidates are scored in floats; an area past their range overflows
+    if not width * height <= sys.float_info.max:
+        raise ValueError("image area is too large for float arithmetic")
+    if not (max_grid * base) ** 2 <= sys.float_info.max:
+        raise ValueError("largest tile canvas area is too large for float arithmetic")
     w = float(width)
     h = float(height)
     cands = [_candidate(w, h, m, n, base)

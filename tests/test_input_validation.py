@@ -52,6 +52,17 @@ class TestPlanInputs:
         with pytest.raises(ValueError, match="base"):
             plan_partition(100, 100, base=0)
 
+    @pytest.mark.parametrize("width, height, base, needle", [
+        (10**160, 10**160, 336, "image area"),
+        (10**400, 5, 336, "image area"),
+        (5, 5, 10**200, "canvas area"),
+    ], ids=["square-1e160", "wide-1e400", "base-1e200"])
+    def test_float_overflowing_geometry(self, width, height, base, needle, capsys):
+        with pytest.raises(ValueError, match=needle):
+            plan_partition(width, height, base=base)
+        assert_rejected(["plan", "--width", str(width), "--height", str(height),
+                         "--base", str(base)], capsys, needle)
+
 
 class TestTrajectoryInputs:
     @pytest.mark.parametrize("method", ["gd", "alt", "gd_vector"])
@@ -60,10 +71,21 @@ class TestTrajectoryInputs:
                         capsys, "steps must be non-negative")
 
     @pytest.mark.parametrize("method", ["gd", "gd_vector"])
-    @pytest.mark.parametrize("eta", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
     def test_bilinear_nonpositive_eta_for_descent(self, method, eta, capsys):
         assert_rejected(["bilinear", "--method", method, "--c", "0.5", "--eta", eta,
-                         "--steps", "10"], capsys, "step size must be positive")
+                         "--steps", "10"], capsys, "step size must be positive and finite")
+
+    @pytest.mark.parametrize("command", ["bilinear", "sweep"])
+    @pytest.mark.parametrize("init", ["nan,0", "inf,1", "0,-inf"])
+    def test_non_finite_init(self, command, init, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rejected([command, "--c", "0.5", "--method" if command == "bilinear"
+                             else "--methods", "gd", "--init", init, "--steps", "5"],
+                            capsys, "init coordinates must be finite")
+        with pytest.raises(ValueError, match="init coordinates"):
+            bl.resolve_init(tuple(float(x) for x in init.split(",")))
 
     @pytest.mark.parametrize("c, methods", [("", "gd"), (",", "gd"), ("0.5", "")])
     def test_sweep_empty_grid(self, c, methods, capsys):
@@ -86,8 +108,16 @@ class TestTrajectoryInputs:
             with pytest.raises(ValueError, match="steps"):
                 bl.run_experiment(inst, method=method, steps=-1)
         for method in ("gd", "gd_vector"):
-            with pytest.raises(ValueError, match="step size"):
-                bl.run_experiment(inst, method=method, steps=5, eta=0.0)
+            for eta in (0.0, math.inf):
+                with pytest.raises(ValueError, match="step size"):
+                    bl.run_experiment(inst, method=method, steps=5, eta=eta)
+
+    def test_gd_step_rejects_infinite_eta(self):
+        inst = bl.make_instance(d=4, c=0.5, seed=0)
+        state = bl.BilinearState.from_vectors(inst, inst.a, inst.b, 0.01)
+        for eta in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                bl.gd_step(state, inst, eta)
 
     def test_alternating_ignores_eta(self):
         inst = bl.make_instance(d=4, c=0.5, seed=0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slicemix.numerics import (
+    attention_weights,
     cross_attention,
     cross_attention_vjp,
     fd_grad_check,
@@ -116,7 +117,7 @@ class TestCrossAttention:
         k = rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 2))
         dout = rng.standard_normal((3, 2))
-        dq, dk, dv = cross_attention_vjp(q, k, v, dout)
+        dq, dk, dv = cross_attention_vjp(q, k, v, dout, attention_weights(q, k))
         for name, arr, grad in (("q", q, dq), ("k", k, dk), ("v", v, dv)):
             others = {"q": q, "k": k, "v": v}
 

@@ -65,10 +65,10 @@ class TestForward:
         p = pl.init_params(t, 2)
         sample = t.train_set[0]
         pred, cache = pl.forward(sample, p, t, "full", gate_override=[1.0, 0.0])
-        from slicemix.adapters import mlp_forward, qformer_forward
+        from slicemix.adapters import mlp_apply, qformer_apply
         from slicemix.routing import apply_selection
-        g_rows = mlp_forward(sample.global_tokens, p.mlp)
-        local = np.vstack([qformer_forward(tk, p.qf_local) for tk in sample.patch_tokens])
+        g_rows = mlp_apply(sample.global_tokens, p.mlp).out
+        local = np.vstack([qformer_apply(tk, p.qf_local).out for tk in sample.patch_tokens])
         kept = apply_selection(local, cache.selection)
         assert len(cache.selection.kept_indices) == local.shape[0]
         expect = np.vstack([g_rows, kept]).mean(axis=0) @ p.readout
@@ -177,15 +177,20 @@ class TestGradients:
         # a batch runs each branch once, forward and backward, on the stack
         # of all its patches and of all its global views, through the names
         # the pipeline binds; a single forward is a batch of one
-        calls = {name: [] for name in ("qformer_apply", "qformer_vjp",
-                                       "moe_apply", "adapter_grads")}
+        # the shape of the stack each call runs on: its tokens, or the output
+        # of the activations it differentiates
+        stack_shape = {"qformer_apply": lambda args: np.shape(args[0]),
+                       "qformer_vjp": lambda args: args[0].out.shape,
+                       "moe_apply": lambda args: np.shape(args[0]),
+                       "adapter_grads": lambda args: args[4].mlp.tokens.shape}
+        calls = {name: [] for name in stack_shape}
 
         def counting(name):
             fn = getattr(pl, name)
 
-            def wrapper(first, *args, **kwargs):
-                calls[name].append(np.shape(getattr(first, "out", first)))
-                return fn(first, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                calls[name].append(stack_shape[name](args))
+                return fn(*args, **kwargs)
             return wrapper
 
         for name in calls:

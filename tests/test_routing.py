@@ -136,17 +136,34 @@ class TestRouteTokens:
         rng = make_rng(56)
         z_v = rng.standard_normal((20, 4))
         z_x = rng.standard_normal((1, 4))
-        cfg = RouterConfig(gamma=0.5, train_noise_sigma=0.1, training_mode=True)
+        cfg = RouterConfig(gamma=0.5, train_noise_sigma=0.1)
         sel = route_tokens(z_v, z_x, cfg, make_rng(3))
         # cumulative mass of kept tokens (noiseless scores) reaches gamma
         assert sel.scores[sel.kept_indices].sum() >= 0.5
         assert sel.cumulative_at_cut == pytest.approx(
             float(sel.scores[sel.kept_indices].sum()), abs=1e-12)
 
-    def test_training_noise_needs_rng(self):
-        cfg = RouterConfig(training_mode=True)
-        with pytest.raises(ValueError):
-            route_tokens(np.ones((2, 2)), np.ones((1, 2)), cfg)
+    def test_noise_draws_one_normal_per_token_iff_generator_and_sigma(self):
+        rng = make_rng(60)
+        z_v = rng.standard_normal((11, 4))
+        z_x = rng.standard_normal((2, 4))
+        quiet = route_tokens(z_v, z_x, RouterConfig(gamma=0.5))
+        # a positive sigma and a generator: exactly one normal per token
+        gen, ref = make_rng(4), make_rng(4)
+        route_tokens(z_v, z_x, RouterConfig(gamma=0.5, train_noise_sigma=0.3), gen)
+        ref.standard_normal(len(z_v))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        # sigma 0: nothing drawn, and the order is the noiseless one
+        gen = make_rng(4)
+        before = gen.bit_generator.state
+        sel = route_tokens(z_v, z_x, RouterConfig(gamma=0.5, train_noise_sigma=0.0), gen)
+        assert gen.bit_generator.state == before
+        assert sel.kept_indices.tolist() == quiet.kept_indices.tolist()
+        # no generator: deterministic whatever sigma is
+        for _ in range(2):
+            again = route_tokens(z_v, z_x, RouterConfig(gamma=0.5, train_noise_sigma=0.3))
+            assert again.kept_indices.tolist() == quiet.kept_indices.tolist()
+            assert again.cumulative_at_cut == quiet.cumulative_at_cut
 
     def test_noise_off_path_deterministic(self):
         rng = make_rng(57)
