@@ -279,8 +279,12 @@ def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
     the expert activations it saved, and its noise draws, when present, are
     treated as constants so the noise-scale weights still receive gradient.
     Parameter gradients are added into `grads`, a (d_mlp, d_qformer, d_gate)
-    triple.
+    triple. `dout` must have the expert outputs' shape; one that only
+    broadcasts to it is rejected.
     """
+    if np.shape(dout) != sample.mlp.out.shape:
+        raise ValueError(f"upstream gradient shape {np.shape(dout)} != expert output "
+                         f"shape {sample.mlp.out.shape}")
     d_mlp, d_qf, d_gate = grads
     g = sample.weights
     scale = g.T[..., None, None]

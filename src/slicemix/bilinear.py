@@ -182,11 +182,10 @@ def loss_from_coords(inst: BilinearInstance, tau: float, nu: float) -> float:
                   + 2.0 * lp * lm * t2 * n2)
 
 
-def gd_step(state: BilinearState, inst: BilinearInstance,
-            eta: float | None = None) -> BilinearState:
-    """One simultaneous raw-vector descent step; both gradients use the
-    pre-step iterates. Coordinates are recomputed from the new vectors."""
-    eta = state.eta if eta is None else eta
+def gd_step(state: BilinearState, inst: BilinearInstance) -> BilinearState:
+    """One simultaneous raw-vector descent step at `state.eta`; both gradients
+    use the pre-step iterates. Coordinates are recomputed from the new vectors."""
+    eta = state.eta
     if not 0.0 < eta < np.inf:
         raise ValueError("step size must be positive and finite")
     gu, gv = loss_grads(state.u, state.v, inst)
@@ -293,24 +292,38 @@ def classify(inst: BilinearInstance, final_loss: float, diverged: bool) -> str:
     return "undecided"
 
 
-class _Recorder:
-    def __init__(self, stop_tol, stop_window):
-        self.rows = []
-        self.stop_tol = stop_tol
-        self.stop_window = stop_window
+def _gd_rows(inst: BilinearInstance, alpha0: float, beta0: float, eta: float):
+    tau, nu = eigen_coords(alpha0, beta0)
+    while True:
+        usq = energy(inst, tau, nu)
+        nrm = np.sqrt(usq)
+        yield (*coords_from_eigen(tau, nu), tau, nu, nrm, nrm,
+               loss_from_coords(inst, tau, nu))
+        tau, nu = gd_coord_step(tau, nu, usq, inst, eta)
 
-    def add(self, step, alpha, beta, tau, nu, norm_u, norm_v, loss_val) -> bool:
-        """Record one row; True means the loss plateaued and iteration may stop."""
-        self.rows.append((step, alpha, beta, tau, nu, norm_u, norm_v, loss_val))
-        if self.stop_tol is None or len(self.rows) <= self.stop_window:
-            return False
-        prev = self.rows[-1 - self.stop_window][7]
-        return abs(loss_val - prev) < self.stop_tol
 
-    def arrays(self):
-        cols = list(zip(*self.rows))
-        return (np.array(cols[0], dtype=np.int64),) + tuple(
-            np.array(col, dtype=np.float64) for col in cols[1:])
+def _gd_vector_rows(inst: BilinearInstance, alpha0: float, beta0: float, eta: float):
+    state = BilinearState.from_vectors(inst, vector_from_coords(inst, alpha0, beta0),
+                                       vector_from_coords(inst, beta0, alpha0), eta)
+    while True:
+        yield (state.alpha, state.beta, state.tau, state.nu,
+               float(np.linalg.norm(state.u)), float(np.linalg.norm(state.v)),
+               loss(state.u, state.v, inst))
+        state = gd_step(state, inst)
+
+
+def _alternating_rows(inst: BilinearInstance, alpha0: float, beta0: float, eta: float):
+    """eta is unused. A row holds u and the v that minimizes against it."""
+    u = vector_from_coords(inst, alpha0, beta0)
+    while True:
+        v, u_next = alt_step(u, inst)
+        alpha, beta = coords_of(inst, u)
+        yield (alpha, beta, *eigen_coords(alpha, beta),
+               float(np.linalg.norm(u)), float(np.linalg.norm(v)), loss(u, v, inst))
+        u = u_next
+
+
+_METHODS = {"gd": _gd_rows, "gd_vector": _gd_vector_rows, "alternating": _alternating_rows}
 
 
 def run_experiment(inst: BilinearInstance, init="generic",
@@ -325,78 +338,34 @@ def run_experiment(inst: BilinearInstance, init="generic",
                         (mirror start v0 = beta0 a + alpha0 b is implied);
       * "gd_vector"   - descent on raw vectors from the same mirror start.
 
-    The trace has one row per visited state (steps=0 gives the initial row
-    only). Iteration stops early once the loss moves less than stop_tol over
-    stop_window steps, or when a norm exceeds the divergence bound.
+    The trace has one row per visited state, at most steps + 1 (steps=0 gives
+    the initial row only). Every method stops at the first row t where norm_u
+    exceeds DIVERGENCE_NORM (checked first; the run is flagged diverged) or,
+    with stop_tol set, t >= stop_window and |loss[t] - loss[t - stop_window]|
+    < stop_tol (t is reported as steps_to_converge).
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
         raise ValueError("step size must be positive and finite")
     alpha0, beta0 = resolve_init(init)
-    rec = _Recorder(stop_tol, stop_window)
-    diverged = False
-    converged_at = None
-
-    if method == "gd":
-        tau, nu = eigen_coords(alpha0, beta0)
-        for t in range(steps + 1):
-            usq = energy(inst, tau, nu)
-            alpha, beta = coords_from_eigen(tau, nu)
-            nrm = np.sqrt(usq)
-            stop = rec.add(t, alpha, beta, tau, nu, nrm, nrm,
-                           loss_from_coords(inst, tau, nu))
-            if usq > DIVERGENCE_NORM ** 2:
-                diverged = True
-                break
-            if stop:
-                converged_at = t
-                break
-            if t < steps:
-                tau, nu = gd_coord_step(tau, nu, usq, inst, eta)
-    elif method == "gd_vector":
-        state = BilinearState.from_vectors(
-            inst,
-            vector_from_coords(inst, alpha0, beta0),
-            vector_from_coords(inst, beta0, alpha0),
-            eta)
-        for t in range(steps + 1):
-            stop = rec.add(t, state.alpha, state.beta, state.tau, state.nu,
-                           float(np.linalg.norm(state.u)),
-                           float(np.linalg.norm(state.v)),
-                           loss(state.u, state.v, inst))
-            if np.linalg.norm(state.u) > DIVERGENCE_NORM:
-                diverged = True
-                break
-            if stop:
-                converged_at = t
-                break
-            if t < steps:
-                state = gd_step(state, inst)
-    elif method == "alternating":
-        u = vector_from_coords(inst, alpha0, beta0)
-        for t in range(steps + 1):
-            v, u_next = alt_step(u, inst)
-            alpha, beta = coords_of(inst, u)
-            tau, nu = eigen_coords(alpha, beta)
-            stop = rec.add(t, alpha, beta, tau, nu,
-                           float(np.linalg.norm(u)), float(np.linalg.norm(v)),
-                           loss(u, v, inst))
-            if np.linalg.norm(u) > DIVERGENCE_NORM:
-                diverged = True
-                break
-            if stop:
-                converged_at = t
-                break
-            if t < steps:
-                u = u_next
-    else:
+    if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'")
+    rows, diverged, converged_at = [], False, None
+    for t, row in zip(range(steps + 1), _METHODS[method](inst, alpha0, beta0, eta)):
+        rows.append(row)
+        if row[4] > DIVERGENCE_NORM:
+            diverged = True
+            break
+        if (stop_tol is not None and t >= stop_window
+                and abs(row[6] - rows[-1 - stop_window][6]) < stop_tol):
+            converged_at = t
+            break
 
-    step_arr, alpha, beta, tau_a, nu_a, nu_u, nu_v, loss_a = rec.arrays()
-    final_loss = float(loss_a[-1])
+    alpha, beta, tau, nu, norm_u, norm_v, loss_col = np.array(rows, dtype=np.float64).T
+    final_loss = float(loss_col[-1])
     return Trace(method=method, init=(alpha0, beta0), eta=eta, c=inst.c,
-                 step=step_arr, alpha=alpha, beta=beta, tau=tau_a, nu=nu_a,
-                 norm_u=nu_u, norm_v=nu_v, loss=loss_a, diverged=diverged,
+                 step=np.arange(len(rows)), alpha=alpha, beta=beta, tau=tau, nu=nu,
+                 norm_u=norm_u, norm_v=norm_v, loss=loss_col, diverged=diverged,
                  classification=classify(inst, final_loss, diverged),
                  final_loss=final_loss, steps_to_converge=converged_at)

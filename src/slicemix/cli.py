@@ -80,6 +80,8 @@ def read_matrix(path: str) -> np.ndarray:
     if len(text) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
     rows, cols = int(text[0]), int(text[1])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"{path}: header '{rows} {cols}' must give non-negative sizes")
     data = [float(x) for x in text[2:]]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
@@ -190,7 +192,10 @@ def cmd_bilinear(args) -> int:
     except ValueError as exc:
         return _fail(f"bilinear: {exc}")
     if args.out:
-        Path(args.out).write_text(trace.to_csv())
+        try:
+            Path(args.out).write_text(trace.to_csv())
+        except OSError as exc:
+            return _fail(f"bilinear: cannot write the trace: {exc}")
     _emit(trace.summary())
     return EXIT_DIVERGED if trace.diverged else EXIT_OK
 
@@ -220,8 +225,11 @@ def cmd_sweep(args) -> int:
                 return _fail(f"sweep: {exc}")
             if args.outdir:
                 out = Path(args.outdir)
-                out.mkdir(parents=True, exist_ok=True)
-                (out / f"trace_{method}_c{inst.c}.csv").write_text(trace.to_csv())
+                try:
+                    out.mkdir(parents=True, exist_ok=True)
+                    (out / f"trace_{method}_c{inst.c}.csv").write_text(trace.to_csv())
+                except OSError as exc:
+                    return _fail(f"sweep: cannot write the traces: {exc}")
             results.append(trace.summary())
     _emit(results)
     return EXIT_DIVERGED if any(r["classification"] == "diverged" for r in results) else EXIT_OK
@@ -258,10 +266,13 @@ def cmd_train(args) -> int:
     report = pipeline.train(schedule, task)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"report_{args.mode}_seed{args.seed}.csv").write_text(report.to_csv())
-        (out / f"summary_{args.mode}_seed{args.seed}.json").write_text(
-            _strict_json(report.summary(), sort_keys=True) + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"report_{args.mode}_seed{args.seed}.csv").write_text(report.to_csv())
+            (out / f"summary_{args.mode}_seed{args.seed}.json").write_text(
+                _strict_json(report.summary(), sort_keys=True) + "\n")
+        except OSError as exc:
+            return _fail(f"train: cannot write the report: {exc}")
     _emit(report.summary())
     return EXIT_DIVERGED if report.diverged else EXIT_OK
 

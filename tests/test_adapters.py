@@ -218,6 +218,16 @@ class TestAdapterGrads:
         assert d_mlp.w1[0, 0] == pytest.approx(y * w2 * (cdf + h * pdf) * x, rel=1e-12)
         assert d_mlp.b1[0] == pytest.approx(y * w2 * (cdf + h * pdf), rel=1e-12)
 
+    def test_broadcasting_dout_rejected(self):
+        # a (4, 3) upstream gradient broadcasts over a stack of 3 images
+        mlp, qf, gate = make_trio(36, 4, 5, 3)
+        tokens = make_rng(37).standard_normal((3, 4, 5))
+        _, sample = ad.moe_apply(tokens, mlp, qf, gate)
+        assert sample.mlp.out.shape == (3, 4, 3)
+        with pytest.raises(ValueError, match="upstream gradient shape"):
+            mixture_grads(mlp, qf, gate, np.ones((4, 3)), sample)
+        mixture_grads(mlp, qf, gate, np.ones((3, 4, 3)), sample)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_full_moe_path_fd(self, seed):
         rng = make_rng(100 + seed)

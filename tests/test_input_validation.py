@@ -114,16 +114,40 @@ class TestTrajectoryInputs:
 
     def test_gd_step_rejects_infinite_eta(self):
         inst = bl.make_instance(d=4, c=0.5, seed=0)
-        state = bl.BilinearState.from_vectors(inst, inst.a, inst.b, 0.01)
         for eta in (0.0, math.inf, math.nan):
+            state = bl.BilinearState.from_vectors(inst, inst.a, inst.b, eta)
             with pytest.raises(ValueError, match="positive and finite"):
-                bl.gd_step(state, inst, eta)
+                bl.gd_step(state, inst)
 
     def test_alternating_ignores_eta(self):
         inst = bl.make_instance(d=4, c=0.5, seed=0)
         a = bl.run_experiment(inst, method="alternating", steps=5, eta=0.0)
         b = bl.run_experiment(inst, method="alternating", steps=5)
         np.testing.assert_array_equal(a.loss, b.loss)
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 after the run, with
+    nothing on stdout."""
+
+    @pytest.mark.parametrize("target", ["missing_dir/x.csv", "."],
+                             ids=["missing-parent", "a-directory"])
+    def test_bilinear_out(self, target, tmp_path, capsys):
+        assert_rejected(["bilinear", "--c", "0.5", "--steps", "5",
+                         "--out", str(tmp_path / target)], capsys, "cannot write the trace")
+
+    def test_sweep_outdir_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert_rejected(["sweep", "--c", "0.5", "--steps", "5", "--outdir", str(path)],
+                        capsys, "cannot write the traces")
+
+    def test_train_out_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        config = {"training": {"total_steps": 2, "n_train": 1, "n_eval": 1}}
+        assert_rejected(train_args(tmp_path, config) + ["--out", str(path)], capsys,
+                        "cannot write the report")
 
 
 class TestTrainConfig:
@@ -279,6 +303,14 @@ class TestStrictJson:
         assert code == EXIT_DIVERGED
         doc = strict_json(out)
         assert doc["classification"] == "diverged" and doc["final_loss"] is None
+
+    def test_route_rejects_negative_header(self, tmp_path, capsys):
+        # (-1) * (-1) matches the one value, so only the sign check catches it
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        tok.write_text("-1 -1\n0.5\n")
+        write_matrix(txt, np.array([[1.0]]))
+        assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
+                        f"{tok}: header '-1 -1' must give non-negative sizes")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_route_rejects_non_finite_fixture(self, value, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests: invariants of the router's prefix cut, the partition
-planner and bilinear resizing, checked on inputs that hypothesis draws.
+planner, bilinear resizing and the factorization runner's stop rule,
+checked on inputs that hypothesis draws.
 
 The draws are derandomized, so every run checks the same examples and the
 suite stays reproducible; raise max_examples locally to search wider.
@@ -9,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicemix import bilinear as bl
 from slicemix.routing import select_prefix
 from slicemix.slicing import plan_partition, resize_bilinear
 
@@ -96,3 +98,38 @@ class TestResizeBilinear:
         out = resize_bilinear(img, out_h, out_w)
         slack = 1e-15
         assert out.min() >= img.min() - slack and out.max() <= img.max() + slack
+
+
+starts = st.tuples(st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-2.0, max_value=2.0)).filter(
+    lambda z: z[0] * z[0] + z[1] * z[1] > 1e-4)
+
+
+class TestRunExperimentStopRule:
+    """Every method records rows until the divergence bound, the loss
+    plateau or the step budget ends the run, whichever comes first."""
+
+    @properties
+    @given(st.floats(min_value=-0.9, max_value=0.9),
+           st.sampled_from(["gd", "gd_vector", "alternating"]), starts,
+           st.floats(min_value=1e-3, max_value=3.0), st.integers(min_value=0, max_value=300),
+           st.none() | st.floats(min_value=1e-12, max_value=1e-1),
+           st.integers(min_value=1, max_value=100))
+    def test_one_rule_ends_every_run(self, c, method, init, eta, steps, stop_tol, window):
+        inst = bl.make_instance(d=4, c=c, seed=0)
+        tr = bl.run_experiment(inst, init=init, method=method, steps=steps, eta=eta,
+                               stop_tol=stop_tol, stop_window=window)
+        n = len(tr.step)
+        assert np.array_equal(tr.step, np.arange(n)) and n <= steps + 1
+        assert tr.diverged == (tr.norm_u[-1] > bl.DIVERGENCE_NORM)
+        assert np.all(tr.norm_u[:-1] <= bl.DIVERGENCE_NORM)
+        plateaus = [] if stop_tol is None else [
+            t for t in range(window, n) if abs(tr.loss[t] - tr.loss[t - window]) < stop_tol]
+        if tr.steps_to_converge is not None:
+            assert not tr.diverged
+            assert plateaus[:1] == [tr.steps_to_converge] == [n - 1]
+        else:
+            # the norm check comes first, so a diverged last row may also plateau
+            assert plateaus in ([], [n - 1] if tr.diverged else [])
+        if not tr.diverged and tr.steps_to_converge is None:
+            assert n == steps + 1
