@@ -346,6 +346,8 @@ def run_experiment(inst: BilinearInstance, init="generic",
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if stop_window < 1:
+        raise ValueError("stop_window must be at least 1")
     if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
         raise ValueError("step size must be positive and finite")
     alpha0, beta0 = resolve_init(init)

@@ -79,7 +79,10 @@ def read_matrix(path: str) -> np.ndarray:
     text = Path(path).read_text().split()
     if len(text) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
-    rows, cols = int(text[0]), int(text[1])
+    try:
+        rows, cols = int(text[0]), int(text[1])
+    except ValueError:
+        raise ValueError(f"{path}: header '{text[0]} {text[1]}' must give two integers") from None
     if rows < 0 or cols < 0:
         raise ValueError(f"{path}: header '{rows} {cols}' must give non-negative sizes")
     data = [float(x) for x in text[2:]]

@@ -1,7 +1,8 @@
 """End-to-end toy study: synthetic images flow through partition planning,
 the gated global mixture, stacked query compression of all patches,
 relevance routing, and a linear readout trained against a frozen teacher.
-A batch runs through each expert and the local query head in one stacked pass.
+A batch runs through each expert, the local query head and the router in one
+stacked pass, forward and backward, with no loop over its images.
 
 The teacher reads the mean feature token over every full-scale patch of the
 image, so the downsampled global view alone cannot reach zero error while
@@ -39,7 +40,9 @@ from .adapters import (
     zeros_like_params,
 )
 from .numerics import make_rng
-from .routing import RouterConfig, RouterSelection, apply_selection, route_tokens
+from .routing import RouterConfig, RouterSelection, route_batch
+# the pipeline routes through route_batch; perfbench's tracing still wraps these bindings
+from .routing import apply_selection, route_tokens  # noqa: F401
 from .slicing import extract_patches, make_global_view, plan_partition, resize_bilinear
 
 __all__ = [
@@ -238,7 +241,9 @@ class ForwardCache:
     gate_sample: GateSample | None
     selections: list[RouterSelection]   # one per image, none in global_only
     patches: QFormerActivations | None
-    offsets: list[int]                  # B + 1 patch offsets
+    order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order
+    kept: np.ndarray | None             # mask of the kept slots of `order`, or None if all are
+    n_kept: np.ndarray                  # kept local tokens per image
     n_rows: np.ndarray                  # pooled rows per image
     pooled: np.ndarray                  # (B, model_dim)
     pred: np.ndarray                    # (B, out_dim)
@@ -253,45 +258,76 @@ def _stack(samples):
     """A batch's global views, all its patches in one stack, and image offsets."""
     return (np.array([s.global_tokens for s in samples]),
             np.concatenate([s.patch_tokens for s in samples]),
-            [0, *accumulate(len(s.patch_tokens) for s in samples)])
+            np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]))
+
+
+def _fixed_order(selections, starts):
+    """Given selections, laid out as route_batch lays out its own cut: each
+    image's local rows in keeping order, its kept count, and the kept slots."""
+    indices = [s.kept_indices for s in selections]
+    lens = [len(i) for i in indices]
+    n_kept = np.array(lens)
+    kept = np.arange(max(lens)) < n_kept[:, None]
+    order = np.zeros(kept.shape, dtype=np.intp)
+    order[kept] = np.concatenate(indices)
+    # a negative index wraps to a huge unsigned one, so one test bounds both ends
+    if np.count_nonzero(order.view(np.uintp) >= (starts[1:] - starts[:-1])[:, None]):
+        raise IndexError("selection index out of range")
+    return order + starts[:-1, None], n_kept, kept
 
 
 def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: ToyTask,
                    mode: str, rng=None, gate_override=None, fixed_selections=None) -> ForwardCache:
     """A batch, stacked as _stack returns it, through the pipeline in one pass.
-    The router runs per image, and each image draws its gate noise, then its
-    router noise, so a generator advances as over the images one by one."""
+    One normal draw covers the batch's noise, laid out per image as its gate
+    pair, then one router draw per compressed local token, so a generator
+    advances as over the images one by one."""
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode '{mode}'")
-    gate_s = patches = None
-    eps, sels = [], []
-    # each image's row blocks; a branch the mode leaves out adds no rows
-    g_out = np.empty((len(views), 0, params.readout.shape[0]))
-    kept = [g_out[0]] * len(views)
-    if mode != "global_only":
+    n, d, cfg = len(views), params.readout.shape[0], task.cfg
+    starts = offsets * params.qf_local.n_queries     # each image's first local token
+    gate_s = patches = eps = noise = None
+    gate_draws = 2 if (mode != "local_only" and rng is not None and gate_override is None
+                       and params.gate.noise_enabled) else 0
+    route_draws = 1 if (mode != "global_only" and rng is not None and fixed_selections is None
+                        and cfg.router_noise_sigma > 0.0) else 0
+    if gate_draws or route_draws:
+        draws = rng.standard_normal(n * gate_draws + starts[-1] * route_draws)
+        # image i's draws begin after i gate pairs and the router draws of its predecessors
+        gate_at = ((np.arange(n) * gate_draws + starts[:-1] * route_draws)[:, None]
+                   + np.arange(gate_draws))
+        eps = draws[gate_at] if gate_draws else None
+        noise = cfg.router_noise_sigma * np.delete(draws, gate_at) if route_draws else None
+    if mode == "global_only":
+        sels, order, n_kept, kept = [], None, np.zeros(n, dtype=np.intp), None
+    else:
         patches = qformer_apply(patch_tokens, params.qf_local)
-        router = RouterConfig(gamma=task.cfg.gamma,
-                              train_noise_sigma=task.cfg.router_noise_sigma)
-    noisy_gate = (mode != "local_only" and rng is not None and gate_override is None
-                  and params.gate.noise_enabled)
-    for i in range(len(views)):
-        if noisy_gate:
-            eps.append(rng.standard_normal(2))
-        if patches is not None:
-            local = patches.out[offsets[i]:offsets[i + 1]].reshape(-1, patches.out.shape[-1])
-            sels.append(fixed_selections[i] if fixed_selections is not None
-                        else route_tokens(local, task.text_embed, router, rng))
-            kept[i] = apply_selection(local, sels[i])
-    if mode != "local_only":
+        local = patches.out.reshape(-1, d)
+        if fixed_selections is None:
+            sels, order, n_kept, kept = route_batch(local, starts, task.text_embed,
+                                                    cfg.gamma, noise)
+        else:
+            sels = list(fixed_selections)
+            order, n_kept, kept = _fixed_order(sels, starts)
+    if mode == "local_only":
+        g_out = np.empty((n, 0, d))
+    else:
         g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate,
-                                  gate_override=gate_override,
-                                  eps=np.array(eps) if eps else None)
-    feats = [np.concatenate(rows) for rows in zip(g_out, kept)]
-    # np.mean's arithmetic and a row-by-row readout: bitwise a lone image's pass
-    pooled = np.array([f.sum(axis=0) / len(f) for f in feats])
-    n_rows = np.array([len(f) for f in feats])
-    return ForwardCache(gate_sample=gate_s, selections=sels, patches=patches,
-                        offsets=offsets, n_rows=n_rows, pooled=pooled,
+                                  gate_override=gate_override, eps=eps)
+    # each image's global rows, then its kept local rows in keeping order,
+    # zero-padded to the most any image keeps: the zeros add nothing, so each
+    # sum is bitwise a lone image's
+    feats = g_out
+    if order is not None:
+        local_rows = local.take(order, axis=0, mode="clip")
+        if kept is not None:
+            local_rows[~kept] = 0.0
+        feats = np.concatenate([g_out, local_rows], axis=1)
+    n_rows = g_out.shape[1] + n_kept
+    pooled = feats.sum(axis=1) / n_rows[:, None]
+    # a row-by-row readout: bitwise a lone image's pass
+    return ForwardCache(gate_sample=gate_s, selections=sels, patches=patches, order=order,
+                        kept=kept, n_kept=n_kept, n_rows=n_rows, pooled=pooled,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
@@ -306,7 +342,7 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
     """
     fixed = None if fixed_selection is None else [fixed_selection]
     cache = _forward_batch(sample.global_tokens[None], sample.patch_tokens,
-                           [0, len(sample.patch_tokens)], params, task, mode, rng,
+                           np.array([0, len(sample.patch_tokens)]), params, task, mode, rng,
                            gate_override, fixed)
     return cache.pred[0], cache
 
@@ -324,8 +360,8 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
     if cache.patches is not None:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
-        for a, b, sel, d in zip(cache.offsets, cache.offsets[1:], cache.selections, drow):
-            dlocal[a:b].reshape(-1, d.size)[sel.kept_indices] = d
+        rows = cache.order if cache.kept is None else cache.order[cache.kept]
+        dlocal.reshape(-1, drow.shape[1])[rows.ravel()] = drow.repeat(cache.n_kept, axis=0)
         qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local)
 
 

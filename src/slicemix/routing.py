@@ -8,6 +8,10 @@ score down until the accumulated mass reaches the threshold gamma
 (inclusive). Given a generator and a positive noise scale, Gaussian noise
 perturbs the sort order only, and the gamma accounting always uses the
 noiseless scores; without a generator routing is deterministic.
+
+One batched pass routes every image of a batch: route_batch lays the
+images out as the rows of one padded array and scores, sorts and cuts all
+rows at once. route_tokens is its batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import QFormerParams, qformer_apply
-from .numerics import softmax
 
 __all__ = [
     "DEFAULT_NUM_QUERIES",
@@ -28,6 +31,7 @@ __all__ = [
     "compress_local",
     "relevance_scores",
     "select_prefix",
+    "route_batch",
     "route_tokens",
     "apply_selection",
 ]
@@ -77,21 +81,93 @@ def compress_local(patch_tokens, params: QFormerParams) -> np.ndarray:
     return qformer_apply(t, params).out
 
 
-def relevance_scores(z_v, z_x) -> np.ndarray:
-    """Noiseless router scores: softmax over image tokens of the text-averaged
-    similarity matrix z_v . z_x^T."""
-    v = np.asarray(z_v, dtype=np.float64)
-    x = np.asarray(z_x, dtype=np.float64)
-    if v.ndim != 2 or x.ndim != 2 or v.shape[0] == 0 or x.shape[0] == 0:
-        raise ValueError("router inputs must be non-empty 2-D matrices")
+def _matrix(a, what: str) -> np.ndarray:
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] == 0:
+        raise ValueError(f"{what} must be a non-empty 2-D matrix")
+    return m
+
+
+def _padded(flat: np.ndarray, real, shape, fill: float) -> np.ndarray:
+    """Values stacked image after image as the rows of the (B, K_max) layout;
+    `real` marks each row's own entries, None when no row is padded."""
+    if real is None:
+        return flat.reshape(shape)
+    out = np.full(shape, fill)
+    out[real] = flat
+    return out
+
+
+def _kept_counts(cum: np.ndarray, gamma: float, n_tokens) -> np.ndarray:
+    """Tokens kept per row of cumulative sorted score mass: up to the first to
+    reach gamma, or all if none does. Scores are non-negative, so the mass
+    never falls and the entries short of gamma all come first."""
+    return np.minimum((cum < gamma).sum(axis=-1, initial=1), n_tokens)
+
+
+def route_batch(z_v, starts, z_x, gamma: float, noise=None):
+    """Route every image of a batch in one pass.
+
+    Image i owns rows starts[i]:starts[i+1] of z_v, at least one. Its scores
+    are the softmax over its rows of their similarity to the mean text token.
+    It keeps the shortest prefix of its rows, in descending order of score
+    (of score + noise, where `noise` gives one value per row), whose score
+    mass reaches gamma. The images are the rows of one (B, K_max) array,
+    padded to sort last and weigh nothing, and every step works on each row
+    alone (the softmax total is summed in token order), so an image gets bit
+    for bit what routing it on its own gives.
+
+    Returns one RouterSelection per image, then three views of the cut:
+    each image's rows of z_v in keeping order, as many per image as the
+    most any image keeps; the kept count n_kept per image; and the mask of
+    each row's first n_kept slots, None when every image keeps as many. Past
+    them the rows are padding and may point anywhere, even past the last row.
+    """
+    v, x = _matrix(z_v, "image tokens"), _matrix(z_x, "text tokens")
     if v.shape[1] != x.shape[1]:
         raise ValueError("image and text tokens must share their feature width")
-    return softmax((v @ x.T).sum(axis=1) / x.shape[0])
+    starts = np.asarray(starts)
+    counts = starts[1:] - starts[:-1]
+    lens = counts.tolist()
+    n, width = len(lens), max(lens)
+    if starts[0] != 0 or starts[-1] != len(v) or min(lens) < 1:
+        raise ValueError("every image needs at least one of the token rows")
+    real = None if min(lens) == width else np.arange(width) < counts[:, None]
+    text = x[0] if len(x) == 1 else x.sum(axis=0) / len(x)    # the mean text token
+    # a row-by-row product, so a token's similarity does not depend on its neighbours
+    scores = _padded(np.einsum("nd,d->n", v, text), real, (n, width), -np.inf)
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    # padding adds exact zeros after a row's tokens, so its running total ends on theirs
+    scores /= scores.cumsum(axis=1)[:, -1:]
+    key = -scores if noise is None else np.negative(
+        scores + _padded(noise, real, (n, width), -np.inf))
+    order = key.argsort(axis=1, kind="stable")        # ties keep the lower index first
+    rows = order + starts[:-1, None]
+    # a padding slot reads a later row's score (clipped to the last): it comes
+    # after the row's tokens, so it only adds to a mass that reached gamma or
+    # falls in the tail the cut drops
+    flat = scores.ravel() if real is None else scores[real]
+    cum = flat.take(rows, mode="clip").cumsum(axis=1)
+    n_kept = _kept_counts(cum, gamma, counts)
+    kept_lens = n_kept.tolist()
+    sels = [RouterSelection(gamma, o[:m], s[:k], float(c[m - 1]))
+            for o, s, c, k, m in zip(order, scores, cum, lens, kept_lens)]
+    most = max(kept_lens)
+    kept = None if min(kept_lens) == most else np.arange(most) < n_kept[:, None]
+    return sels, rows[:, :most], n_kept, kept
+
+
+def relevance_scores(z_v, z_x) -> np.ndarray:
+    """Noiseless router scores: softmax over image tokens of their similarity
+    to the mean text token, as route_batch computes them."""
+    v = _matrix(z_v, "image tokens")
+    return route_batch(v, [0, len(v)], z_x, 1.0)[0][0].scores
 
 
 def select_prefix(scores: np.ndarray, gamma: float,
                   order: np.ndarray | None = None):
-    """Shortest prefix of `order` whose noiseless score mass reaches gamma.
+    """Shortest prefix of `order` whose non-negative score mass reaches gamma.
 
     The cut is inclusive: the token whose addition reaches gamma is kept.
     If the total mass falls short of gamma (only possible through float
@@ -100,26 +176,21 @@ def select_prefix(scores: np.ndarray, gamma: float,
     scores = np.asarray(scores, dtype=np.float64)
     if order is None:
         order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
-    cum = np.cumsum(scores[order])
-    reached = np.nonzero(cum >= gamma)[0]
-    cut = int(reached[0]) if reached.size else len(order) - 1
-    return order[:cut + 1].astype(np.int64), float(cum[cut])
+    cum = scores[order].cumsum()
+    n_kept = int(_kept_counts(cum, gamma, len(order)))
+    return order[:n_kept].astype(np.int64), float(cum[n_kept - 1])
 
 
 def route_tokens(z_v, z_x, cfg: RouterConfig,
                  rng: np.random.Generator | None = None) -> RouterSelection:
-    """Score local tokens against the text embedding and keep the top prefix.
-    Given a generator and sigma > 0, one normal per token perturbs the order;
-    otherwise nothing is drawn."""
-    scores = relevance_scores(z_v, z_x)
+    """Score local tokens against the text embedding and keep the top prefix:
+    route_batch on a batch of one. Given a generator and sigma > 0, one
+    normal per token perturbs the order; otherwise nothing is drawn."""
+    v = _matrix(z_v, "image tokens")
+    noise = None
     if rng is not None and cfg.train_noise_sigma > 0.0:
-        noisy = scores + cfg.train_noise_sigma * rng.standard_normal(scores.shape)
-        order = np.argsort(-noisy, kind="stable")
-    else:
-        order = np.argsort(-scores, kind="stable")
-    kept, cum = select_prefix(scores, cfg.gamma, order)
-    return RouterSelection(gamma=cfg.gamma, kept_indices=kept, scores=scores,
-                           cumulative_at_cut=cum)
+        noise = cfg.train_noise_sigma * rng.standard_normal(len(v))
+    return route_batch(v, [0, len(v)], z_x, cfg.gamma, noise)[0][0]
 
 
 def apply_selection(z_v, sel: RouterSelection) -> np.ndarray:

@@ -325,6 +325,14 @@ class TestRunExperiment:
         assert trace.steps_to_converge is not None
         assert trace.steps_to_converge < 200
 
+    @pytest.mark.parametrize("window", [0, -1, -100])
+    def test_stop_window_below_one_rejected(self, window):
+        # a zero window compares a row's loss with itself, a negative one
+        # indexes past the recorded rows
+        inst = bl.make_instance(c=0.5, seed=36)
+        with pytest.raises(ValueError, match="stop_window"):
+            bl.run_experiment(inst, method="alternating", steps=5, stop_window=window)
+
     def test_unknown_method_and_init_rejected(self):
         inst = bl.make_instance(c=0.5, seed=35)
         with pytest.raises(ValueError):

@@ -312,6 +312,14 @@ class TestStrictJson:
         assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
                         f"{tok}: header '-1 -1' must give non-negative sizes")
 
+    @pytest.mark.parametrize("header", ["1.5 2", "2 x", "1e1 1"])
+    def test_route_rejects_non_integer_header(self, header, tmp_path, capsys):
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        tok.write_text(f"{header}\n0.5 0.5\n")
+        write_matrix(txt, np.array([[1.0]]))
+        assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
+                        f"{tok}: header '{header}' must give two integers")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_route_rejects_non_finite_fixture(self, value, tmp_path, capsys):
         tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"

@@ -1,6 +1,6 @@
 """Toy-task contracts: degenerate-config forwards, FD-checked end-to-end
 gradients with the selection pinned, exact stage freezes, determinism, and
-the frozen golden forward trace."""
+the frozen golden forward trace and training runs."""
 
 import copy
 import json
@@ -11,8 +11,10 @@ import pytest
 
 from slicemix import pipeline as pl
 from slicemix.numerics import fd_grad_check, make_rng
+from slicemix.routing import RouterSelection
 
 GOLDEN = Path(__file__).parent / "data" / "golden_forward.json"
+GOLDEN_TRAIN = Path(__file__).parent / "data" / "golden_train.json"
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +211,40 @@ class TestGradients:
         assert calls["qformer_apply"] == [task.eval_set[0].patch_tokens.shape]
         assert not calls["moe_apply"]
 
+    def test_one_router_call_per_batch(self, task, params, monkeypatch):
+        # the router runs once over all of a batch's local tokens, through the
+        # name the pipeline binds, and never image by image
+        calls = []
+        route_batch = pl.route_batch
+
+        def counting(z_v, starts, *args, **kwargs):
+            calls.append((len(starts) - 1, len(z_v)))
+            return route_batch(z_v, starts, *args, **kwargs)
+
+        def alone(*args, **kwargs):
+            raise AssertionError("route_tokens called by the pipeline")
+
+        monkeypatch.setattr(pl, "route_batch", counting)
+        monkeypatch.setattr(pl, "route_tokens", alone)
+        batch = task.train_set[:3]
+        n_q = params.qf_local.n_queries
+        pl.batch_loss_and_grads(batch, params, task, "full", rng=make_rng(14))
+        assert calls == [(3, n_q * sum(len(s.patch_tokens) for s in batch))]
+        calls.clear()
+        pl.forward(task.eval_set[0], params, task, "local_only")
+        assert calls == [(1, n_q * len(task.eval_set[0].patch_tokens))]
+
+    def test_fixed_selection_out_of_its_image_rejected(self, task, params):
+        # an index past an image's own local tokens, even one that names a
+        # row of the next image in the stack, is rejected
+        batch = task.train_set[:2]
+        sels = [pl.forward(s, params, task)[1].selection for s in batch]
+        n_tokens = len(batch[0].patch_tokens) * params.qf_local.n_queries
+        for bad in (n_tokens, -1):
+            sels[0] = RouterSelection(0.75, np.array([0, bad]), sels[0].scores, 1.0)
+            with pytest.raises(IndexError, match="out of range"):
+                pl.batch_loss_and_grads(batch, params, task, "full", fixed_selections=sels)
+
     def test_frozen_groups_get_zero_grads_in_global_mode(self, task, params):
         _, grads = pl.batch_loss_and_grads(task.train_set[:2], params, task,
                                            "global_only")
@@ -345,6 +381,23 @@ class TestTrain:
         assert r1.to_csv() == r2.to_csv()
         assert json.dumps(r1.summary(), sort_keys=True) == \
             json.dumps(r2.summary(), sort_keys=True)
+
+    def test_golden_training_runs(self):
+        # per-step losses and held-out losses of a 30-step alternating and a
+        # 30-step e2e run, gate and router noise live, recorded while the
+        # router still ran image by image:
+        # train(default_schedule(mode, seed=3, total_steps=30), make_toy_task(3))
+        fix = json.loads(GOLDEN_TRAIN.read_text())
+        task = pl.make_toy_task(fix["task_seed"])
+        for run in fix["runs"]:
+            report = pl.train(pl.default_schedule(run["mode"], seed=run["seed"],
+                                                  total_steps=fix["total_steps"]), task)
+            assert [stage for _, stage, _ in report.steps] == run["stages"]
+            np.testing.assert_allclose([loss for *_, loss in report.steps], run["losses"],
+                                       rtol=1e-12, atol=0.0)
+            for name in ("final_eval", "only_global_eval", "only_local_eval"):
+                np.testing.assert_allclose(getattr(report, name), run[name],
+                                           rtol=1e-12, atol=0.0)
 
     def test_schedule_stage_count_enforced(self):
         with pytest.raises(ValueError):

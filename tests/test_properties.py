@@ -1,17 +1,21 @@
-"""Property tests: invariants of the router's prefix cut, the partition
-planner, bilinear resizing and the factorization runner's stop rule,
-checked on inputs that hypothesis draws.
+"""Property tests: invariants of the router's prefix cut and of its batched
+pass, the partition planner, bilinear resizing and the factorization
+runner's stop rule, checked on inputs that hypothesis draws.
 
 The draws are derandomized, so every run checks the same examples and the
 suite stays reproducible; raise max_examples locally to search wider.
 """
 
+from itertools import accumulate
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slicemix import bilinear as bl
-from slicemix.routing import select_prefix
+from slicemix.numerics import make_rng
+from slicemix.routing import RouterConfig, route_batch, route_tokens, select_prefix
 from slicemix.slicing import plan_partition, resize_bilinear
 
 properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -49,6 +53,77 @@ class TestSelectPrefix:
         # no dropped token scores above the last kept one
         dropped = np.setdiff1d(np.arange(len(scores)), kept)
         assert dropped.size == 0 or scores[dropped].max() <= scores[kept[-1]]
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-20 images of 1-40 tokens each, 1-12 features wide, stacked, with
+    their row offsets and a text matrix. Hypothesis fills arrays with repeated
+    values, so ties occur; widths from 8 on make BLAS products depend on a
+    row's position, which the router must not."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    lens = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=20))
+    values = st.floats(min_value=-4.0, max_value=4.0)
+    tokens = draw(hnp.arrays(np.float64, (sum(lens), width), elements=values))
+    text = draw(hnp.arrays(np.float64, (draw(st.integers(min_value=1, max_value=3)), width),
+                           elements=values))
+    return tokens, np.array([0, *accumulate(lens)]), text
+
+
+class TestRouteBatch:
+    @properties
+    @given(ragged_batches(), gammas | st.just(1.0),
+           st.none() | st.integers(min_value=0, max_value=2**32 - 1))
+    def test_each_image_routes_as_on_its_own(self, batch, gamma, seed):
+        # with a seed, one draw for the whole batch against route_tokens'
+        # draws image by image: one normal per token, in token order
+        tokens, starts, text = batch
+        cfg = RouterConfig(gamma=gamma, train_noise_sigma=0.1)
+        r_batch, r_alone, noise = None, None, None
+        if seed is not None:
+            r_batch, r_alone = make_rng(seed), make_rng(seed)
+            noise = cfg.train_noise_sigma * r_batch.standard_normal(len(tokens))
+        sels, rows, n_kept, kept = route_batch(tokens, starts, text, gamma, noise)
+        assert len(sels) == len(starts) - 1
+        assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
+        # the batch layout: as many slots per image as the most any keeps, and
+        # a mask of the kept ones unless every image keeps that many
+        slots = np.arange(rows.shape[1]) < n_kept[:, None]
+        assert rows.shape[1] == n_kept.max()
+        assert np.array_equal(slots, np.ones_like(slots)) if kept is None else \
+            np.array_equal(kept, slots) and not kept.all()
+        for i, sel in enumerate(sels):
+            # bit for bit, so a tie breaks the same way in the batch and alone
+            alone = route_tokens(tokens[starts[i]:starts[i + 1]], text, cfg, r_alone)
+            assert np.array_equal(sel.kept_indices, alone.kept_indices)
+            assert np.array_equal(sel.scores, alone.scores)
+            assert sel.cumulative_at_cut == alone.cumulative_at_cut
+            assert np.array_equal(rows[i][slots[i]], starts[i] + sel.kept_indices)
+        if seed is not None:
+            assert r_batch.bit_generator.state == r_alone.bit_generator.state
+
+    @properties
+    @given(ragged_batches(), gammas | st.just(1.0),
+           st.none() | st.integers(min_value=0, max_value=2**32 - 1))
+    def test_cut_is_the_shortest_prefix_reaching_gamma(self, batch, gamma, seed):
+        tokens, starts, text = batch
+        noise = None if seed is None else 0.1 * make_rng(seed).standard_normal(len(tokens))
+        for sel in route_batch(tokens, starts, text, gamma, noise)[0]:
+            mass = np.cumsum(sel.scores[sel.kept_indices])
+            assert len(set(sel.kept_indices.tolist())) == len(mass) >= 1
+            assert sel.cumulative_at_cut == mass[-1]
+            assert mass[-1] >= gamma or len(mass) == len(sel.scores)
+            assert len(mass) == 1 or mass[-2] < gamma
+            if noise is None:
+                # noiseless, the keeping order is the descending score order,
+                # and equal scores keep the lower index first
+                kept = sel.kept_indices
+                dropped = np.setdiff1d(np.arange(len(sel.scores)), kept)
+                step = np.diff(sel.scores[kept])
+                assert np.all((step < 0.0) | ((step == 0.0) & (np.diff(kept) > 0)))
+                last = sel.scores[kept[-1]]
+                assert np.all(sel.scores[dropped] <= last)
+                assert np.all(dropped[sel.scores[dropped] == last] > kept[-1])
 
 
 sides = st.integers(min_value=1, max_value=5000)
