@@ -166,16 +166,6 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _per_token(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w for a token matrix or a stack of them. numpy runs a stack's
-    product as one BLAS call per matrix; from 16 matrices on, one product of
-    all the stack's rows is faster (and, on the OpenBLAS kernels measured,
-    bitwise equal)."""
-    if a.ndim == 3 and len(a) >= 16:
-        return (_rows(a) @ w).reshape(a.shape[:-1] + w.shape[1:])
-    return a @ w
-
-
 def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
     """Per-token gelu(x W1 + b1) W2 + b2 on a token matrix or a stack of them;
     the token count is preserved. Keeps the activations mlp_vjp reuses."""
@@ -200,12 +190,12 @@ def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
     activations qformer_vjp reuses. The output always has n_queries rows
     whatever the input length; a (P, L, d_in) stack gives (P, n_queries, d_out)."""
     t = _check_tokens(tokens, p.wk.shape[0], "qformer_apply")
-    k = _per_token(t, p.wk)
-    v = _per_token(t, p.wv)
+    k = t @ p.wk
+    v = t @ p.wv
     w = attention_weights(p.queries, k)
     att = w @ v
     return QFormerActivations(tokens=t, keys=k, values=v, weights=w,
-                              attended=att, out=_per_token(att, p.wo))
+                              attended=att, out=att @ p.wo)
 
 
 def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,

@@ -241,8 +241,8 @@ class ForwardCache:
     gate_sample: GateSample | None
     selections: list[RouterSelection]   # one per image, none in global_only
     patches: QFormerActivations | None
-    order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order
-    kept: np.ndarray | None             # mask of the kept slots of `order`, or None if all are
+    order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order,
+    kept: np.ndarray | None             # and the mask of its kept slots; None in global_only
     n_kept: np.ndarray                  # kept local tokens per image
     n_rows: np.ndarray                  # pooled rows per image
     pooled: np.ndarray                  # (B, model_dim)
@@ -320,8 +320,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     feats = g_out
     if order is not None:
         local_rows = local.take(order, axis=0, mode="clip")
-        if kept is not None:
-            local_rows[~kept] = 0.0
+        local_rows[~kept] = 0.0
         feats = np.concatenate([g_out, local_rows], axis=1)
     n_rows = g_out.shape[1] + n_kept
     pooled = feats.sum(axis=1) / n_rows[:, None]
@@ -360,8 +359,8 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
     if cache.patches is not None:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
-        rows = cache.order if cache.kept is None else cache.order[cache.kept]
-        dlocal.reshape(-1, drow.shape[1])[rows.ravel()] = drow.repeat(cache.n_kept, axis=0)
+        dlocal.reshape(-1, drow.shape[1])[cache.order[cache.kept]] = drow.repeat(
+            cache.n_kept, axis=0)
         qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local)
 
 

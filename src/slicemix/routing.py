@@ -88,12 +88,10 @@ def _matrix(a, what: str) -> np.ndarray:
     return m
 
 
-def _padded(flat: np.ndarray, real, shape, fill: float) -> np.ndarray:
-    """Values stacked image after image as the rows of the (B, K_max) layout;
-    `real` marks each row's own entries, None when no row is padded."""
-    if real is None:
-        return flat.reshape(shape)
-    out = np.full(shape, fill)
+def _padded(flat: np.ndarray, real: np.ndarray, fill: float) -> np.ndarray:
+    """Values stacked image after image, laid out as the rows of the
+    (B, K_max) array whose entries `real` marks, the rest set to `fill`."""
+    out = np.full(real.shape, fill)
     out[real] = flat
     return out
 
@@ -109,19 +107,19 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     """Route every image of a batch in one pass.
 
     Image i owns rows starts[i]:starts[i+1] of z_v, at least one. Its scores
-    are the softmax over its rows of their similarity to the mean text token.
-    It keeps the shortest prefix of its rows, in descending order of score
-    (of score + noise, where `noise` gives one value per row), whose score
-    mass reaches gamma. The images are the rows of one (B, K_max) array,
-    padded to sort last and weigh nothing, and every step works on each row
-    alone (the softmax total is summed in token order), so an image gets bit
-    for bit what routing it on its own gives.
+    are the softmax over its rows of their similarity to the text, averaged
+    over the text tokens. It keeps the shortest prefix of its rows, in
+    descending order of score (of score + noise, where `noise` gives one
+    value per row), whose score mass reaches gamma. The images are the rows
+    of one (B, K_max) array, padded to sort last and weigh nothing, and
+    every step works on each row alone (the softmax total is summed in token
+    order), so an image gets bit for bit what routing it on its own gives.
 
     Returns one RouterSelection per image, then three views of the cut:
     each image's rows of z_v in keeping order, as many per image as the
     most any image keeps; the kept count n_kept per image; and the mask of
-    each row's first n_kept slots, None when every image keeps as many. Past
-    them the rows are padding and may point anywhere, even past the last row.
+    each row's first n_kept slots. Past them the rows are padding and may
+    point anywhere, even past the last row.
     """
     v, x = _matrix(z_v, "image tokens"), _matrix(z_x, "text tokens")
     if v.shape[1] != x.shape[1]:
@@ -129,38 +127,33 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     starts = np.asarray(starts)
     counts = starts[1:] - starts[:-1]
     lens = counts.tolist()
-    n, width = len(lens), max(lens)
     if starts[0] != 0 or starts[-1] != len(v) or min(lens) < 1:
         raise ValueError("every image needs at least one of the token rows")
-    real = None if min(lens) == width else np.arange(width) < counts[:, None]
-    text = x[0] if len(x) == 1 else x.sum(axis=0) / len(x)    # the mean text token
-    # a row-by-row product, so a token's similarity does not depend on its neighbours
-    scores = _padded(np.einsum("nd,d->n", v, text), real, (n, width), -np.inf)
+    slots = np.arange(max(lens))
+    real = slots < counts[:, None]
+    # each token's dot products with every text token, summed and averaged;
+    # row by row, so a token's similarity does not depend on its neighbours
+    sim = np.einsum("nd,td->n", v, x) / len(x)
+    scores = _padded(sim, real, -np.inf)
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
     # padding adds exact zeros after a row's tokens, so its running total ends on theirs
     scores /= scores.cumsum(axis=1)[:, -1:]
-    key = -scores if noise is None else np.negative(
-        scores + _padded(noise, real, (n, width), -np.inf))
+    key = -scores if noise is None else np.negative(scores + _padded(noise, real, -np.inf))
     order = key.argsort(axis=1, kind="stable")        # ties keep the lower index first
-    rows = order + starts[:-1, None]
-    # a padding slot reads a later row's score (clipped to the last): it comes
-    # after the row's tokens, so it only adds to a mass that reached gamma or
-    # falls in the tail the cut drops
-    flat = scores.ravel() if real is None else scores[real]
-    cum = flat.take(rows, mode="clip").cumsum(axis=1)
+    # padding slots come last and weigh exactly zero
+    cum = scores[np.arange(len(lens))[:, None], order].cumsum(axis=1)
     n_kept = _kept_counts(cum, gamma, counts)
     kept_lens = n_kept.tolist()
     sels = [RouterSelection(gamma, o[:m], s[:k], float(c[m - 1]))
             for o, s, c, k, m in zip(order, scores, cum, lens, kept_lens)]
     most = max(kept_lens)
-    kept = None if min(kept_lens) == most else np.arange(most) < n_kept[:, None]
-    return sels, rows[:, :most], n_kept, kept
+    return sels, order[:, :most] + starts[:-1, None], n_kept, slots[:most] < n_kept[:, None]
 
 
 def relevance_scores(z_v, z_x) -> np.ndarray:
     """Noiseless router scores: softmax over image tokens of their similarity
-    to the mean text token, as route_batch computes them."""
+    to the text, averaged over the text tokens, as route_batch computes them."""
     v = _matrix(z_v, "image tokens")
     return route_batch(v, [0, len(v)], z_x, 1.0)[0][0].scores
 

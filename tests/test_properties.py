@@ -87,11 +87,10 @@ class TestRouteBatch:
         assert len(sels) == len(starts) - 1
         assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
         # the batch layout: as many slots per image as the most any keeps, and
-        # a mask of the kept ones unless every image keeps that many
+        # a mask of the kept ones
         slots = np.arange(rows.shape[1]) < n_kept[:, None]
         assert rows.shape[1] == n_kept.max()
-        assert np.array_equal(slots, np.ones_like(slots)) if kept is None else \
-            np.array_equal(kept, slots) and not kept.all()
+        assert np.array_equal(kept, slots)
         for i, sel in enumerate(sels):
             # bit for bit, so a tie breaks the same way in the batch and alone
             alone = route_tokens(tokens[starts[i]:starts[i + 1]], text, cfg, r_alone)
