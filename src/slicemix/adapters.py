@@ -14,7 +14,7 @@ image), so a batch runs as one pass; gradients sum over a stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "init_mlp",
     "init_qformer",
     "init_gate",
-    "zeros_like_params",
     "mlp_apply",
     "mlp_vjp",
     "qformer_apply",
@@ -142,14 +141,6 @@ def init_gate(rng: np.random.Generator, d_in: int,
         w_noise=rng.standard_normal((d_in, 2)) / np.sqrt(d_in),
         noise_enabled=noise_enabled,
     )
-
-
-def zeros_like_params(p):
-    """A parameter container of the same type, nested containers included,
-    with every array replaced by float64 zeros; used as a gradient store."""
-    return replace(p, **{name: zeros_like_params(a) if is_dataclass(a) else np.zeros(a.shape)
-                         for name, a in vars(p).items()
-                         if is_dataclass(a) or isinstance(a, np.ndarray)})
 
 
 def _check_tokens(tokens, d_in: int, what: str) -> np.ndarray:

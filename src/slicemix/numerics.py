@@ -64,19 +64,6 @@ def gelu_grad(x):
     return cdf + x * pdf
 
 
-def _attention_inputs(queries, keys, values):
-    q, k, v = [np.asarray(a, dtype=np.float64) for a in (queries, keys, values)]
-    if q.ndim != 2 or k.ndim not in (2, 3) or v.ndim != k.ndim:
-        raise ValueError("attention takes 2-D queries and 2-D or stacked 3-D keys and values")
-    if q.shape[1] != k.shape[-1]:
-        raise ValueError(f"query dim {q.shape[1]} does not match key dim {k.shape[-1]}")
-    if k.shape[:-1] != v.shape[:-1]:
-        raise ValueError(f"{k.shape[-2]} key rows vs {v.shape[-2]} value rows")
-    if k.shape[-2] == 0:
-        raise ValueError("attention needs at least one key")
-    return q, k, v
-
-
 def attention_weights(queries, keys) -> np.ndarray:
     """Row-stochastic weights softmax(queries . keys^T / sqrt(d)), one row per
     query (per stacked key matrix); callers have already checked the shapes."""
@@ -89,22 +76,30 @@ def cross_attention(queries, keys, values) -> np.ndarray:
     Each output row i is sum_j w_ij * values[j] with
     w_i = softmax(queries[i] . keys^T / sqrt(d)); weight rows sum to 1.
     """
-    q, k, v = _attention_inputs(queries, keys, values)
+    q, k, v = [np.asarray(a, dtype=np.float64) for a in (queries, keys, values)]
+    if q.ndim != 2 or k.ndim not in (2, 3) or v.ndim != k.ndim:
+        raise ValueError("attention takes 2-D queries and 2-D or stacked 3-D keys and values")
+    if q.shape[1] != k.shape[-1]:
+        raise ValueError(f"query dim {q.shape[1]} does not match key dim {k.shape[-1]}")
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ValueError(f"{k.shape[-2]} key rows vs {v.shape[-2]} value rows")
+    if k.shape[-2] == 0:
+        raise ValueError("attention needs at least one key")
     return attention_weights(q, k) @ v
 
 
 def cross_attention_vjp(queries, keys, values, dout, weights):
     """Gradients of cross_attention w.r.t. (queries, keys, values) given dL/dout
-    and the attention weights the forward pass saved; with stacked keys the
-    query gradient sums over the stack.
+    and the attention weights the forward pass saved, whose arrays need no
+    second shape check; with stacked keys the query gradient sums over the stack.
     """
-    q, k, v = _attention_inputs(queries, keys, values)
+    n_q, d = queries.shape
     dv = weights.swapaxes(-1, -2) @ dout
-    dw = dout @ v.swapaxes(-1, -2)
+    dw = dout @ values.swapaxes(-1, -2)
     # gradient of the scaled scores q . k^T / sqrt(d)
-    ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) / math.sqrt(q.shape[1])
-    dq = ds.swapaxes(0, -2).reshape(q.shape[0], -1) @ k.reshape(-1, q.shape[1])
-    return dq, ds.swapaxes(-1, -2) @ q, dv
+    ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) / math.sqrt(d)
+    dq = ds.swapaxes(0, -2).reshape(n_q, -1) @ keys.reshape(-1, d)
+    return dq, ds.swapaxes(-1, -2) @ queries, dv
 
 
 def fd_grad_check(f, analytic_grad, point, step: float = 1e-5) -> float:

@@ -37,7 +37,6 @@ from .adapters import (
     moe_apply,
     qformer_apply,
     qformer_vjp,
-    zeros_like_params,
 )
 from .numerics import make_rng
 from .routing import RouterConfig, RouterSelection, route_batch
@@ -184,53 +183,62 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
 
 @dataclass
 class PipelineParams:
+    """The trainable parameters, each array a view into one float64 `buffer` in
+    params_vector's order: the adapter group (mlp, qf_global, gate; the gate's
+    noise flag stays outside), then local (qf_local), then readout. So a group
+    is one slice, and copying, loading or zeroing the model is one array
+    operation; a gradient store has the same layout. Write the arrays in
+    place: rebinding a field detaches it from the buffer."""
+
+    buffer: np.ndarray
+    layout: tuple              # each array's (slice of the buffer, shape), in order
     mlp: MlpParams
     qf_global: QFormerParams   # one query per global token position
     gate: GateParams
     qf_local: QFormerParams
     readout: np.ndarray        # (model_dim, out_dim)
 
+    def __deepcopy__(self, memo):
+        return _on_buffer(self.buffer.copy(), self.layout, self.gate.noise_enabled)
+
+
+def _on_buffer(buffer: np.ndarray, layout: tuple, noise_enabled: bool) -> PipelineParams:
+    """Parameters whose arrays are views of `buffer`, placed as `layout` says."""
+    v = [buffer[at].reshape(shape) for at, shape in layout]
+    return PipelineParams(buffer, layout, MlpParams(*v[:4]), QFormerParams(*v[4:8]),
+                          GateParams(*v[8:10], noise_enabled), QFormerParams(*v[10:14]), v[14])
+
 
 def init_params(task: ToyTask, seed: int) -> PipelineParams:
     cfg = task.cfg
     rng = make_rng(seed ^ 0x5EED)
-    return PipelineParams(
-        mlp=init_mlp(rng, cfg.feat_dim, cfg.model_dim),
-        qf_global=init_qformer(rng, cfg.tokens_per_tile, cfg.feat_dim, cfg.model_dim),
-        gate=init_gate(rng, cfg.feat_dim, noise_enabled=cfg.gate_noise),
-        qf_local=init_qformer(rng, cfg.local_queries, cfg.feat_dim, cfg.model_dim),
-        readout=rng.standard_normal((cfg.model_dim, cfg.out_dim)) / np.sqrt(cfg.model_dim),
-    )
+    parts = (init_mlp(rng, cfg.feat_dim, cfg.model_dim),
+             init_qformer(rng, cfg.tokens_per_tile, cfg.feat_dim, cfg.model_dim),
+             init_gate(rng, cfg.feat_dim, noise_enabled=cfg.gate_noise),
+             init_qformer(rng, cfg.local_queries, cfg.feat_dim, cfg.model_dim))
+    readout = rng.standard_normal((cfg.model_dim, cfg.out_dim)) / np.sqrt(cfg.model_dim)
+    arrays = [a for p in parts for a in vars(p).values() if isinstance(a, np.ndarray)] + [readout]
+    layout = tuple((slice(end - a.size, end), a.shape)
+                   for a, end in zip(arrays, accumulate(a.size for a in arrays)))
+    return _on_buffer(np.concatenate([a.ravel() for a in arrays]), layout, cfg.gate_noise)
 
 
-def params_arrays(params: PipelineParams) -> dict[str, list[np.ndarray]]:
-    """Arrays by trainable group; the group split drives stage freezing."""
-    return {
-        "adapter": [params.mlp.w1, params.mlp.b1, params.mlp.w2, params.mlp.b2,
-                    params.qf_global.queries, params.qf_global.wk,
-                    params.qf_global.wv, params.qf_global.wo,
-                    params.gate.w_g, params.gate.w_noise],
-        "local": [params.qf_local.queries, params.qf_local.wk,
-                  params.qf_local.wv, params.qf_local.wo],
-        "readout": [params.readout],
-    }
+def params_arrays(params: PipelineParams) -> dict[str, np.ndarray]:
+    """Each trainable group's slice of the buffer; the split drives stage freezing."""
+    end = params.buffer.size - params.readout.size
+    start = end - sum(a.size for a in vars(params.qf_local).values())
+    return dict(zip(PARAM_GROUPS, np.split(params.buffer, [start, end])))
 
 
 def params_vector(params: PipelineParams) -> np.ndarray:
-    chunks = []
-    for group in PARAM_GROUPS:
-        chunks.extend(a.ravel() for a in params_arrays(params)[group])
-    return np.concatenate(chunks)
+    return params.buffer.copy()
 
 
 def set_params_vector(params: PipelineParams, vec: np.ndarray) -> None:
-    pos = 0
-    for group in PARAM_GROUPS:
-        for a in params_arrays(params)[group]:
-            a.flat[:] = vec[pos:pos + a.size]
-            pos += a.size
-    if pos != vec.size:
+    """Load a vector in params_vector's layout; one of another shape changes nothing."""
+    if np.shape(vec) != params.buffer.shape:
         raise ValueError("parameter vector length mismatch")
+    params.buffer[:] = vec
 
 
 @dataclass
@@ -378,16 +386,20 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
                            fixed_selections)
     resid = cache.pred - np.array([s.target for s in samples])
     inv = 1.0 / len(samples)
-    grads = zeros_like_params(params)
+    grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
     _backward(params, cache, inv * resid, grads)
-    return sum(inv * (0.5 * float(r @ r)) for r in resid), grads
+    # each image's r @ r as a stacked row product, bitwise the 1-D dot, and a
+    # cumsum that adds them left to right as a loop over the images does
+    sq = (resid[:, None] @ resid[..., None])[:, 0, 0]
+    return float(np.cumsum(inv * (0.5 * sq))[-1]), grads
 
 
 def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float:
     """Mean held-out loss with gate and router noise disabled."""
     cache = _forward_batch(*_stack(task.eval_set), params, task, mode)
     resid = cache.pred - np.array([s.target for s in task.eval_set])
-    return sum(0.5 * float(r @ r) for r in resid) / len(task.eval_set)
+    sq = (resid[:, None] @ resid[..., None])[:, 0, 0]   # as batch_loss_and_grads sums it
+    return float(np.cumsum(0.5 * sq)[-1]) / len(task.eval_set)
 
 
 def ablate(params: PipelineParams, task: ToyTask, arm: str) -> float:
@@ -497,8 +509,7 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
                     break
                 parr, garr = params_arrays(params), params_arrays(grads)
                 for group in groups:
-                    for p_arr, g_arr in zip(parr[group], garr[group]):
-                        p_arr -= lr * g_arr
+                    parr[group] -= lr * garr[group]
             if diverged:
                 break
         final_eval = evaluate(params, task, "full")

@@ -1,6 +1,6 @@
 """Toy-task contracts: degenerate-config forwards, FD-checked end-to-end
-gradients with the selection pinned, exact stage freezes, determinism, and
-the frozen golden forward trace and training runs."""
+gradients with the selection pinned, the flat parameter store, exact stage
+freezes, determinism, and the frozen golden forward trace and training runs."""
 
 import copy
 import json
@@ -248,7 +248,54 @@ class TestGradients:
     def test_frozen_groups_get_zero_grads_in_global_mode(self, task, params):
         _, grads = pl.batch_loss_and_grads(task.train_set[:2], params, task,
                                            "global_only")
-        assert all(np.all(a == 0.0) for a in pl.params_arrays(grads)["local"])
+        assert np.all(pl.params_arrays(grads)["local"] == 0.0)
+
+
+class TestFlatStore:
+    """The parameters and each gradient store are views into one buffer laid
+    out as params_vector, so whole-model operations are one array operation."""
+
+    @staticmethod
+    def arrays(p):
+        """Every trainable array of p, found field by field, in field order."""
+        parts = (p.mlp, p.qf_global, p.gate, p.qf_local)
+        return [a for part in parts for a in vars(part).values()
+                if isinstance(a, np.ndarray)] + [p.readout]
+
+    def test_every_field_is_a_view_of_its_buffer(self, task, params):
+        p = copy.deepcopy(params)
+        _, grads = pl.batch_loss_and_grads(task.train_set[:3], p, task, "full",
+                                           rng=make_rng(31))
+        for store in (params, p, grads):
+            arrays = self.arrays(store)
+            assert all(np.shares_memory(a, store.buffer) for a in arrays)
+            # the fields tile the buffer in params_vector's order
+            assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                                  pl.params_vector(store))
+            assert sum(a.size for a in arrays) == store.buffer.size
+        groups = pl.params_arrays(grads)
+        assert np.array_equal(np.concatenate([groups[g] for g in pl.PARAM_GROUPS]),
+                              grads.buffer)
+        assert np.shares_memory(groups["readout"], grads.readout)
+
+    def test_deep_copy_shares_nothing(self, params):
+        p = copy.deepcopy(params)
+        for a in self.arrays(p) + [p.buffer]:
+            assert not any(np.shares_memory(a, b) for b in self.arrays(params) + [params.buffer])
+        assert p.gate.noise_enabled == params.gate.noise_enabled
+        before = pl.params_vector(params)
+        p.buffer[:] = 0.0
+        assert np.array_equal(pl.params_vector(params), before)
+
+    def test_wrong_length_vector_changes_nothing(self, params):
+        p = copy.deepcopy(params)
+        before = pl.params_vector(p)
+        for n in (before.size - 5, before.size + 5):
+            with pytest.raises(ValueError, match="length"):
+                pl.set_params_vector(p, np.full(n, 7.0))
+            assert np.array_equal(pl.params_vector(p), before)
+        pl.set_params_vector(p, before + 1.0)
+        assert np.array_equal(p.readout.ravel(), before[-p.readout.size:] + 1.0)
 
 
 class TestBatchedPass:
@@ -323,8 +370,7 @@ class TestTrain:
         sched = pl.StageSchedule(mode="alternating", steps=(5, 5, 0),
                                  lr=(0.5, 0.5, 0.5), seed=4)
         params = pl.init_params(task, 4)
-        before = {g: [a.copy() for a in arrs]
-                  for g, arrs in pl.params_arrays(params).items()}
+        before = {g: a.copy() for g, a in pl.params_arrays(params).items()}
         # replicate the training loop's first two stages manually via train();
         # then verify against a fresh init that stage II never touched adapter
         report = pl.train(sched, task)
@@ -336,28 +382,18 @@ class TestTrain:
         for _ in range(5):  # stage I trains adapter only
             _, g = pl.batch_loss_and_grads(task.train_set, p, task, "global_only",
                                            rng=rng)
-            for arr, garr in zip(pl.params_arrays(p)["adapter"],
-                                 pl.params_arrays(g)["adapter"]):
-                arr -= 0.5 * garr
-        local_before = [a.copy() for a in pl.params_arrays(p)["local"]]
-        readout_before = [a.copy() for a in pl.params_arrays(p)["readout"]]
-        adapter_snapshot = [a.copy() for a in pl.params_arrays(p)["adapter"]]
+            pl.params_arrays(p)["adapter"] -= 0.5 * pl.params_arrays(g)["adapter"]
+        after_one = {g: a.copy() for g, a in pl.params_arrays(p).items()}
         for _ in range(5):  # stage II trains local only
             _, g = pl.batch_loss_and_grads(task.train_set, p, task, "full", rng=rng)
-            for arr, garr in zip(pl.params_arrays(p)["local"],
-                                 pl.params_arrays(g)["local"]):
-                arr -= 0.5 * garr
-        for a, b in zip(pl.params_arrays(p)["adapter"], adapter_snapshot):
-            assert np.array_equal(a, b)
-        for a, b in zip(pl.params_arrays(p)["readout"], readout_before):
-            assert np.array_equal(a, b)
-        assert any(not np.array_equal(a, b) for a, b in
-                   zip(pl.params_arrays(p)["local"], local_before))
+            pl.params_arrays(p)["local"] -= 0.5 * pl.params_arrays(g)["local"]
+        now = pl.params_arrays(p)
+        assert np.array_equal(now["adapter"], after_one["adapter"])
+        assert np.array_equal(now["readout"], after_one["readout"])
+        assert not np.array_equal(now["local"], after_one["local"])
         # stage I must not have touched local/readout either
         for g in ("local", "readout"):
-            for a, b in zip(local_before if g == "local" else readout_before,
-                            before[g]):
-                assert np.array_equal(a, b)
+            assert np.array_equal(after_one[g], before[g])
 
     def test_stage_one_loss_decreases_first_ten_steps(self):
         # noise disabled so the descent property is well defined: live gate

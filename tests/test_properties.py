@@ -1,11 +1,13 @@
 """Property tests: invariants of the router's prefix cut and of its batched
-pass, the partition planner, bilinear resizing and the factorization
-runner's stop rule, checked on inputs that hypothesis draws.
+pass, the pipeline gradient's directional derivative, the partition planner,
+bilinear resizing and the factorization runner's stop rule, checked on
+inputs that hypothesis draws.
 
 The draws are derandomized, so every run checks the same examples and the
 suite stays reproducible; raise max_examples locally to search wider.
 """
 
+import copy
 from itertools import accumulate
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slicemix import bilinear as bl
+from slicemix import pipeline as pl
 from slicemix.numerics import make_rng
 from slicemix.routing import RouterConfig, route_batch, route_tokens, select_prefix
 from slicemix.slicing import plan_partition, resize_bilinear
@@ -123,6 +126,60 @@ class TestRouteBatch:
                 last = sel.scores[kept[-1]]
                 assert np.all(sel.scores[dropped] <= last)
                 assert np.all(dropped[sel.scores[dropped] == last] > kept[-1])
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small toy task with its gate noise on or off, its parameters, a
+    forward mode, a gate override (None or a drawn mixing pair), and the seeds
+    of the noise generator and of a direction."""
+    cfg = pl.PipelineConfig(
+        feat_dim=draw(st.integers(min_value=1, max_value=6)),
+        model_dim=draw(st.integers(min_value=1, max_value=6)),
+        out_dim=draw(st.integers(min_value=1, max_value=4)),
+        local_queries=draw(st.integers(min_value=1, max_value=5)),
+        gamma=draw(gammas),
+        gate_noise=draw(st.booleans()),
+        sizes=tuple(draw(st.lists(st.sampled_from((96, 128, 160, 192)), min_size=1,
+                                  max_size=3, unique=True))),
+        n_train=draw(st.integers(min_value=1, max_value=3)), n_eval=1)
+    seeds = st.integers(min_value=0, max_value=2**32 - 1)
+    task = pl.make_toy_task(draw(seeds), cfg)
+    weight = draw(st.floats(min_value=0.0, max_value=1.0))
+    override = draw(st.none() | st.just((weight, 1.0 - weight)))
+    return (task, pl.init_params(task, draw(seeds)), draw(st.sampled_from(pl.FORWARD_MODES)),
+            override, draw(seeds), draw(seeds))
+
+
+class TestDirectionalDerivative:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(pipeline_cases())
+    def test_central_difference_matches_the_gradient(self, case):
+        # with the router's selection pinned and each evaluation's gate noise,
+        # when the task enables it, replayed from an identically seeded
+        # generator, the loss is a smooth function of the flat parameter
+        # vector, so its central difference along a unit direction v matches g . v
+        task, params, mode, override, noise_seed, v_seed = case
+        batch = task.train_set
+        sels = None
+        if mode != "global_only":
+            sels = [pl.forward(s, params, task, mode)[1].selection for s in batch]
+
+        def run(p):
+            return pl.batch_loss_and_grads(batch, p, task, mode, rng=make_rng(noise_seed),
+                                           gate_override=override, fixed_selections=sels)
+
+        _, grads = run(params)
+        point = pl.params_vector(params)
+        v = make_rng(v_seed).standard_normal(point.size)
+        v /= np.linalg.norm(v)
+        h, vals = 1e-5, []
+        for sign in (1.0, -1.0):
+            p = copy.deepcopy(params)
+            pl.set_params_vector(p, point + sign * h * v)
+            vals.append(run(p)[0])
+        fd, exact = (vals[0] - vals[1]) / (2.0 * h), float(pl.params_vector(grads) @ v)
+        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 sides = st.integers(min_value=1, max_value=5000)
