@@ -53,6 +53,8 @@ __all__ = [
 CLASSIFY_RTOL = 1e-4
 DIVERGENCE_NORM = 1e6
 DEGENERATE_TOL = 1e-12
+GD_BLOCK_ROWS = 4096   # rows of the float recurrence per block
+CSV_CHUNK_ROWS = 4096  # rows formatted per joined chunk of Trace.to_csv
 
 INITS = {
     "generic": (0.9, 0.1),
@@ -175,11 +177,14 @@ def loss_from_coords(inst: BilinearInstance, tau: float, nu: float) -> float:
 
     In the eigenbasis of X the residual is diagonal-plus-skew:
     0.5 [ (1+c)^2 (tau^2-1)^2 + (1-c)^2 (1-nu^2)^2 + 2 (1-c^2) tau^2 nu^2 ].
+    Works elementwise on arrays. The squares of the first two terms are C
+    `pow` (np.float_power), which differs from x * x in the last bit on about
+    one value in a thousand.
     """
     lp, lm = inst.lam_plus, inst.lam_minus
     t2, n2 = tau * tau, nu * nu
-    return 0.5 * (lp * lp * (t2 - 1.0) ** 2 + lm * lm * (1.0 - n2) ** 2
-                  + 2.0 * lp * lm * t2 * n2)
+    return 0.5 * (lp * lp * np.float_power(t2 - 1.0, 2.0)
+                  + lm * lm * np.float_power(1.0 - n2, 2.0) + 2.0 * lp * lm * t2 * n2)
 
 
 def gd_step(state: BilinearState, inst: BilinearInstance) -> BilinearState:
@@ -257,13 +262,15 @@ class Trace:
     steps_to_converge: int | None
 
     def to_csv(self) -> str:
-        lines = ["step,alpha,beta,tau,nu,norm_u,norm_v,loss"]
-        for i in range(self.step.size):
-            lines.append(",".join([str(int(self.step[i]))] + [
-                repr(float(col[i])) for col in
-                (self.alpha, self.beta, self.tau, self.nu,
-                 self.norm_u, self.norm_v, self.loss)]))
-        return "\n".join(lines) + "\n"
+        cols = (self.step, self.alpha, self.beta, self.tau, self.nu,
+                self.norm_u, self.norm_v, self.loss)
+        parts = ["step,alpha,beta,tau,nu,norm_u,norm_v,loss\n"]
+        for i in range(0, self.step.size, CSV_CHUNK_ROWS):
+            parts.append("".join(
+                f"{step},{alpha!r},{beta!r},{tau!r},{nu!r},{norm_u!r},{norm_v!r},{loss_!r}\n"
+                for step, alpha, beta, tau, nu, norm_u, norm_v, loss_ in
+                zip(*(col[i:i + CSV_CHUNK_ROWS].tolist() for col in cols))))
+        return "".join(parts)
 
     def summary(self) -> dict:
         return {
@@ -292,38 +299,63 @@ def classify(inst: BilinearInstance, final_loss: float, diverged: bool) -> str:
     return "undecided"
 
 
-def _gd_rows(inst: BilinearInstance, alpha0: float, beta0: float, eta: float):
-    tau, nu = eigen_coords(alpha0, beta0)
-    while True:
-        usq = energy(inst, tau, nu)
-        nrm = np.sqrt(usq)
-        yield (*coords_from_eigen(tau, nu), tau, nu, nrm, nrm,
-               loss_from_coords(inst, tau, nu))
-        tau, nu = gd_coord_step(tau, nu, usq, inst, eta)
+def _gd_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta: float,
+               rows: int):
+    """Descent in exact eigen coordinates. The recurrence runs on plain floats,
+    which overflow to inf without raising; each block's columns are then built
+    as arrays, bitwise equal to stepping `energy`, `gd_coord_step` and
+    `loss_from_coords` row by row. A block ends early after a row whose |u|^2
+    exceeds DIVERGENCE_NORM^2, the first candidate for the divergence stop."""
+    lp, lm, eta = inst.lam_plus, inst.lam_minus, float(eta)
+    usq_limit = DIVERGENCE_NORM * DIVERGENCE_NORM
+    tau, nu = (float(x) for x in eigen_coords(alpha0, beta0))
+    while rows > 0:
+        taus, nus, usqs = [], [], []
+        for _ in range(min(rows, GD_BLOCK_ROWS)):
+            usq = lp * tau * tau + lm * nu * nu
+            taus.append(tau)
+            nus.append(nu)
+            usqs.append(usq)
+            tau = (1.0 + eta * (lp - usq)) * tau
+            nu = (1.0 + eta * (lm - usq)) * nu
+            if usq > usq_limit:
+                break
+        rows -= len(taus)
+        tau_col, nu_col, norm = np.array(taus), np.array(nus), np.sqrt(usqs)
+        yield np.stack([*coords_from_eigen(tau_col, nu_col), tau_col, nu_col, norm, norm,
+                        loss_from_coords(inst, tau_col, nu_col)])
 
 
-def _gd_vector_rows(inst: BilinearInstance, alpha0: float, beta0: float, eta: float):
+def _row(*values) -> np.ndarray:
+    """One trace row as a one-column block."""
+    return np.array(values, dtype=np.float64)[:, None]
+
+
+def _gd_vector_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta: float,
+                      rows: int):
     state = BilinearState.from_vectors(inst, vector_from_coords(inst, alpha0, beta0),
                                        vector_from_coords(inst, beta0, alpha0), eta)
-    while True:
-        yield (state.alpha, state.beta, state.tau, state.nu,
-               float(np.linalg.norm(state.u)), float(np.linalg.norm(state.v)),
-               loss(state.u, state.v, inst))
+    for _ in range(rows):
+        yield _row(state.alpha, state.beta, state.tau, state.nu,
+                   np.linalg.norm(state.u), np.linalg.norm(state.v),
+                   loss(state.u, state.v, inst))
         state = gd_step(state, inst)
 
 
-def _alternating_rows(inst: BilinearInstance, alpha0: float, beta0: float, eta: float):
+def _alternating_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta: float,
+                        rows: int):
     """eta is unused. A row holds u and the v that minimizes against it."""
     u = vector_from_coords(inst, alpha0, beta0)
-    while True:
+    for _ in range(rows):
         v, u_next = alt_step(u, inst)
         alpha, beta = coords_of(inst, u)
-        yield (alpha, beta, *eigen_coords(alpha, beta),
-               float(np.linalg.norm(u)), float(np.linalg.norm(v)), loss(u, v, inst))
+        yield _row(alpha, beta, *eigen_coords(alpha, beta),
+                   np.linalg.norm(u), np.linalg.norm(v), loss(u, v, inst))
         u = u_next
 
 
-_METHODS = {"gd": _gd_rows, "gd_vector": _gd_vector_rows, "alternating": _alternating_rows}
+_METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
+            "alternating": _alternating_blocks}
 
 
 def run_experiment(inst: BilinearInstance, init="generic",
@@ -342,7 +374,8 @@ def run_experiment(inst: BilinearInstance, init="generic",
     the initial row only). Every method stops at the first row t where norm_u
     exceeds DIVERGENCE_NORM (checked first; the run is flagged diverged) or,
     with stop_tol set, t >= stop_window and |loss[t] - loss[t - stop_window]|
-    < stop_tol (t is reported as steps_to_converge).
+    < stop_tol (t is reported as steps_to_converge). Overflow within a run
+    raises no numpy warning: the divergence stop reports it.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -353,21 +386,33 @@ def run_experiment(inst: BilinearInstance, init="generic",
     alpha0, beta0 = resolve_init(init)
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'")
-    rows, diverged, converged_at = [], False, None
-    for t, row in zip(range(steps + 1), _METHODS[method](inst, alpha0, beta0, eta)):
-        rows.append(row)
-        if row[4] > DIVERGENCE_NORM:
-            diverged = True
-            break
-        if (stop_tol is not None and t >= stop_window
-                and abs(row[6] - rows[-1 - stop_window][6]) < stop_tol):
-            converged_at = t
-            break
+    blocks, n, lagged = [], 0, np.empty(0)
+    diverged, converged_at = False, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _METHODS[method](inst, alpha0, beta0, eta, steps + 1):
+            # block[:, i] is row n + i; lagged holds the stop_window losses before it
+            k = block.shape[1]
+            over = block[4] > DIVERGENCE_NORM
+            plateau = np.zeros(k, dtype=bool)
+            if stop_tol is not None:
+                history = np.concatenate([lagged, block[6]])
+                flat = np.abs(history[stop_window:] - history[:-stop_window]) < stop_tol
+                plateau[k - flat.size:] = flat
+                lagged = history[-stop_window:]
+            stop = np.flatnonzero(over | plateau)
+            if stop.size:
+                i = int(stop[0])
+                blocks.append(block[:, :i + 1])
+                diverged = bool(over[i])
+                converged_at = None if diverged else n + i
+                break
+            blocks.append(block)
+            n += k
 
-    alpha, beta, tau, nu, norm_u, norm_v, loss_col = np.array(rows, dtype=np.float64).T
+    alpha, beta, tau, nu, norm_u, norm_v, loss_col = np.concatenate(blocks, axis=1)
     final_loss = float(loss_col[-1])
     return Trace(method=method, init=(alpha0, beta0), eta=eta, c=inst.c,
-                 step=np.arange(len(rows)), alpha=alpha, beta=beta, tau=tau, nu=nu,
+                 step=np.arange(loss_col.size), alpha=alpha, beta=beta, tau=tau, nu=nu,
                  norm_u=norm_u, norm_v=norm_v, loss=loss_col, diverged=diverged,
                  classification=classify(inst, final_loss, diverged),
                  final_loss=final_loss, steps_to_converge=converged_at)

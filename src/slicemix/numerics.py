@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "make_rng",
@@ -28,6 +27,16 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_erf = None  # scipy.special.erf once the first GELU call has bound it
+
+
+def _load_erf():
+    """Bind scipy.special.erf. Only GELU needs scipy, and importing it is most
+    of a cold start, so commands that never run a GELU never load it."""
+    global _erf
+    from scipy.special import erf
+    _erf = erf
+    return erf
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -53,12 +62,14 @@ def softplus(x):
 def gelu(x):
     """Exact (erf-based) GELU."""
     x = np.asarray(x, dtype=np.float64)
+    erf = _erf or _load_erf()
     return 0.5 * x * (1.0 + erf(x / _SQRT2))
 
 
 def gelu_grad(x):
     """Derivative of the erf-based GELU."""
     x = np.asarray(x, dtype=np.float64)
+    erf = _erf or _load_erf()
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf

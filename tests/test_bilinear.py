@@ -310,6 +310,26 @@ class TestRunExperiment:
                 np.testing.assert_allclose(getattr(a, col), getattr(b, col),
                                            atol=1e-10)
 
+    def test_gd_trace_is_the_public_recurrence_bit_for_bit(self):
+        # run_experiment inlines energy / gd_coord_step on plain floats and
+        # builds the columns as arrays; 10k steps cross two block edges
+        for c, init, eta in ((0.4, "antisym", 0.01), (-0.3, "generic", 0.3),
+                             (0.8, (3.0, -2.0), 0.05)):
+            inst = bl.make_instance(c=c, seed=37)
+            trace = bl.run_experiment(inst, init=init, method="gd", steps=10_000, eta=eta,
+                                      stop_tol=None)
+            tau, nu = bl.eigen_coords(*bl.resolve_init(init))
+            rows = []
+            for _ in range(10_001):
+                usq = bl.energy(inst, tau, nu)
+                rows.append((*bl.coords_from_eigen(tau, nu), tau, nu, np.sqrt(usq),
+                             np.sqrt(usq), bl.loss_from_coords(inst, tau, nu)))
+                tau, nu = bl.gd_coord_step(tau, nu, usq, inst, eta)
+            ref = np.array(rows).T
+            for k, col in enumerate(("alpha", "beta", "tau", "nu", "norm_u", "norm_v",
+                                     "loss")):
+                assert np.array_equal(getattr(trace, col), ref[k]), (c, col)
+
     def test_raw_vector_iteration_escapes_spurious_point(self):
         # the spurious point repels tau; float rounding ejects a raw-vector
         # run eventually, which is why long-run gd uses coordinates

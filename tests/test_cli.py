@@ -254,3 +254,56 @@ class TestDeterminism:
                               "--config", str(cfg)])
         assert res.returncode == 0
         json.loads(res.stdout)  # a single JSON document
+
+
+class TestScipyStaysUnloaded:
+    """Only GELU needs scipy, so commands that run no GELU never import it."""
+
+    @staticmethod
+    def imported(args):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True)
+        # -X importtime logs one "... | <module>" line per import on stderr
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")]
+        return proc, modules
+
+    @pytest.mark.parametrize("args", [
+        ["-c", "import slicemix.cli"],
+        ["-m", "slicemix", "plan", "--width", "1371", "--height", "642"],
+        ["-m", "slicemix", "bilinear", "--method", "gd", "--c", "0.4", "--steps", "100"],
+    ])
+    def test_command_does_not_import_scipy(self, args):
+        proc, modules = self.imported(args)
+        assert proc.returncode == 0, proc.stderr
+        assert "slicemix.cli" in modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_first_gelu_call_binds_erf(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from slicemix import numerics\n"
+            "assert 'scipy' not in sys.modules\n"
+            "xs = np.linspace(-6.0, 6.0, 101)\n"
+            "y, dy = numerics.gelu(xs), numerics.gelu_grad(xs)\n"
+            "from scipy.special import erf\n"
+            "assert numerics._erf is erf\n"
+            "cdf = 0.5 * (1.0 + erf(xs / np.sqrt(2.0)))\n"
+            "assert np.array_equal(y, 0.5 * xs * (1.0 + erf(xs / np.sqrt(2.0))))\n"
+            "pdf = np.exp(-0.5 * xs * xs) / np.sqrt(2.0 * np.pi)\n"
+            "np.testing.assert_allclose(dy, cdf + xs * pdf, rtol=1e-14, atol=0.0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_plan_and_bilinear_run_with_scipy_blocked(self):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"  # makes any scipy import raise ImportError
+            "from slicemix.cli import main\n"
+            "assert main(['plan', '--width', '1371', '--height', '642']) == 0\n"
+            "assert main(['bilinear', '--method', 'gd', '--c', '0.4', '--steps', '100']) == 0\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -304,6 +304,15 @@ class TestStrictJson:
         doc = strict_json(out)
         assert doc["classification"] == "diverged" and doc["final_loss"] is None
 
+    @pytest.mark.parametrize("method", ["gd", "gd_vector"])
+    def test_overflowing_descent_exits_3_without_warnings(self, method, capsys):
+        # no errstate here: a numpy overflow warning would fail the test
+        code, out, err = run_cli(["bilinear", "--method", method, "--c", "0.5",
+                                  "--eta", "1e100", "--steps", "50", "--seed", "1"], capsys)
+        assert code == EXIT_DIVERGED
+        assert strict_json(out)["classification"] == "diverged"
+        assert err == ""
+
     def test_route_rejects_negative_header(self, tmp_path, capsys):
         # (-1) * (-1) matches the one value, so only the sign check catches it
         tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
