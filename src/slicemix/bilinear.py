@@ -117,8 +117,8 @@ def make_instance(d: int = 16, c: float = 0.5, seed: int = 0) -> BilinearInstanc
     """Random unit a plus a Gram-Schmidt-mixed unit b with a.b = c exactly."""
     if not -1.0 < c < 1.0:
         raise ValueError("c must lie in (-1, 1)")
-    if d < 2:
-        raise ValueError("need dimension >= 2")
+    if not 2 <= d <= 4096:
+        raise ValueError("dimension must lie in [2, 4096], as the target is dense d x d")
     rng = make_rng(seed)
     a = rng.standard_normal(d)
     a = a / np.linalg.norm(a)

@@ -11,7 +11,7 @@ first, then local compression with the adapter frozen, then everything
 jointly) competes against single-stage joint training on that gap.
 
 All randomness is seeded; evaluation always runs with gate and router noise
-disabled. Selection through the router is a hard gather, so training
+disabled. Selection is a hard gather by the router's padded cut, so training
 gradients flow only through kept tokens and the gradient of one step treats
 that step's selection as constant. The backward pass runs on the activations
 its forward pass saved and draws no random numbers.
@@ -39,9 +39,9 @@ from .adapters import (
     qformer_vjp,
 )
 from .numerics import make_rng
-from .routing import RouterConfig, RouterSelection, route_batch
-# the pipeline routes through route_batch; perfbench's tracing still wraps these bindings
-from .routing import apply_selection, route_tokens  # noqa: F401
+from .routing import RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch
+# unused here; perfbench's traced worker swaps this binding to count kept tokens
+from .routing import route_tokens  # noqa: F401
 from .slicing import extract_patches, make_global_view, plan_partition, resize_bilinear
 
 __all__ = [
@@ -247,7 +247,7 @@ class ForwardCache:
     runs VJP arithmetic (see moe_apply for the gate sample) and draws nothing."""
 
     gate_sample: GateSample | None
-    selections: list[RouterSelection]   # one per image, none in global_only
+    selection: RouterSelection | None   # the first image's; None in global_only
     patches: QFormerActivations | None
     order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order,
     kept: np.ndarray | None             # and the mask of its kept slots; None in global_only
@@ -256,32 +256,12 @@ class ForwardCache:
     pooled: np.ndarray                  # (B, model_dim)
     pred: np.ndarray                    # (B, out_dim)
 
-    @property
-    def selection(self) -> RouterSelection | None:
-        """The first image's selection: forward's one image."""
-        return self.selections[0] if self.selections else None
-
 
 def _stack(samples):
     """A batch's global views, all its patches in one stack, and image offsets."""
     return (np.array([s.global_tokens for s in samples]),
             np.concatenate([s.patch_tokens for s in samples]),
             np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]))
-
-
-def _fixed_order(selections, starts):
-    """Given selections, laid out as route_batch lays out its own cut: each
-    image's local rows in keeping order, its kept count, and the kept slots."""
-    indices = [s.kept_indices for s in selections]
-    lens = [len(i) for i in indices]
-    n_kept = np.array(lens)
-    kept = np.arange(max(lens)) < n_kept[:, None]
-    order = np.zeros(kept.shape, dtype=np.intp)
-    order[kept] = np.concatenate(indices)
-    # a negative index wraps to a huge unsigned one, so one test bounds both ends
-    if np.count_nonzero(order.view(np.uintp) >= (starts[1:] - starts[:-1])[:, None]):
-        raise IndexError("selection index out of range")
-    return order + starts[:-1, None], n_kept, kept
 
 
 def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: ToyTask,
@@ -307,16 +287,17 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
         eps = draws[gate_at] if gate_draws else None
         noise = cfg.router_noise_sigma * np.delete(draws, gate_at) if route_draws else None
     if mode == "global_only":
-        sels, order, n_kept, kept = [], None, np.zeros(n, dtype=np.intp), None
+        sel, order, n_kept, kept = None, None, np.zeros(n, dtype=np.intp), None
     else:
         patches = qformer_apply(patch_tokens, params.qf_local)
         local = patches.out.reshape(-1, d)
         if fixed_selections is None:
-            sels, order, n_kept, kept = route_batch(local, starts, task.text_embed,
-                                                    cfg.gamma, noise)
+            cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise)
+            _, order, n_kept, kept = cut
+            sel = image_selection(cut, starts, 0, cfg.gamma)
         else:
-            sels = list(fixed_selections)
-            order, n_kept, kept = _fixed_order(sels, starts)
+            sel = fixed_selections[0]
+            order, n_kept, kept = pinned_cut(fixed_selections, starts)
     if mode == "local_only":
         g_out = np.empty((n, 0, d))
     else:
@@ -333,24 +314,22 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     n_rows = g_out.shape[1] + n_kept
     pooled = feats.sum(axis=1) / n_rows[:, None]
     # a row-by-row readout: bitwise a lone image's pass
-    return ForwardCache(gate_sample=gate_s, selections=sels, patches=patches, order=order,
+    return ForwardCache(gate_sample=gate_s, selection=sel, patches=patches, order=order,
                         kept=kept, n_kept=n_kept, n_rows=n_rows, pooled=pooled,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
 def forward(sample: Sample, params: PipelineParams, task: ToyTask,
             mode: str = "full", rng: np.random.Generator | None = None,
-            gate_override=None,
-            fixed_selection: RouterSelection | None = None):
+            gate_override=None):
     """One image through the pipeline (a batch of one); returns (prediction, cache).
 
     With a generator the gate noise and router sort noise are live (training
     mode); without one the pass is deterministic (evaluation mode).
     """
-    fixed = None if fixed_selection is None else [fixed_selection]
     cache = _forward_batch(sample.global_tokens[None], sample.patch_tokens,
                            np.array([0, len(sample.patch_tokens)]), params, task, mode, rng,
-                           gate_override, fixed)
+                           gate_override)
     return cache.pred[0], cache
 
 

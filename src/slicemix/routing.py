@@ -9,9 +9,9 @@ score down until the accumulated mass reaches the threshold gamma
 perturbs the sort order only, and the gamma accounting always uses the
 noiseless scores; without a generator routing is deterministic.
 
-One batched pass routes every image of a batch: route_batch lays the
-images out as the rows of one padded array and scores, sorts and cuts all
-rows at once. route_tokens is its batch of one.
+route_batch scores, sorts and cuts a batch's images in one pass, as the rows
+of one padded array, and returns the cut in that layout; image_selection
+reads an image's record off it. route_tokens is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ __all__ = [
     "RouterConfig",
     "RouterSelection",
     "compress_local",
-    "relevance_scores",
     "select_prefix",
     "route_batch",
+    "image_selection",
+    "pinned_cut",
     "route_tokens",
-    "apply_selection",
 ]
 
 DEFAULT_NUM_QUERIES = 144
@@ -99,7 +99,10 @@ def _padded(flat: np.ndarray, real: np.ndarray, fill: float) -> np.ndarray:
 def _kept_counts(cum: np.ndarray, gamma: float, n_tokens) -> np.ndarray:
     """Tokens kept per row of cumulative sorted score mass: up to the first to
     reach gamma, or all if none does. Scores are non-negative, so the mass
-    never falls and the entries short of gamma all come first."""
+    never falls and the entries short of gamma all come first. Gamma = 1
+    keeps all: the mass can round to 1 before a tail too small to move it."""
+    if gamma >= 1.0:
+        return n_tokens
     return np.minimum((cum < gamma).sum(axis=-1, initial=1), n_tokens)
 
 
@@ -115,11 +118,11 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     every step works on each row alone (the softmax total is summed in token
     order), so an image gets bit for bit what routing it on its own gives.
 
-    Returns one RouterSelection per image, then three views of the cut:
-    each image's rows of z_v in keeping order, as many per image as the
-    most any image keeps; the kept count n_kept per image; and the mask of
-    each row's first n_kept slots. Past them the rows are padding and may
-    point anywhere, even past the last row.
+    Returns the cut as (scores, rows, n_kept, kept): the (B, K_max) noiseless
+    scores, zero past an image's tokens; each image's rows of z_v in keeping
+    order, as many per image as the most any image keeps; its kept count; and
+    the mask of each row's first n_kept slots. Past them the rows are padding
+    and may point anywhere, even past the last row.
     """
     v, x = _matrix(z_v, "image tokens"), _matrix(z_x, "text tokens")
     if v.shape[1] != x.shape[1]:
@@ -144,18 +147,31 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     # padding slots come last and weigh exactly zero
     cum = scores[np.arange(len(lens))[:, None], order].cumsum(axis=1)
     n_kept = _kept_counts(cum, gamma, counts)
-    kept_lens = n_kept.tolist()
-    sels = [RouterSelection(gamma, o[:m], s[:k], float(c[m - 1]))
-            for o, s, c, k, m in zip(order, scores, cum, lens, kept_lens)]
-    most = max(kept_lens)
-    return sels, order[:, :most] + starts[:-1, None], n_kept, slots[:most] < n_kept[:, None]
+    most = max(n_kept.tolist())
+    return scores, order[:, :most] + starts[:-1, None], n_kept, slots[:most] < n_kept[:, None]
 
 
-def relevance_scores(z_v, z_x) -> np.ndarray:
-    """Noiseless router scores: softmax over image tokens of their similarity
-    to the text, averaged over the text tokens, as route_batch computes them."""
-    v = _matrix(z_v, "image tokens")
-    return route_batch(v, [0, len(v)], z_x, 1.0)[0][0].scores
+def image_selection(cut, starts, i: int, gamma: float) -> RouterSelection:
+    """Image i's record, read off route_batch's cut of the batch laid out by
+    `starts`: its kept scores summed in keeping order, as the cut sums them."""
+    scores, rows, n_kept, _ = cut
+    kept = rows[i, :n_kept[i]] - starts[i]
+    s = scores[i, :starts[i + 1] - starts[i]]
+    return RouterSelection(gamma, kept, s, float(s[kept].cumsum()[-1]))
+
+
+def pinned_cut(selections, starts):
+    """Given records, one per image, laid out as route_batch lays out its own
+    cut: each image's rows in keeping order, its kept count, and the kept slots."""
+    indices = [s.kept_indices for s in selections]
+    n_kept = np.array([len(i) for i in indices])
+    kept = np.arange(n_kept.max()) < n_kept[:, None]
+    order = np.zeros(kept.shape, dtype=np.intp)
+    order[kept] = np.concatenate(indices)
+    # a negative index wraps to a huge unsigned one, so one test bounds both ends
+    if np.count_nonzero(order.view(np.uintp) >= (starts[1:] - starts[:-1])[:, None]):
+        raise IndexError("selection index out of range")
+    return order + starts[:-1, None], n_kept, kept
 
 
 def select_prefix(scores: np.ndarray, gamma: float,
@@ -163,8 +179,8 @@ def select_prefix(scores: np.ndarray, gamma: float,
     """Shortest prefix of `order` whose non-negative score mass reaches gamma.
 
     The cut is inclusive: the token whose addition reaches gamma is kept.
-    If the total mass falls short of gamma (only possible through float
-    rounding at gamma = 1), every token is kept.
+    Every token is kept at gamma = 1, however the running mass rounds, and
+    whenever the total mass falls short of gamma.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if order is None:
@@ -183,15 +199,5 @@ def route_tokens(z_v, z_x, cfg: RouterConfig,
     noise = None
     if rng is not None and cfg.train_noise_sigma > 0.0:
         noise = cfg.train_noise_sigma * rng.standard_normal(len(v))
-    return route_batch(v, [0, len(v)], z_x, cfg.gamma, noise)[0][0]
-
-
-def apply_selection(z_v, sel: RouterSelection) -> np.ndarray:
-    """Gather the kept token rows in kept order."""
-    v = np.asarray(z_v, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError("token matrix must be 2-D")
-    idx = np.asarray(sel.kept_indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= v.shape[0]):
-        raise IndexError("selection index out of range")
-    return v[idx]
+    starts = [0, len(v)]
+    return image_selection(route_batch(v, starts, z_x, cfg.gamma, noise), starts, 0, cfg.gamma)

@@ -65,6 +65,14 @@ class TestPlanInputs:
 
 
 class TestTrajectoryInputs:
+    @pytest.mark.parametrize("command", ["bilinear", "sweep"])
+    @pytest.mark.parametrize("d", ["1", "4097"])
+    def test_dimension_out_of_range(self, command, d, capsys):
+        # the dense d x d target is never built: 4097 is one past the bound,
+        # and no size that would allocate much is tried
+        assert_rejected([command, "--c", "0.5", "--d", d], capsys,
+                        "dimension must lie in [2, 4096]")
+
     @pytest.mark.parametrize("method", ["gd", "alt", "gd_vector"])
     def test_bilinear_negative_steps(self, method, capsys):
         assert_rejected(["bilinear", "--method", method, "--c", "0.5", "--steps", "-1"],

@@ -68,10 +68,9 @@ class TestForward:
         sample = t.train_set[0]
         pred, cache = pl.forward(sample, p, t, "full", gate_override=[1.0, 0.0])
         from slicemix.adapters import mlp_apply, qformer_apply
-        from slicemix.routing import apply_selection
         g_rows = mlp_apply(sample.global_tokens, p.mlp).out
         local = np.vstack([qformer_apply(tk, p.qf_local).out for tk in sample.patch_tokens])
-        kept = apply_selection(local, cache.selection)
+        kept = local[cache.selection.kept_indices]
         assert len(cache.selection.kept_indices) == local.shape[0]
         expect = np.vstack([g_rows, kept]).mean(axis=0) @ p.readout
         np.testing.assert_allclose(pred, expect, rtol=1e-12)
@@ -316,10 +315,19 @@ class TestBatchedPass:
             sels.append(c.selection)
         assert np.array_equal(cache.pred, np.array(preds))
         if mode == "global_only":
-            assert cache.selections == [] and sels == [None] * n
+            assert cache.selection is None and cache.order is None and sels == [None] * n
         else:
-            for got, want in zip(cache.selections, sels):
-                assert np.array_equal(got.kept_indices, want.kept_indices)
+            # the batch's cut, row by row, is each lone image's kept local
+            # tokens shifted by the image's first row in the stack
+            starts = pl._stack(batch)[2] * params.qf_local.n_queries
+            assert cache.n_kept.tolist() == [len(s.kept_indices) for s in sels]
+            for rows, kept, start, want in zip(cache.order, cache.kept, starts, sels):
+                assert np.array_equal(rows[kept], start + want.kept_indices)
+            # the cache keeps the first image's record, bit for bit a lone pass's
+            first = cache.selection
+            assert np.array_equal(first.kept_indices, sels[0].kept_indices)
+            assert np.array_equal(first.scores, sels[0].scores)
+            assert first.cumulative_at_cut == sels[0].cumulative_at_cut
         assert r_batch.bit_generator.state == r_loop.bit_generator.state
         # the draws themselves: per image, the gate pair, then one router
         # draw per compressed local token

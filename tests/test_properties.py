@@ -18,7 +18,8 @@ from hypothesis.extra import numpy as hnp
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
 from slicemix.numerics import make_rng
-from slicemix.routing import RouterConfig, route_batch, route_tokens, select_prefix
+from slicemix.routing import (RouterConfig, image_selection, route_batch, route_tokens,
+                              select_prefix)
 from slicemix.slicing import plan_partition, resize_bilinear
 
 properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -36,13 +37,14 @@ def score_vectors(draw):
 
 class TestSelectPrefix:
     @properties
-    @given(score_vectors(), gammas)
+    @given(score_vectors(), gammas | st.just(1.0))
     def test_prefix_reaches_gamma_and_is_minimal(self, scores, gamma):
         kept, cum = select_prefix(scores, gamma)
         assert len(set(kept.tolist())) == len(kept) >= 1
         assert cum == np.cumsum(scores[kept])[-1]
-        if cum < gamma:
-            # only float rounding at gamma near 1 can fall short: keep all
+        if gamma == 1.0 or cum < gamma:
+            # gamma = 1 keeps all, and below it only float rounding at gamma
+            # near 1 can fall short, which keeps all too
             assert len(kept) == len(scores)
         else:
             # without its last token the prefix no longer reaches gamma
@@ -86,11 +88,14 @@ class TestRouteBatch:
         if seed is not None:
             r_batch, r_alone = make_rng(seed), make_rng(seed)
             noise = cfg.train_noise_sigma * r_batch.standard_normal(len(tokens))
-        sels, rows, n_kept, kept = route_batch(tokens, starts, text, gamma, noise)
-        assert len(sels) == len(starts) - 1
+        cut = scores, rows, n_kept, kept = route_batch(tokens, starts, text, gamma, noise)
+        sels = [image_selection(cut, starts, i, gamma) for i in range(len(starts) - 1)]
         assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
-        # the batch layout: as many slots per image as the most any keeps, and
-        # a mask of the kept ones
+        # the batch layout: a score slot per token of the longest image, zero
+        # past an image's own; as many kept slots per image as the most any
+        # keeps, and a mask of the kept ones
+        real = np.arange(scores.shape[1]) < np.diff(starts)[:, None]
+        assert scores.shape == real.shape and np.all(scores[~real] == 0.0)
         slots = np.arange(rows.shape[1]) < n_kept[:, None]
         assert rows.shape[1] == n_kept.max()
         assert np.array_equal(kept, slots)
@@ -110,12 +115,17 @@ class TestRouteBatch:
     def test_cut_is_the_shortest_prefix_reaching_gamma(self, batch, gamma, seed):
         tokens, starts, text = batch
         noise = None if seed is None else 0.1 * make_rng(seed).standard_normal(len(tokens))
-        for sel in route_batch(tokens, starts, text, gamma, noise)[0]:
+        cut = route_batch(tokens, starts, text, gamma, noise)
+        for i in range(len(starts) - 1):
+            sel = image_selection(cut, starts, i, gamma)
             mass = np.cumsum(sel.scores[sel.kept_indices])
             assert len(set(sel.kept_indices.tolist())) == len(mass) >= 1
             assert sel.cumulative_at_cut == mass[-1]
-            assert mass[-1] >= gamma or len(mass) == len(sel.scores)
-            assert len(mass) == 1 or mass[-2] < gamma
+            if gamma == 1.0:
+                assert len(mass) == len(sel.scores)
+            else:
+                assert mass[-1] >= gamma or len(mass) == len(sel.scores)
+                assert len(mass) == 1 or mass[-2] < gamma
             if noise is None:
                 # noiseless, the keeping order is the descending score order,
                 # and equal scores keep the lower index first
@@ -126,6 +136,47 @@ class TestRouteBatch:
                 last = sel.scores[kept[-1]]
                 assert np.all(sel.scores[dropped] <= last)
                 assert np.all(dropped[sel.scores[dropped] == last] > kept[-1])
+
+
+@st.composite
+def peaked_batches(draw):
+    """1-8 images of 2-60 tokens whose logits, drawn in [-1, 1], are scaled by
+    up to 50, stacked as one-wide token rows, so that against the text [[1]]
+    the router's scores are their softmax. Such scores put nearly all of the
+    mass on a few tokens, and the rest can lie below the rounding of the
+    running mass near 1."""
+    lens = draw(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=8))
+    logits = draw(hnp.arrays(np.float64, sum(lens),
+                             elements=st.floats(min_value=-1.0, max_value=1.0)))
+    scale = draw(st.floats(min_value=1.0, max_value=50.0))
+    return scale * logits[:, None], np.array([0, *accumulate(lens)])
+
+
+class TestPeakedCut:
+    @properties
+    @given(peaked_batches(), gammas, gammas)
+    def test_gamma_one_keeps_all_and_lower_cuts_are_minimal_and_monotone(self, batch, g1, g2):
+        tokens, starts = batch
+        lo, hi = sorted((g1, g2))
+        cuts = {g: route_batch(tokens, starts, np.ones((1, 1)), g) for g in (lo, hi, 1.0)}
+        assert np.array_equal(cuts[1.0][2], np.diff(starts))
+        for i in range(len(starts) - 1):
+            sels = {g: image_selection(cut, starts, i, g) for g, cut in cuts.items()}
+            scores, every = sels[1.0].scores, sels[1.0].kept_indices
+            assert np.array_equal(np.sort(every), np.arange(len(scores)))
+            for g, sel in sels.items():
+                kept = sel.kept_indices
+                # select_prefix on the image's scores makes the same cut
+                alone, cum = select_prefix(scores, g)
+                assert np.array_equal(alone, kept) and cum == sel.cumulative_at_cut
+                # every cut is a prefix of the one keeping order: a higher
+                # gamma never keeps less
+                assert np.array_equal(kept, every[:len(kept)])
+                if g < 1.0:
+                    mass = np.cumsum(scores[kept])
+                    assert mass[-1] >= g or len(kept) == len(scores)
+                    assert len(kept) == 1 or mass[-2] < g
+            assert len(sels[lo].kept_indices) <= len(sels[hi].kept_indices)
 
 
 @st.composite

@@ -10,10 +10,7 @@ from slicemix.routing import (
     DEFAULT_GAMMA,
     DEFAULT_NUM_QUERIES,
     RouterConfig,
-    RouterSelection,
-    apply_selection,
     compress_local,
-    relevance_scores,
     route_tokens,
     select_prefix,
 )
@@ -175,38 +172,6 @@ class TestRouteTokens:
         assert a.cumulative_at_cut == b.cumulative_at_cut
 
 
-class TestApplySelection:
-    def test_keep_all_is_score_permutation(self):
-        rng = make_rng(58)
-        z_v = rng.standard_normal((6, 3))
-        z_x = rng.standard_normal((1, 3))
-        sel = route_tokens(z_v, z_x, RouterConfig(gamma=1.0))
-        got = apply_selection(z_v, sel)
-        order = np.argsort(-sel.scores, kind="stable")
-        assert np.array_equal(got, z_v[order])
-
-    def test_keep_single(self):
-        z_v, z_x = embed_scores([0.7, 0.2, 0.1])
-        sel = route_tokens(z_v, z_x, RouterConfig(gamma=0.5))
-        got = apply_selection(z_v, sel)
-        assert got.shape == (1, 1)
-        assert got[0, 0] == z_v[0, 0]
-
-    def test_gather_oracle(self):
-        rng = make_rng(59)
-        z_v = rng.standard_normal((4, 5))
-        sel = RouterSelection(gamma=0.5, kept_indices=np.array([2, 0]),
-                              scores=np.full(4, 0.25), cumulative_at_cut=0.5)
-        got = apply_selection(z_v, sel)
-        assert np.array_equal(got, z_v[[2, 0]])
-
-    def test_out_of_range_rejected(self):
-        sel = RouterSelection(gamma=0.5, kept_indices=np.array([5]),
-                              scores=np.full(3, 1 / 3), cumulative_at_cut=0.5)
-        with pytest.raises(IndexError):
-            apply_selection(np.zeros((3, 2)), sel)
-
-
 class TestCompression:
     def test_shape_contract(self):
         rng = make_rng(60)
@@ -229,17 +194,19 @@ class TestCompression:
 
 
 class TestRelevanceScores:
+    """The noiseless scores a route_tokens record carries."""
+
     def test_matches_explicit_average(self):
         rng = make_rng(64)
         z_v = rng.standard_normal((5, 3))
         z_x = rng.standard_normal((4, 3))
         raw = np.array([[z_v[i] @ z_x[j] for j in range(4)] for i in range(5)])
-        np.testing.assert_allclose(relevance_scores(z_v, z_x),
+        np.testing.assert_allclose(route_tokens(z_v, z_x, RouterConfig()).scores,
                                    softmax(raw.mean(axis=1)), rtol=1e-13)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            relevance_scores(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="feature width"):
+            route_tokens(np.ones((2, 3)), np.ones((2, 4)), RouterConfig())
 
 
 class TestSelectionJson:
