@@ -32,8 +32,8 @@ for k in range(5):
 
 print("\nmixture output vs the pure branches (first token, first 4 dims):")
 out = ad.moe_apply(tokens, mlp, qf, gate)[0]
-only_mlp = ad.moe_apply(tokens, mlp, qf, gate, gate_override=[1.0, 0.0])[0]
-only_qf = ad.moe_apply(tokens, mlp, qf, gate, gate_override=[0.0, 1.0])[0]
+only_mlp = ad.mlp_apply(tokens, mlp).out
+only_qf = ad.qformer_apply(tokens, qf).out
 np.set_printoptions(precision=4, suppress=True)
 print(f"  mixed : {out[0, :4]}")
 print(f"  mlp   : {only_mlp[0, :4]}")

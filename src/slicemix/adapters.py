@@ -108,18 +108,16 @@ class GateSample:
     pooled: np.ndarray                 # (d_in,), or (B, d_in) for a stack
     weights: np.ndarray                # (2,), or (B, 2)
     eps: np.ndarray | None = None      # the normal draws, None when noiseless
-    override: bool = False
     mlp: MlpActivations | None = None
     qformer: QFormerActivations | None = None
 
 
-def init_mlp(rng: np.random.Generator, d_in: int, d_out: int,
-             d_hidden: int | None = None) -> MlpParams:
-    d_hidden = d_out if d_hidden is None else d_hidden
+def init_mlp(rng: np.random.Generator, d_in: int, d_out: int) -> MlpParams:
+    """A GELU MLP from d_in to d_out whose hidden layer is d_out wide."""
     return MlpParams(
-        w1=rng.standard_normal((d_in, d_hidden)) / np.sqrt(d_in),
-        b1=np.zeros(d_hidden),
-        w2=rng.standard_normal((d_hidden, d_out)) / np.sqrt(d_hidden),
+        w1=rng.standard_normal((d_in, d_out)) / np.sqrt(d_in),
+        b1=np.zeros(d_out),
+        w2=rng.standard_normal((d_out, d_out)) / np.sqrt(d_out),
         b2=np.zeros(d_out),
     )
 
@@ -202,24 +200,17 @@ def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
 
 
 def gate_sample(pooled, p: GateParams, rng: np.random.Generator | None = None,
-                override=None, eps=None) -> GateSample:
+                eps=None) -> GateSample:
     """Evaluate the gate on a pooled feature vector, or on each row of a stack.
 
     Noise is applied only when the parameters enable it AND a generator is
     provided (training mode); without a generator the gate is deterministic.
     A stack draws as its rows would one by one; `eps`, shaped like the
-    weights, supplies the draws instead. An explicit override substitutes
-    the mixing weights verbatim.
+    weights, supplies the draws instead.
     """
     x = np.asarray(pooled, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
         raise ValueError("pooled feature width does not match gate parameters")
-    if override is not None:
-        w = np.asarray(override, dtype=np.float64).ravel()
-        if w.shape != (2,):
-            raise ValueError("gate override must have exactly 2 entries")
-        return GateSample(pooled=x, weights=np.broadcast_to(w, x.shape[:-1] + (2,)),
-                          override=True)
     rows = x[..., None, :]   # row by row, so a stack's products are bitwise its rows'
     logits = (rows @ p.w_g)[..., 0, :]
     if p.noise_enabled and eps is None and rng is not None:
@@ -239,7 +230,7 @@ def gate_weights(pooled, p: GateParams,
 
 
 def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
-              rng: np.random.Generator | None = None, gate_override=None, eps=None):
+              rng: np.random.Generator | None = None, eps=None):
     """Soft two-expert mixture; returns (output, gate sample).
 
     The gate sees the column mean of the tokens, so one weight pair applies
@@ -250,7 +241,7 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
     if qf.n_queries != t.shape[-2]:
         raise ValueError("global expert shape mismatch")
-    sample = gate_sample(t.sum(axis=-2) / t.shape[-2], gate, rng, gate_override, eps)
+    sample = gate_sample(t.sum(axis=-2) / t.shape[-2], gate, rng, eps)
     sample.mlp = mlp_apply(t, mlp)
     sample.qformer = qformer_apply(t, qf)
     g = sample.weights.T[..., None, None]   # one scale per expert and image
@@ -281,11 +272,10 @@ def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
     scale = g.T[..., None, None]
     mlp_vjp(sample.mlp, mlp, scale[0] * dout, d_mlp)
     qformer_vjp(sample.qformer, qf, scale[1] * dout, d_qf)
-    if not sample.override:
-        dg = np.stack([(dout * sample.mlp.out).sum(axis=(-2, -1)),
-                       (dout * sample.qformer.out).sum(axis=(-2, -1))], axis=-1)
-        dlogits = g * (dg - (dg * g).sum(axis=-1, keepdims=True))
-        d_gate.w_g += _rows(sample.pooled).T @ _rows(dlogits)
-        if sample.eps is not None:
-            coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits
-            d_gate.w_noise += _rows(sample.pooled).T @ _rows(coef)
+    dg = np.stack([(dout * sample.mlp.out).sum(axis=(-2, -1)),
+                   (dout * sample.qformer.out).sum(axis=(-2, -1))], axis=-1)
+    dlogits = g * (dg - (dg * g).sum(axis=-1, keepdims=True))
+    d_gate.w_g += _rows(sample.pooled).T @ _rows(dlogits)
+    if sample.eps is not None:
+        coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits
+        d_gate.w_noise += _rows(sample.pooled).T @ _rows(coef)

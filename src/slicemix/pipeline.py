@@ -56,7 +56,6 @@ __all__ = [
     "forward",
     "batch_loss_and_grads",
     "evaluate",
-    "ablate",
     "train",
     "default_schedule",
     "stage_plan",
@@ -259,13 +258,15 @@ class ForwardCache:
 
 def _stack(samples):
     """A batch's global views, all its patches in one stack, and image offsets."""
+    if not samples:
+        raise ValueError("a batch needs at least one sample")
     return (np.array([s.global_tokens for s in samples]),
             np.concatenate([s.patch_tokens for s in samples]),
             np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]))
 
 
 def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: ToyTask,
-                   mode: str, rng=None, gate_override=None, fixed_selections=None) -> ForwardCache:
+                   mode: str, rng=None, fixed_selections=None) -> ForwardCache:
     """A batch, stacked as _stack returns it, through the pipeline in one pass.
     One normal draw covers the batch's noise, laid out per image as its gate
     pair, then one router draw per compressed local token, so a generator
@@ -275,7 +276,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     n, d, cfg = len(views), params.readout.shape[0], task.cfg
     starts = offsets * params.qf_local.n_queries     # each image's first local token
     gate_s = patches = eps = noise = None
-    gate_draws = 2 if (mode != "local_only" and rng is not None and gate_override is None
+    gate_draws = 2 if (mode != "local_only" and rng is not None
                        and params.gate.noise_enabled) else 0
     route_draws = 1 if (mode != "global_only" and rng is not None and fixed_selections is None
                         and cfg.router_noise_sigma > 0.0) else 0
@@ -301,8 +302,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     if mode == "local_only":
         g_out = np.empty((n, 0, d))
     else:
-        g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate,
-                                  gate_override=gate_override, eps=eps)
+        g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate, eps=eps)
     # each image's global rows, then its kept local rows in keeping order,
     # zero-padded to the most any image keeps: the zeros add nothing, so each
     # sum is bitwise a lone image's
@@ -320,16 +320,14 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
 
 
 def forward(sample: Sample, params: PipelineParams, task: ToyTask,
-            mode: str = "full", rng: np.random.Generator | None = None,
-            gate_override=None):
+            mode: str = "full", rng: np.random.Generator | None = None):
     """One image through the pipeline (a batch of one); returns (prediction, cache).
 
     With a generator the gate noise and router sort noise are live (training
     mode); without one the pass is deterministic (evaluation mode).
     """
     cache = _forward_batch(sample.global_tokens[None], sample.patch_tokens,
-                           np.array([0, len(sample.patch_tokens)]), params, task, mode, rng,
-                           gate_override)
+                           np.array([0, len(sample.patch_tokens)]), params, task, mode, rng)
     return cache.pred[0], cache
 
 
@@ -352,8 +350,7 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
 
 
 def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
-                         mode: str = "full", rng=None, gate_override=None,
-                         fixed_selections=None):
+                         mode: str = "full", rng=None, fixed_selections=None):
     """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients.
 
     The batch runs as one stacked pass. The backward reuses the activations
@@ -361,8 +358,7 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
     the generator advances exactly as over the forward pass alone. Each
     image's upstream gradient is scaled by 1/B.
     """
-    cache = _forward_batch(*_stack(samples), params, task, mode, rng, gate_override,
-                           fixed_selections)
+    cache = _forward_batch(*_stack(samples), params, task, mode, rng, fixed_selections)
     resid = cache.pred - np.array([s.target for s in samples])
     inv = 1.0 / len(samples)
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
@@ -381,14 +377,6 @@ def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float
     return float(np.cumsum(0.5 * sq)[-1]) / len(task.eval_set)
 
 
-def ablate(params: PipelineParams, task: ToyTask, arm: str) -> float:
-    """Held-out loss with the other branch's tokens removed before pooling."""
-    modes = {"only_global": "global_only", "only_local": "local_only"}
-    if arm not in modes:
-        raise ValueError("arm must be 'only_global' or 'only_local'")
-    return evaluate(params, task, modes[arm])
-
-
 @dataclass(frozen=True)
 class StageSchedule:
     """Training recipe: stage count is fixed by the mode (3 for alternating,
@@ -403,6 +391,8 @@ class StageSchedule:
         n = len(stage_plan(self.mode))
         if len(self.steps) != n or len(self.lr) != n:
             raise ValueError(f"mode '{self.mode}' takes exactly {n} stage(s)")
+        if any(k < 0 for k in self.steps):
+            raise ValueError("step counts must be non-negative")
         if not all(0.0 < lr < np.inf for lr in self.lr):
             raise ValueError("learning rates must be positive and finite")
 
@@ -469,6 +459,8 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
     are never touched. A non-finite loss flags the report as diverged and
     stops training instead of raising.
     """
+    if not task.eval_set:
+        raise ValueError("training needs a task with at least one eval sample")
     params = init_params(task, schedule.seed)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
     rows: list[tuple[int, str, float]] = []
@@ -492,8 +484,8 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
             if diverged:
                 break
         final_eval = evaluate(params, task, "full")
-        only_global = ablate(params, task, "only_global")
-        only_local = ablate(params, task, "only_local")
+        only_global = evaluate(params, task, "global_only")
+        only_local = evaluate(params, task, "local_only")
     return RunReport(
         mode=schedule.mode,
         seed=schedule.seed,

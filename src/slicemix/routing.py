@@ -163,6 +163,9 @@ def image_selection(cut, starts, i: int, gamma: float) -> RouterSelection:
 def pinned_cut(selections, starts):
     """Given records, one per image, laid out as route_batch lays out its own
     cut: each image's rows in keeping order, its kept count, and the kept slots."""
+    if len(selections) != len(starts) - 1:
+        raise ValueError(f"{len(selections)} pinned selections for {len(starts) - 1} images; "
+                         "give one per image")
     indices = [s.kept_indices for s in selections]
     n_kept = np.array([len(i) for i in indices])
     kept = np.arange(n_kept.max()) < n_kept[:, None]
@@ -174,17 +177,16 @@ def pinned_cut(selections, starts):
     return order + starts[:-1, None], n_kept, kept
 
 
-def select_prefix(scores: np.ndarray, gamma: float,
-                  order: np.ndarray | None = None):
-    """Shortest prefix of `order` whose non-negative score mass reaches gamma.
+def select_prefix(scores: np.ndarray, gamma: float):
+    """Shortest prefix of the tokens, in descending order of score, whose
+    non-negative score mass reaches gamma.
 
     The cut is inclusive: the token whose addition reaches gamma is kept.
     Every token is kept at gamma = 1, however the running mass rounds, and
     whenever the total mass falls short of gamma.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if order is None:
-        order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
+    order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
     cum = scores[order].cumsum()
     n_kept = int(_kept_counts(cum, gamma, len(order)))
     return order[:n_kept].astype(np.int64), float(cum[n_kept - 1])

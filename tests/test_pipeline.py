@@ -58,17 +58,17 @@ class TestForward:
         pred, _ = pl.forward(task.train_set[0], p2, task, "full")
         assert np.all(pred == 0.0)
 
-    def test_gate_forced_to_mlp_with_full_gamma_is_plain_projection(self, task):
-        # gamma=1 keeps all local tokens, local queries = full token count,
-        # and the forced gate turns the global branch into the bare MLP: a
-        # plain projection pipeline
+    def test_full_gamma_pools_the_mixture_and_every_local_token(self, task):
+        # gamma=1 keeps all local tokens and local queries = full token count,
+        # so the pooled rows are the noiseless mixture's rows plus every
+        # compressed local token, gathered by the cut
         cfg = pl.PipelineConfig(gamma=1.0, local_queries=9)
         t = pl.make_toy_task(2, cfg)
         p = pl.init_params(t, 2)
         sample = t.train_set[0]
-        pred, cache = pl.forward(sample, p, t, "full", gate_override=[1.0, 0.0])
-        from slicemix.adapters import mlp_apply, qformer_apply
-        g_rows = mlp_apply(sample.global_tokens, p.mlp).out
+        pred, cache = pl.forward(sample, p, t, "full")
+        from slicemix.adapters import moe_apply, qformer_apply
+        g_rows, _ = moe_apply(sample.global_tokens, p.mlp, p.qf_global, p.gate)
         local = np.vstack([qformer_apply(tk, p.qf_local).out for tk in sample.patch_tokens])
         kept = local[cache.selection.kept_indices]
         assert len(cache.selection.kept_indices) == local.shape[0]
@@ -243,6 +243,18 @@ class TestGradients:
             sels[0] = RouterSelection(0.75, np.array([0, bad]), sels[0].scores, 1.0)
             with pytest.raises(IndexError, match="out of range"):
                 pl.batch_loss_and_grads(batch, params, task, "full", fixed_selections=sels)
+
+    def test_pinned_selection_count_must_match_the_images(self):
+        # images of 2, 4 and 1 patches: too few or too many records would
+        # otherwise fail inside numpy, or read as an index out of range
+        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=3, n_eval=1, sizes=(96, 128)))
+        params = pl.init_params(task, 1)
+        assert [len(s.patch_tokens) for s in task.train_set] == [2, 4, 1]
+        sels = [pl.forward(s, params, task)[1].selection for s in task.train_set]
+        pl.batch_loss_and_grads(task.train_set, params, task, fixed_selections=sels)
+        for wrong in (sels[:1], sels[:2], sels + sels[:1]):
+            with pytest.raises(ValueError, match=f"{len(wrong)} pinned selections for 3 images"):
+                pl.batch_loss_and_grads(task.train_set, params, task, fixed_selections=wrong)
 
     def test_frozen_groups_get_zero_grads_in_global_mode(self, task, params):
         _, grads = pl.batch_loss_and_grads(task.train_set[:2], params, task,
@@ -451,6 +463,31 @@ class TestTrain:
         with pytest.raises(ValueError):
             pl.stage_plan("warmup")
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            pl.StageSchedule("e2e", (-3,), (0.1,))
+        with pytest.raises(ValueError, match="non-negative"):
+            pl.default_schedule("alternating", total_steps=-5)
+        assert pl.StageSchedule("alternating", (10, 0, 0), (0.1,) * 3).steps == (10, 0, 0)
+
+    def test_task_without_eval_set_rejected_before_training(self, monkeypatch):
+        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=2, n_eval=0, sizes=(96,)))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(pl, "batch_loss_and_grads", no_step)
+        with pytest.raises(ValueError, match="at least one eval sample"):
+            pl.train(pl.default_schedule("e2e", total_steps=3), task)
+
+    def test_empty_batch_rejected(self):
+        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=2, n_eval=0, sizes=(96,)))
+        params = pl.init_params(task, 1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            pl.evaluate(params, task)
+        with pytest.raises(ValueError, match="at least one sample"):
+            pl.batch_loss_and_grads([], params, task)
+
     def test_divergence_flagged_not_crashed(self):
         task = pl.make_toy_task(6)
         sched = pl.StageSchedule(mode="e2e", steps=(200,), lr=(50.0,), seed=6)
@@ -470,20 +507,12 @@ class TestTrain:
 
 
 class TestAblate:
-    def test_arms_match_eval_modes(self, task, params):
-        assert pl.ablate(params, task, "only_global") == \
-            pl.evaluate(params, task, "global_only")
-        assert pl.ablate(params, task, "only_local") == \
-            pl.evaluate(params, task, "local_only")
-        with pytest.raises(ValueError):
-            pl.ablate(params, task, "only_text")
-
     def test_zeroed_local_branch_makes_only_global_equal_full(self, task):
         p = pl.init_params(task, 1)
         p.qf_local.wv[:] = 0.0
         p.qf_local.wo[:] = 0.0
         full = pl.evaluate(p, task, "full")
-        only_global = pl.ablate(p, task, "only_global")
+        only_global = pl.evaluate(p, task, "global_only")
         # local tokens are exactly zero rows; pooling dilutes the global mean,
         # so compare against a forward that keeps the dilution explicit
         sample = task.eval_set[0]
@@ -510,7 +539,7 @@ class TestAblate:
             cfg = pl.PipelineConfig(gamma=gamma)
             t = pl.make_toy_task(3, cfg)
             p = pl.init_params(t, 3)
-            return abs(pl.evaluate(p, t, "full") - pl.ablate(p, t, "only_global"))
+            return abs(pl.evaluate(p, t, "full") - pl.evaluate(p, t, "global_only"))
 
         assert gap(0.05) < gap(0.75)
 
@@ -520,6 +549,6 @@ class TestAblate:
         task = pl.make_toy_task(2)
         report = pl.train(pl.default_schedule("alternating", seed=2,
                                               total_steps=120), task)
-        untrained = pl.ablate(pl.init_params(task, 2), task, "only_local")
+        untrained = pl.evaluate(pl.init_params(task, 2), task, "local_only")
         assert np.isfinite(report.only_local_eval)
         assert report.only_local_eval < untrained

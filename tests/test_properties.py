@@ -182,8 +182,7 @@ class TestPeakedCut:
 @st.composite
 def pipeline_cases(draw):
     """A small toy task with its gate noise on or off, its parameters, a
-    forward mode, a gate override (None or a drawn mixing pair), and the seeds
-    of the noise generator and of a direction."""
+    forward mode, and the seeds of the noise generator and of a direction."""
     cfg = pl.PipelineConfig(
         feat_dim=draw(st.integers(min_value=1, max_value=6)),
         model_dim=draw(st.integers(min_value=1, max_value=6)),
@@ -196,10 +195,8 @@ def pipeline_cases(draw):
         n_train=draw(st.integers(min_value=1, max_value=3)), n_eval=1)
     seeds = st.integers(min_value=0, max_value=2**32 - 1)
     task = pl.make_toy_task(draw(seeds), cfg)
-    weight = draw(st.floats(min_value=0.0, max_value=1.0))
-    override = draw(st.none() | st.just((weight, 1.0 - weight)))
     return (task, pl.init_params(task, draw(seeds)), draw(st.sampled_from(pl.FORWARD_MODES)),
-            override, draw(seeds), draw(seeds))
+            draw(seeds), draw(seeds))
 
 
 class TestDirectionalDerivative:
@@ -210,7 +207,7 @@ class TestDirectionalDerivative:
         # when the task enables it, replayed from an identically seeded
         # generator, the loss is a smooth function of the flat parameter
         # vector, so its central difference along a unit direction v matches g . v
-        task, params, mode, override, noise_seed, v_seed = case
+        task, params, mode, noise_seed, v_seed = case
         batch = task.train_set
         sels = None
         if mode != "global_only":
@@ -218,7 +215,7 @@ class TestDirectionalDerivative:
 
         def run(p):
             return pl.batch_loss_and_grads(batch, p, task, mode, rng=make_rng(noise_seed),
-                                           gate_override=override, fixed_selections=sels)
+                                           fixed_selections=sels)
 
         _, grads = run(params)
         point = pl.params_vector(params)
