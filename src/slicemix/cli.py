@@ -4,8 +4,11 @@ Subcommands: `plan` (partition planning), `route` (token selection on matrix
 fixtures), `bilinear` (one factorization trace), `sweep` (a grid of
 factorization runs), and `train` (toy training runs). stdout carries
 strict JSON only, with non-finite numbers as null; human diagnostics go to
-stderr. Exit codes:
-0 success, 2 usage or config error, 3 a run was flagged as diverged.
+stderr. Exit codes: 0 success; 2 any failure the command can name (bad
+arguments, config, matrix fixtures or SLIME_KIT_SEED, an unwritable output
+path, an allocation the machine refuses), as one `<command>: <reason>`
+stderr line; 3 a run was flagged as diverged. A config asking for memory
+the kernel grants but cannot back may still meet the OOM killer.
 
 Matrix fixtures are whitespace-separated text with a single `rows cols`
 header line. The environment variable SLIME_KIT_SEED supplies a fallback
@@ -19,24 +22,29 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import bilinear, pipeline
-from .routing import RouterConfig, route_tokens
-from .slicing import plan_partition
+from .routing import DEFAULT_GAMMA, RouterConfig, route_tokens
+from .slicing import BASE_RESOLUTION, plan_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 SEED_ENV_VAR = "SLIME_KIT_SEED"
 
-DEFAULT_CONFIG: dict = {
-    "slicing": {"base": 336},
+# The defaults of `bilinear` and `sweep`
+BILINEAR_D = 16
+BILINEAR_ETA = 0.01
+BILINEAR_STEPS = 20000
+
+# The config `train` reads; any other key is rejected
+TRAIN_CONFIG: dict = {
     "adapter": {"feat_dim": 8, "model_dim": 8, "gate_noise": True},
-    "router": {"gamma": 0.75, "local_queries": 4, "train_noise_sigma": 0.1},
-    "bilinear": {"d": 16, "eta": 0.01, "steps": 20000},
+    "router": {"gamma": DEFAULT_GAMMA, "local_queries": 4, "train_noise_sigma": 0.1},
     "training": {
         "out_dim": 4,
         "base": 96,
@@ -50,17 +58,17 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# The sections `train` reads; the others only set command-line defaults.
-TRAIN_CONFIG: dict = {key: DEFAULT_CONFIG[key] for key in ("adapter", "router", "training")}
-
-
 class ConfigError(ValueError):
     pass
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_USAGE
+@contextmanager
+def _writing(what: str):
+    """Name what was being written in the message of a failed write."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write the {what}: {exc}") from None
 
 
 def default_seed() -> int:
@@ -115,7 +123,7 @@ def _check_type(name: str, value, default) -> None:
                           f"got {json.dumps(value)}")
 
 
-def merge_config(user: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> dict:
+def merge_config(user: dict, defaults: dict = TRAIN_CONFIG, path: str = "") -> dict:
     """Overlay a user config onto the defaults, rejecting unknown keys and
     values whose type differs from the default's."""
     if not isinstance(user, dict):
@@ -148,24 +156,18 @@ def _emit(obj) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_plan(args) -> int:
-    try:
-        plan = plan_partition(args.width, args.height, base=args.base)
-    except ValueError as exc:
-        return _fail(f"plan: {exc}")
+    plan = plan_partition(args.width, args.height, base=args.base)
     _emit({"w": args.width, "h": args.height, "m": plan.m, "n": plan.n,
            "s": plan.scale, "utilized": plan.utilized, "wasted": plan.wasted})
     return EXIT_OK
 
 
 def cmd_route(args) -> int:
-    try:
-        router = RouterConfig(gamma=args.gamma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
-        if not np.isfinite(sel.scores).all():
-            raise ValueError("token-text similarities overflow, so the scores are not finite")
-    except (OSError, ValueError) as exc:
-        return _fail(f"route: {exc}")
+    router = RouterConfig(gamma=args.gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
+    if not np.isfinite(sel.scores).all():
+        raise ValueError("token-text similarities overflow, so the scores are not finite")
     _emit(sel.to_json())
     return EXIT_OK
 
@@ -185,54 +187,38 @@ def _parse_init(text: str):
 
 def cmd_bilinear(args) -> int:
     if args.method not in _METHOD_ALIASES:
-        return _fail(f"bilinear: unknown --method '{args.method}'")
-    try:
-        init = _parse_init(args.init)
-        inst = bilinear.make_instance(d=args.d, c=args.c, seed=args.seed)
-        trace = bilinear.run_experiment(inst, init=init,
-                                        method=_METHOD_ALIASES[args.method],
-                                        steps=args.steps, eta=args.eta)
-    except ValueError as exc:
-        return _fail(f"bilinear: {exc}")
+        raise ValueError(f"unknown --method '{args.method}'")
+    init = _parse_init(args.init)
+    inst = bilinear.make_instance(d=args.d, c=args.c, seed=args.seed)
+    trace = bilinear.run_experiment(inst, init=init, method=_METHOD_ALIASES[args.method],
+                                    steps=args.steps, eta=args.eta)
     if args.out:
-        try:
+        with _writing("trace"):
             Path(args.out).write_text(trace.to_csv())
-        except OSError as exc:
-            return _fail(f"bilinear: cannot write the trace: {exc}")
     _emit(trace.summary())
     return EXIT_DIVERGED if trace.diverged else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cs = [float(x) for x in args.c.split(",") if x]
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        init = _parse_init(args.init)
-        insts = [bilinear.make_instance(d=args.d, c=c, seed=args.seed) for c in cs]
-    except ValueError as exc:
-        return _fail(f"sweep: {exc}")
+    cs = [float(x) for x in args.c.split(",") if x]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    init = _parse_init(args.init)
+    insts = [bilinear.make_instance(d=args.d, c=c, seed=args.seed) for c in cs]
     if not cs or not methods:
-        return _fail("sweep: --c and --methods each need at least one value")
+        raise ValueError("--c and --methods each need at least one value")
     for m in methods:
         if m not in _METHOD_ALIASES:
-            return _fail(f"sweep: unknown method '{m}'")
-
+            raise ValueError(f"unknown method '{m}'")
     results = []
     for inst in insts:
         for method in methods:
-            try:
-                trace = bilinear.run_experiment(inst, init=init,
-                                                method=_METHOD_ALIASES[method],
-                                                steps=args.steps, eta=args.eta)
-            except ValueError as exc:
-                return _fail(f"sweep: {exc}")
+            trace = bilinear.run_experiment(inst, init=init, method=_METHOD_ALIASES[method],
+                                            steps=args.steps, eta=args.eta)
             if args.outdir:
                 out = Path(args.outdir)
-                try:
+                with _writing("traces"):
                     out.mkdir(parents=True, exist_ok=True)
                     (out / f"trace_{method}_c{inst.c}.csv").write_text(trace.to_csv())
-                except OSError as exc:
-                    return _fail(f"sweep: cannot write the traces: {exc}")
             results.append(trace.summary())
     _emit(results)
     return EXIT_DIVERGED if any(r["classification"] == "diverged" for r in results) else EXIT_OK
@@ -243,39 +229,29 @@ def cmd_train(args) -> int:
     if args.config:
         try:
             user_cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            return _fail(f"train: cannot read config: {exc}")
-    try:
-        cfg = merge_config(user_cfg, TRAIN_CONFIG)
-    except ConfigError as exc:
-        return _fail(f"train: {exc}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+    cfg = merge_config(user_cfg)
     tc, ac, rc = cfg["training"], cfg["adapter"], cfg["router"]
     for key in ("n_eval", "total_steps"):
         if tc[key] < 1:
-            return _fail(f"train: training.{key} must be at least 1")
-    try:
-        schedule = pipeline.default_schedule(args.mode, seed=args.seed,
-                                             total_steps=tc["total_steps"],
-                                             lr=tc["lr"])
-        pcfg = pipeline.PipelineConfig(
-            feat_dim=ac["feat_dim"], model_dim=ac["model_dim"],
-            out_dim=tc["out_dim"], local_queries=rc["local_queries"],
-            gamma=rc["gamma"], router_noise_sigma=rc["train_noise_sigma"],
-            gate_noise=ac["gate_noise"], base=tc["base"], grid=tc["grid"],
-            sizes=tuple(tc["sizes"]), n_train=tc["n_train"], n_eval=tc["n_eval"])
-        task = pipeline.make_toy_task(args.seed, pcfg)
-    except ValueError as exc:
-        return _fail(f"train: {exc}")
-    report = pipeline.train(schedule, task)
+            raise ConfigError(f"training.{key} must be at least 1")
+    schedule = pipeline.default_schedule(args.mode, seed=args.seed,
+                                         total_steps=tc["total_steps"], lr=tc["lr"])
+    pcfg = pipeline.PipelineConfig(
+        feat_dim=ac["feat_dim"], model_dim=ac["model_dim"],
+        out_dim=tc["out_dim"], local_queries=rc["local_queries"],
+        gamma=rc["gamma"], router_noise_sigma=rc["train_noise_sigma"],
+        gate_noise=ac["gate_noise"], base=tc["base"], grid=tc["grid"],
+        sizes=tuple(tc["sizes"]), n_train=tc["n_train"], n_eval=tc["n_eval"])
+    report = pipeline.train(schedule, pipeline.make_toy_task(args.seed, pcfg))
     if args.out:
         out = Path(args.out)
-        try:
+        with _writing("report"):
             out.mkdir(parents=True, exist_ok=True)
             (out / f"report_{args.mode}_seed{args.seed}.csv").write_text(report.to_csv())
             (out / f"summary_{args.mode}_seed{args.seed}.json").write_text(
                 _strict_json(report.summary(), sort_keys=True) + "\n")
-        except OSError as exc:
-            return _fail(f"train: cannot write the report: {exc}")
     _emit(report.summary())
     return EXIT_DIVERGED if report.diverged else EXIT_OK
 
@@ -293,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="print the partition plan for a geometry")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--base", type=int, default=DEFAULT_CONFIG["slicing"]["base"])
+    p.add_argument("--base", type=int, default=BASE_RESOLUTION)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("route", help="select tokens from matrix fixtures")
-    p.add_argument("--gamma", type=float, default=DEFAULT_CONFIG["router"]["gamma"])
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--tokens", required=True, help="token matrix file (header: rows cols)")
     p.add_argument("--text", required=True, help="text embedding matrix file")
     p.set_defaults(func=cmd_route)
@@ -306,11 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="alt",
                    help="gd | alt (also gd_vector for the raw-vector cross-check)")
     p.add_argument("--c", type=float, required=True, help="target alignment a.b")
-    p.add_argument("--eta", type=float, default=DEFAULT_CONFIG["bilinear"]["eta"])
-    p.add_argument("--steps", type=int, default=DEFAULT_CONFIG["bilinear"]["steps"])
+    p.add_argument("--eta", type=float, default=BILINEAR_ETA)
+    p.add_argument("--steps", type=int, default=BILINEAR_STEPS)
     p.add_argument("--init", default="generic",
                    help="generic | antisym | sym | 'alpha0,beta0'")
-    p.add_argument("--d", type=int, default=DEFAULT_CONFIG["bilinear"]["d"])
+    p.add_argument("--d", type=int, default=BILINEAR_D)
     p.add_argument("--seed", type=int, help=_SEED_HELP)
     p.add_argument("--out", help="write the per-step CSV trace here")
     p.set_defaults(func=cmd_bilinear)
@@ -318,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of factorization runs, JSON summary")
     p.add_argument("--c", required=True, help="comma-separated alignment values")
     p.add_argument("--methods", default="gd,alt")
-    p.add_argument("--eta", type=float, default=DEFAULT_CONFIG["bilinear"]["eta"])
-    p.add_argument("--steps", type=int, default=DEFAULT_CONFIG["bilinear"]["steps"])
+    p.add_argument("--eta", type=float, default=BILINEAR_ETA)
+    p.add_argument("--steps", type=int, default=BILINEAR_STEPS)
     p.add_argument("--init", default="generic")
-    p.add_argument("--d", type=int, default=DEFAULT_CONFIG["bilinear"]["d"])
+    p.add_argument("--d", type=int, default=BILINEAR_D)
     p.add_argument("--seed", type=int, help=_SEED_HELP)
     p.add_argument("--outdir", help="optional directory for per-run traces")
     p.set_defaults(func=cmd_sweep)
@@ -343,12 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "seed" in args and args.seed is None:
-        try:
+    try:
+        if "seed" in args and args.seed is None:
             args.seed = default_seed()
-        except ConfigError as exc:
-            return _fail(f"{args.command}: {exc}")
-    return args.func(args)
+        return args.func(args)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -126,6 +126,8 @@ def fd_grad_check(f, analytic_grad, point, step: float = 1e-5) -> float:
     grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
     if point.shape != grad.shape:
         raise ValueError("gradient and point must have the same length")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite analytic gradient in gradient check")
     worst = 0.0
     for i in range(point.size):
         hi = point.copy()

@@ -40,16 +40,20 @@ DEFAULT_NUM_QUERIES = 144
 DEFAULT_GAMMA = 0.75
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class RouterConfig:
     gamma: float = DEFAULT_GAMMA
     train_noise_sigma: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.train_noise_sigma < 0.0:
-            raise ValueError("train_noise_sigma must be non-negative")
+        _check_gamma(self.gamma)
+        if not 0.0 <= self.train_noise_sigma < np.inf:
+            raise ValueError("train_noise_sigma must be non-negative and finite")
 
 
 @dataclass
@@ -101,7 +105,8 @@ def _kept_counts(cum: np.ndarray, gamma: float, n_tokens) -> np.ndarray:
     reach gamma, or all if none does. Scores are non-negative, so the mass
     never falls and the entries short of gamma all come first. Gamma = 1
     keeps all: the mass can round to 1 before a tail too small to move it."""
-    if gamma >= 1.0:
+    _check_gamma(gamma)
+    if gamma == 1.0:
         return n_tokens
     return np.minimum((cum < gamma).sum(axis=-1, initial=1), n_tokens)
 
@@ -186,6 +191,8 @@ def select_prefix(scores: np.ndarray, gamma: float):
     whenever the total mass falls short of gamma.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("scores must be a non-empty 1-D vector")
     order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
     cum = scores[order].cumsum()
     n_kept = int(_kept_counts(cum, gamma, len(order)))

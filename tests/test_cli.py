@@ -8,15 +8,19 @@ import sys
 import numpy as np
 import pytest
 
+from slicemix import cli
 from slicemix.cli import (
     EXIT_DIVERGED,
     EXIT_USAGE,
+    SEED_ENV_VAR,
     ConfigError,
+    build_parser,
     main,
     merge_config,
     read_matrix,
     write_matrix,
 )
+from slicemix.slicing import BASE_RESOLUTION
 
 
 def run_cli(args, capsys):
@@ -205,7 +209,8 @@ class TestConfigMerge:
     def test_defaults_pass_through(self):
         merged = merge_config({})
         assert merged["router"]["gamma"] == 0.75
-        assert merged["slicing"]["base"] == 336
+        plan = build_parser().parse_args(["plan", "--width", "1", "--height", "1"])
+        assert plan.base == BASE_RESOLUTION == 336
 
     def test_override_leaf(self):
         merged = merge_config({"router": {"gamma": 0.5}})
@@ -219,6 +224,34 @@ class TestConfigMerge:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="router.top_k"):
             merge_config({"router": {"top_k": 3}})
+
+
+_MINIMAL_ARGS = {
+    "plan": ["--width", "1", "--height", "1"],
+    "route": ["--tokens", "t.txt", "--text", "x.txt"],
+    "bilinear": ["--c", "0.5"],
+    "sweep": ["--c", "0.5"],
+    "train": ["--mode", "e2e"],
+}
+
+
+class TestErrorBoundary:
+    """`main` turns any OSError, ValueError or MemoryError a command raises
+    into exit 2 and one `<command>: <message>` line on stderr."""
+
+    @pytest.mark.parametrize("command", sorted(_MINIMAL_ARGS))
+    @pytest.mark.parametrize("error", [ValueError("bad value"), OSError("disk gone"),
+                                       MemoryError("Unable to allocate 1.00 PiB")],
+                             ids=["ValueError", "OSError", "MemoryError"])
+    def test_failure_exits_2_with_one_line(self, command, error, monkeypatch, capsys):
+        def fail(args):
+            raise error
+        monkeypatch.setattr(cli, f"cmd_{command}", fail)
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, err = run_cli([command, *_MINIMAL_ARGS[command]], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"{command}: {error}\n"
 
 
 class TestDeterminism:

@@ -193,6 +193,23 @@ class TestTrainConfig:
         assert_rejected(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
                         capsys, "learning rates must be positive and finite")
 
+    @pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_config(self, content, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert_rejected(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
+                        capsys, "train: cannot read config: ")
+
+    @pytest.mark.parametrize("sigma", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_router_noise(self, sigma, tmp_path, capsys):
+        # a NaN noise scale made every sort key NaN, so tokens were kept in index order
+        path = tmp_path / "cfg.json"
+        path.write_text('{"router": {"train_noise_sigma": %s}}' % sigma)
+        assert_rejected(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
+                        capsys, "train_noise_sigma must be non-negative and finite")
+
     def test_int_stands_in_for_float(self):
         cfg = merge_config({"router": {"gamma": 1}, "training": {"lr": 1}})
         assert cfg["router"]["gamma"] == 1 and cfg["training"]["lr"] == 1
@@ -210,12 +227,13 @@ class TestTrainConfig:
         assert set(json.loads(epilog)) == {"adapter", "router", "training"}
 
     def test_max_grid_is_not_a_config_key(self):
-        with pytest.raises(ConfigError, match="slicing.max_grid"):
+        with pytest.raises(ConfigError, match="unknown config key 'slicing'"):
             merge_config({"slicing": {"max_grid": 1}})
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": -0.5}, {"gamma": 1.5}, {"gamma": math.nan},
         {"router_noise_sigma": -0.1}, {"n_train": 0},
+        {"router_noise_sigma": math.nan}, {"router_noise_sigma": math.inf},
     ])
     def test_pipeline_config_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -239,6 +257,17 @@ class TestConfigRanges:
         ({"adapter": {"model_dim": -1}}, "model_dim must be at least 1"),
     ])
     def test_rejected_before_training(self, config, needle, tmp_path, capsys):
+        assert_rejected(train_args(tmp_path, config), capsys, needle)
+
+    @pytest.mark.parametrize("queries, needle", [
+        (10**15, "Unable to allocate 56.8 PiB"),
+        (10**23, "Maximum allowed dimension exceeded"),
+    ], ids=["1e15", "1e23"])
+    def test_unallocatable_local_queries(self, queries, needle, tmp_path, capsys):
+        # the parameters are built inside pipeline.train; 56.8 PiB is refused
+        # at once, with no memory touched
+        config = {"router": {"local_queries": queries},
+                  "training": {"n_train": 1, "n_eval": 1, "total_steps": 1}}
         assert_rejected(train_args(tmp_path, config), capsys, needle)
 
     @pytest.mark.parametrize("kwargs, needle", [

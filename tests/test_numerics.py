@@ -176,3 +176,9 @@ class TestFdGradCheck:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             fd_grad_check(lambda v: float("nan"), np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_analytic_gradient(self, bad):
+        # a NaN never compares above the worst error seen, so it used to pass
+        with pytest.raises(ValueError, match="non-finite analytic gradient"):
+            fd_grad_check(lambda p: float(p @ p), np.array([bad, 2.0]), np.ones(2))

@@ -11,6 +11,7 @@ from slicemix.routing import (
     DEFAULT_NUM_QUERIES,
     RouterConfig,
     compress_local,
+    route_batch,
     route_tokens,
     select_prefix,
 )
@@ -50,6 +51,26 @@ class TestDefaults:
             RouterConfig(gamma=1.5)
         with pytest.raises(ValueError):
             RouterConfig(train_noise_sigma=-0.1)
+
+
+class TestGammaAtTheCut:
+    """select_prefix and route_batch take gamma directly, so they check it too."""
+
+    @pytest.mark.parametrize("gamma", [np.nan, 0.0, -1.0, 2.0])
+    def test_select_prefix_rejects_gamma(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            select_prefix([0.5, 0.5], gamma)
+
+    @pytest.mark.parametrize("gamma", [np.nan, 0.0, 1.5])
+    def test_route_batch_rejects_gamma(self, gamma):
+        z_v, z_x = embed_scores([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            route_batch(z_v, np.array([0, 3]), z_x, gamma)
+
+    @pytest.mark.parametrize("scores", [[], [[0.5, 0.5]], 0.5])
+    def test_select_prefix_takes_a_non_empty_vector(self, scores):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            select_prefix(scores, 0.5)
 
 
 class TestRouteTokens:
