@@ -46,6 +46,7 @@ __all__ = [
     "alt_step",
     "best_rank1_loss_svd",
     "run_experiment",
+    "METHODS",
     "INITS",
     "resolve_init",
 ]
@@ -55,6 +56,8 @@ DIVERGENCE_NORM = 1e6
 DEGENERATE_TOL = 1e-12
 GD_BLOCK_ROWS = 4096   # rows of the float recurrence per block
 CSV_CHUNK_ROWS = 4096  # rows formatted per joined chunk of Trace.to_csv
+DEFAULT_D = 16
+DEFAULT_ETA = 0.01
 
 INITS = {
     "generic": (0.9, 0.1),
@@ -113,7 +116,7 @@ class BilinearState:
                    alpha=alpha, beta=beta, tau=tau, nu=nu, eta=eta)
 
 
-def make_instance(d: int = 16, c: float = 0.5, seed: int = 0) -> BilinearInstance:
+def make_instance(d: int = DEFAULT_D, c: float = 0.5, seed: int = 0) -> BilinearInstance:
     """Random unit a plus a Gram-Schmidt-mixed unit b with a.b = c exactly."""
     if not -1.0 < c < 1.0:
         raise ValueError("c must lie in (-1, 1)")
@@ -354,13 +357,14 @@ def _alternating_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta
         u = u_next
 
 
-_METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
-            "alternating": _alternating_blocks}
+# each method's row-block generator, by name
+METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
+           "alternating": _alternating_blocks}
 
 
 def run_experiment(inst: BilinearInstance, init="generic",
                    method: str = "alternating", steps: int = 1000,
-                   eta: float = 0.01, stop_tol: float | None = 1e-6,
+                   eta: float = DEFAULT_ETA, stop_tol: float | None = 1e-6,
                    stop_window: int = 100) -> Trace:
     """Run one trajectory and classify where it lands.
 
@@ -384,12 +388,12 @@ def run_experiment(inst: BilinearInstance, init="generic",
     if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
         raise ValueError("step size must be positive and finite")
     alpha0, beta0 = resolve_init(init)
-    if method not in _METHODS:
+    if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     blocks, n, lagged = [], 0, np.empty(0)
     diverged, converged_at = False, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _METHODS[method](inst, alpha0, beta0, eta, steps + 1):
+        for block in METHODS[method](inst, alpha0, beta0, eta, steps + 1):
             # block[:, i] is row n + i; lagged holds the stop_window losses before it
             k = block.shape[1]
             over = block[4] > DIVERGENCE_NORM

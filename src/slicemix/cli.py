@@ -36,26 +36,23 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 SEED_ENV_VAR = "SLIME_KIT_SEED"
 
-# The defaults of `bilinear` and `sweep`
-BILINEAR_D = 16
-BILINEAR_ETA = 0.01
-BILINEAR_STEPS = 20000
+BILINEAR_STEPS = 20000   # the default --steps of `bilinear` and `sweep`
+# the CLI's one method alias on top of the library's method names
+METHODS = {"alt": "alternating", **{name: name for name in bilinear.METHODS}}
 
-# The config `train` reads; any other key is rejected
-TRAIN_CONFIG: dict = {
-    "adapter": {"feat_dim": 8, "model_dim": 8, "gate_noise": True},
-    "router": {"gamma": DEFAULT_GAMMA, "local_queries": 4, "train_noise_sigma": 0.1},
-    "training": {
-        "out_dim": 4,
-        "base": 96,
-        "grid": 3,
-        "sizes": [96, 128, 160, 192, 224, 256, 288],
-        "n_train": 20,
-        "n_eval": 10,
-        "total_steps": 240,
-        "lr": 0.25,
-    },
+# The config `train` reads, as section: keys; any other key is rejected. Each
+# key sets the PipelineConfig field of its name (train_noise_sigma sets
+# router_noise_sigma), but total_steps and lr set the schedule.
+TRAIN_KEYS = {
+    "adapter": ("feat_dim", "model_dim", "gate_noise"),
+    "router": ("gamma", "local_queries", "train_noise_sigma"),
+    "training": ("out_dim", "base", "grid", "sizes", "n_train", "n_eval", "total_steps", "lr"),
 }
+_FIELD_OF_KEY = {"train_noise_sigma": "router_noise_sigma"}
+_LIBRARY_DEFAULTS = {**vars(pipeline.PipelineConfig()),
+                     "total_steps": pipeline.DEFAULT_TOTAL_STEPS, "lr": pipeline.DEFAULT_LR}
+TRAIN_CONFIG = {section: {key: _LIBRARY_DEFAULTS[_FIELD_OF_KEY.get(key, key)] for key in keys}
+                for section, keys in TRAIN_KEYS.items()}
 
 
 class ConfigError(ValueError):
@@ -109,12 +106,12 @@ def write_matrix(path: str, arr: np.ndarray) -> None:
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               list: "a non-empty list of positive integers"}
+               tuple: "a non-empty list of positive integers"}
 
 
 def _check_type(name: str, value, default) -> None:
     """Reject a value whose JSON type differs from its default's (an int may be a float)."""
-    if isinstance(default, list):
+    if isinstance(default, tuple):
         ok = isinstance(value, list) and value and all(type(v) is int and v > 0 for v in value)
     else:
         ok = type(value) is type(default) or (type(value), type(default)) == (int, float)
@@ -172,10 +169,6 @@ def cmd_route(args) -> int:
     return EXIT_OK
 
 
-_METHOD_ALIASES = {"gd": "gd", "alt": "alternating", "alternating": "alternating",
-                   "gd_vector": "gd_vector"}
-
-
 def _parse_init(text: str):
     if "," in text:
         parts = text.split(",")
@@ -186,11 +179,11 @@ def _parse_init(text: str):
 
 
 def cmd_bilinear(args) -> int:
-    if args.method not in _METHOD_ALIASES:
+    if args.method not in METHODS:
         raise ValueError(f"unknown --method '{args.method}'")
     init = _parse_init(args.init)
     inst = bilinear.make_instance(d=args.d, c=args.c, seed=args.seed)
-    trace = bilinear.run_experiment(inst, init=init, method=_METHOD_ALIASES[args.method],
+    trace = bilinear.run_experiment(inst, init=init, method=METHODS[args.method],
                                     steps=args.steps, eta=args.eta)
     if args.out:
         with _writing("trace"):
@@ -202,17 +195,17 @@ def cmd_bilinear(args) -> int:
 def cmd_sweep(args) -> int:
     cs = [float(x) for x in args.c.split(",") if x]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    init = _parse_init(args.init)
-    insts = [bilinear.make_instance(d=args.d, c=c, seed=args.seed) for c in cs]
     if not cs or not methods:
         raise ValueError("--c and --methods each need at least one value")
     for m in methods:
-        if m not in _METHOD_ALIASES:
+        if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
+    init = _parse_init(args.init)
+    insts = [bilinear.make_instance(d=args.d, c=c, seed=args.seed) for c in cs]
     results = []
     for inst in insts:
         for method in methods:
-            trace = bilinear.run_experiment(inst, init=init, method=_METHOD_ALIASES[method],
+            trace = bilinear.run_experiment(inst, init=init, method=METHODS[method],
                                             steps=args.steps, eta=args.eta)
             if args.outdir:
                 out = Path(args.outdir)
@@ -232,18 +225,15 @@ def cmd_train(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
     cfg = merge_config(user_cfg)
-    tc, ac, rc = cfg["training"], cfg["adapter"], cfg["router"]
+    values = {_FIELD_OF_KEY.get(key, key): value
+              for section in cfg.values() for key, value in section.items()}
     for key in ("n_eval", "total_steps"):
-        if tc[key] < 1:
+        if values[key] < 1:
             raise ConfigError(f"training.{key} must be at least 1")
     schedule = pipeline.default_schedule(args.mode, seed=args.seed,
-                                         total_steps=tc["total_steps"], lr=tc["lr"])
-    pcfg = pipeline.PipelineConfig(
-        feat_dim=ac["feat_dim"], model_dim=ac["model_dim"],
-        out_dim=tc["out_dim"], local_queries=rc["local_queries"],
-        gamma=rc["gamma"], router_noise_sigma=rc["train_noise_sigma"],
-        gate_noise=ac["gate_noise"], base=tc["base"], grid=tc["grid"],
-        sizes=tuple(tc["sizes"]), n_train=tc["n_train"], n_eval=tc["n_eval"])
+                                         total_steps=values.pop("total_steps"),
+                                         lr=values.pop("lr"))
+    pcfg = pipeline.PipelineConfig(**{**values, "sizes": tuple(values["sizes"])})
     report = pipeline.train(schedule, pipeline.make_toy_task(args.seed, pcfg))
     if args.out:
         out = Path(args.out)
@@ -257,6 +247,16 @@ def cmd_train(args) -> int:
 
 
 _SEED_HELP = f"default: ${SEED_ENV_VAR}, else 0"
+
+
+def _add_rank_one_flags(p: argparse.ArgumentParser) -> None:
+    """The flags `bilinear` and `sweep` share, defaulting to the library's values."""
+    p.add_argument("--eta", type=float, default=bilinear.DEFAULT_ETA)
+    p.add_argument("--steps", type=int, default=BILINEAR_STEPS)
+    p.add_argument("--init", default="generic",
+                   help=" | ".join([*bilinear.INITS, "'alpha0,beta0'"]))
+    p.add_argument("--d", type=int, default=bilinear.DEFAULT_D)
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,23 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="alt",
                    help="gd | alt (also gd_vector for the raw-vector cross-check)")
     p.add_argument("--c", type=float, required=True, help="target alignment a.b")
-    p.add_argument("--eta", type=float, default=BILINEAR_ETA)
-    p.add_argument("--steps", type=int, default=BILINEAR_STEPS)
-    p.add_argument("--init", default="generic",
-                   help="generic | antisym | sym | 'alpha0,beta0'")
-    p.add_argument("--d", type=int, default=BILINEAR_D)
-    p.add_argument("--seed", type=int, help=_SEED_HELP)
+    _add_rank_one_flags(p)
     p.add_argument("--out", help="write the per-step CSV trace here")
     p.set_defaults(func=cmd_bilinear)
 
     p = sub.add_parser("sweep", help="grid of factorization runs, JSON summary")
     p.add_argument("--c", required=True, help="comma-separated alignment values")
     p.add_argument("--methods", default="gd,alt")
-    p.add_argument("--eta", type=float, default=BILINEAR_ETA)
-    p.add_argument("--steps", type=int, default=BILINEAR_STEPS)
-    p.add_argument("--init", default="generic")
-    p.add_argument("--d", type=int, default=BILINEAR_D)
-    p.add_argument("--seed", type=int, help=_SEED_HELP)
+    _add_rank_one_flags(p)
     p.add_argument("--outdir", help="optional directory for per-run traces")
     p.set_defaults(func=cmd_sweep)
 
@@ -307,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="config defaults (unknown keys are rejected):\n"
                + json.dumps(TRAIN_CONFIG, indent=2))
-    p.add_argument("--mode", required=True,
-                   choices=["alternating", "e2e", "only_global", "only_local"])
+    p.add_argument("--mode", required=True, choices=pipeline.STAGE_PLANS)
     p.add_argument("--seed", type=int, help=_SEED_HELP)
     p.add_argument("--config", help="JSON config; unknown keys are rejected")
     p.add_argument("--out", help="directory for the report CSV and summary JSON")

@@ -120,8 +120,8 @@ def fd_grad_check(f, analytic_grad, point, step: float = 1e-5) -> float:
     returns the worst |difference| / max(1, |analytic|) over coordinates; the
     mixed denominator keeps the check meaningful near zero gradients.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError("step must be positive and finite")
     point = np.asarray(point, dtype=np.float64).ravel()
     grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
     if point.shape != grad.shape:

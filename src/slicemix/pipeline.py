@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .numerics import make_rng
 from .routing import RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
 from .routing import route_tokens  # noqa: F401
-from .slicing import extract_patches, make_global_view, plan_partition, resize_bilinear
+from .slicing import MAX_GRID, extract_patches, make_global_view, plan_partition, resize_bilinear
 
 __all__ = [
     "PipelineConfig",
@@ -66,6 +67,20 @@ __all__ = [
 
 PARAM_GROUPS = ("adapter", "local", "readout")
 FORWARD_MODES = ("full", "global_only", "local_only")
+DEFAULT_TOTAL_STEPS = 240
+DEFAULT_LR = 0.25
+
+# (label, forward mode, trainable groups) per stage, for each training mode
+STAGE_PLANS = MappingProxyType({
+    "alternating": (
+        ("I", "global_only", frozenset({"adapter"})),
+        ("II", "full", frozenset({"local"})),
+        ("III", "full", frozenset({"adapter", "local", "readout"})),
+    ),
+    "e2e": (("e2e", "full", frozenset({"adapter", "local", "readout"})),),
+    "only_global": (("only_global", "global_only", frozenset({"adapter", "readout"})),),
+    "only_local": (("only_local", "local_only", frozenset({"local", "readout"})),),
+})
 
 
 @dataclass(frozen=True)
@@ -74,12 +89,12 @@ class PipelineConfig:
     model_dim: int = 8         # readout-space width
     out_dim: int = 4
     local_queries: int = 4
-    gamma: float = 0.75
-    router_noise_sigma: float = 0.1
+    gamma: float = RouterConfig.gamma
+    router_noise_sigma: float = RouterConfig.train_noise_sigma
     gate_noise: bool = True
     base: int = 96             # tile side in pixels
     grid: int = 3              # feature cells per tile side
-    max_grid: int = 6
+    max_grid: int = MAX_GRID
     sizes: tuple[int, ...] = (96, 128, 160, 192, 224, 256, 288)
     n_train: int = 20
     n_eval: int = 10
@@ -89,6 +104,10 @@ class PipelineConfig:
                      "grid", "max_grid", "n_train"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.n_eval < 0:
+            raise ValueError("n_eval must be non-negative")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError("sizes must be non-empty and each size at least 1")
         if self.base % self.grid != 0:
             raise ValueError("tile side must be divisible by the cell grid")
         # the router's own checks, run here so a bad value fails before any work
@@ -379,8 +398,8 @@ def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Training recipe: stage count is fixed by the mode (3 for alternating,
-    1 otherwise); steps and learning rates are per stage."""
+    """Training recipe: a step count and a learning rate for each stage of
+    the mode's plan in STAGE_PLANS."""
 
     mode: str
     steps: tuple[int, ...]
@@ -397,27 +416,15 @@ class StageSchedule:
             raise ValueError("learning rates must be positive and finite")
 
 
-def stage_plan(mode: str) -> list[tuple[str, str, frozenset]]:
-    """(label, forward mode, trainable groups) per stage."""
-    plans = {
-        "alternating": [
-            ("I", "global_only", frozenset({"adapter"})),
-            ("II", "full", frozenset({"local"})),
-            ("III", "full", frozenset({"adapter", "local", "readout"})),
-        ],
-        "e2e": [("e2e", "full", frozenset({"adapter", "local", "readout"}))],
-        "only_global": [("only_global", "global_only",
-                         frozenset({"adapter", "readout"}))],
-        "only_local": [("only_local", "local_only",
-                        frozenset({"local", "readout"}))],
-    }
-    if mode not in plans:
+def stage_plan(mode: str) -> tuple[tuple[str, str, frozenset], ...]:
+    """The mode's (label, forward mode, trainable groups) per stage."""
+    if mode not in STAGE_PLANS:
         raise ValueError(f"unknown training mode '{mode}'")
-    return plans[mode]
+    return STAGE_PLANS[mode]
 
 
-def default_schedule(mode: str, seed: int = 0, total_steps: int = 240,
-                     lr: float = 0.25) -> StageSchedule:
+def default_schedule(mode: str, seed: int = 0, total_steps: int = DEFAULT_TOTAL_STEPS,
+                     lr: float = DEFAULT_LR) -> StageSchedule:
     n = len(stage_plan(mode))
     per = total_steps // n
     steps = tuple([per] * (n - 1) + [total_steps - per * (n - 1)])
@@ -463,26 +470,24 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
         raise ValueError("training needs a task with at least one eval sample")
     params = init_params(task, schedule.seed)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
+    # one (stage, learning rate) entry per step
+    plan = [(stage, lr) for stage, n_steps, lr in zip(stage_plan(schedule.mode),
+                                                      schedule.steps, schedule.lr)
+            for _ in range(n_steps)]
     rows: list[tuple[int, str, float]] = []
     diverged = False
-    step_idx = 0
     # a diverging run overflows before the flag trips; keep that path quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for (label, fmode, groups), n_steps, lr in zip(stage_plan(schedule.mode),
-                                                       schedule.steps, schedule.lr):
-            for _ in range(n_steps):
-                loss_val, grads = batch_loss_and_grads(task.train_set, params, task,
-                                                       fmode, rng=noise_rng)
-                rows.append((step_idx, label, loss_val))
-                step_idx += 1
-                if not np.isfinite(loss_val):
-                    diverged = True
-                    break
-                parr, garr = params_arrays(params), params_arrays(grads)
-                for group in groups:
-                    parr[group] -= lr * garr[group]
-            if diverged:
+        for step, ((label, fmode, groups), lr) in enumerate(plan):
+            loss_val, grads = batch_loss_and_grads(task.train_set, params, task,
+                                                   fmode, rng=noise_rng)
+            rows.append((step, label, loss_val))
+            if not np.isfinite(loss_val):
+                diverged = True
                 break
+            parr, garr = params_arrays(params), params_arrays(grads)
+            for group in groups:
+                parr[group] -= lr * garr[group]
         final_eval = evaluate(params, task, "full")
         only_global = evaluate(params, task, "global_only")
         only_local = evaluate(params, task, "local_only")

@@ -1,6 +1,7 @@
 """Command-line surface: JSON-only stdout, exit codes, config validation,
 and byte-identical reruns."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from slicemix import bilinear as bl
 from slicemix import cli
+from slicemix import pipeline as pl
 from slicemix.cli import (
     EXIT_DIVERGED,
     EXIT_USAGE,
@@ -175,6 +178,19 @@ class TestSweepCommand:
                                capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("args, needle", [
+        (["--c", "0.1,0.2,0.3,0.4", "--methods", "gd,newton"], "unknown method 'newton'"),
+        (["--c", ","], "--c and --methods each need at least one value"),
+        (["--c", "0.1", "--methods", ","], "--c and --methods each need at least one value"),
+    ], ids=["unknown-method", "no-c", "no-methods"])
+    def test_arguments_checked_before_any_instance(self, args, needle, monkeypatch, capsys):
+        # at --d 4096 each instance is a dense 128 MiB target
+        built = []
+        monkeypatch.setattr(bl, "make_instance", lambda **kwargs: built.append(kwargs))
+        code, out, err = run_cli(["sweep", "--d", "4096", *args], capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", f"sweep: {needle}\n")
+        assert built == []
+
 
 class TestTrainCommand:
     def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys):
@@ -203,6 +219,60 @@ class TestTrainCommand:
         assert report.startswith("step,stage,loss\n")
         summary = json.loads((out_dir / "summary_alternating_seed2.json").read_text())
         assert summary["final_eval"] == doc["final_eval"]
+
+
+def _option(command, flag):
+    """The argparse action behind one subcommand's flag."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return commands.choices[command]._option_string_actions[flag]
+
+
+class TestLibraryDefaults:
+    """Every default and name the CLI offers is read from the library."""
+
+    @pytest.mark.parametrize("mode", list(pl.STAGE_PLANS))
+    def test_empty_config_trains_the_library_defaults(self, mode, tmp_path, monkeypatch,
+                                                      capsys):
+        seen = []
+
+        def train(schedule, task):
+            seen.append((schedule, task.cfg))
+            return pl.RunReport(mode=schedule.mode, seed=schedule.seed, steps=[],
+                                final_eval=0.0, only_global_eval=0.0, only_local_eval=0.0,
+                                config={})
+        monkeypatch.setattr(pl, "train", train)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        code, _, _ = run_cli(["train", "--mode", mode, "--seed", "3", "--config", str(cfg)],
+                             capsys)
+        assert code == 0
+        assert seen == [(pl.default_schedule(mode, 3), pl.PipelineConfig())]
+
+    def test_mode_choices_are_the_stage_table(self):
+        assert list(_option("train", "--mode").choices) == list(pl.STAGE_PLANS)
+
+    @pytest.mark.parametrize("command", ["bilinear", "sweep"])
+    def test_rank_one_defaults_are_the_library_defaults(self, command):
+        args = build_parser().parse_args([command, "--c", "0.5"])
+        assert args.d == bl.DEFAULT_D == inspect.signature(bl.make_instance).parameters["d"].default
+        assert args.eta == bl.DEFAULT_ETA == \
+            inspect.signature(bl.run_experiment).parameters["eta"].default
+        assert _option(command, "--init").help == "generic | antisym | sym | 'alpha0,beta0'"
+        assert list(bl.INITS) == ["generic", "antisym", "sym"]
+
+    def test_methods_are_the_library_methods_plus_alt(self, capsys):
+        names = sorted({*bl.METHODS, "alt"})
+        assert sorted(cli.METHODS) == names
+        for name in names:
+            code, _, _ = run_cli(["bilinear", "--method", name, "--c", "0.5", "--steps", "2"],
+                                 capsys)
+            assert code == 0, name
+        code, out, _ = run_cli(["sweep", "--c", "0.5", "--steps", "2",
+                                "--methods", ",".join(names)], capsys)
+        assert code == 0 and len(json.loads(out)) == len(names)
+        for name in ["newton", "Alt", "alternate"]:
+            assert run_cli(["bilinear", "--method", name, "--c", "0.5"], capsys)[0] == EXIT_USAGE
+            assert run_cli(["sweep", "--methods", name, "--c", "0.5"], capsys)[0] == EXIT_USAGE
 
 
 class TestConfigMerge:

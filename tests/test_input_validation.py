@@ -273,6 +273,10 @@ class TestConfigRanges:
     @pytest.mark.parametrize("kwargs, needle", [
         ({"grid": 0}, "grid"), ({"max_grid": 0}, "max_grid"),
         ({"local_queries": 0}, "local_queries"), ({"base": -96}, "base"),
+        # a negative n_eval built a task with no eval set; an empty or
+        # non-positive size failed inside numpy or resize_bilinear
+        ({"n_eval": -1}, "n_eval"), ({"sizes": ()}, "sizes"), ({"sizes": (0,)}, "sizes"),
+        ({"sizes": (96, -128)}, "sizes"),
     ])
     def test_pipeline_config_rejects(self, kwargs, needle):
         with pytest.raises(ValueError, match=needle):

@@ -173,6 +173,12 @@ class TestFdGradCheck:
         with pytest.raises(ValueError):
             fd_grad_check(lambda v: 0.0, np.zeros(1), np.zeros(1), step=0.0)
 
+    @pytest.mark.parametrize("step", [-1e-5, math.nan, math.inf, -math.inf])
+    def test_rejects_step_that_is_not_positive_and_finite(self, step):
+        # a NaN step returned 0.0 for a function that ignores its input
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            fd_grad_check(lambda v: 0.0, np.zeros(1), np.zeros(1), step=step)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             fd_grad_check(lambda v: float("nan"), np.zeros(1), np.zeros(1))
