@@ -58,6 +58,7 @@ GD_BLOCK_ROWS = 4096   # rows of the float recurrence per block
 CSV_CHUNK_ROWS = 4096  # rows formatted per joined chunk of Trace.to_csv
 DEFAULT_D = 16
 DEFAULT_ETA = 0.01
+DEFAULT_INIT = "generic"
 
 INITS = {
     "generic": (0.9, 0.1),
@@ -362,7 +363,7 @@ METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
            "alternating": _alternating_blocks}
 
 
-def run_experiment(inst: BilinearInstance, init="generic",
+def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
                    method: str = "alternating", steps: int = 1000,
                    eta: float = DEFAULT_ETA, stop_tol: float | None = 1e-6,
                    stop_window: int = 100) -> Trace:

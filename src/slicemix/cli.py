@@ -201,18 +201,20 @@ def cmd_sweep(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
     init = _parse_init(args.init)
-    insts = [bilinear.make_instance(d=args.d, c=c, seed=args.seed) for c in cs]
-    results = []
-    for inst in insts:
+    results, traces = [], []
+    for c in cs:
+        inst = bilinear.make_instance(d=args.d, c=c, seed=args.seed)
         for method in methods:
             trace = bilinear.run_experiment(inst, init=init, method=METHODS[method],
                                             steps=args.steps, eta=args.eta)
-            if args.outdir:
-                out = Path(args.outdir)
-                with _writing("traces"):
-                    out.mkdir(parents=True, exist_ok=True)
-                    (out / f"trace_{method}_c{inst.c}.csv").write_text(trace.to_csv())
             results.append(trace.summary())
+            if args.outdir:   # written once every run is done, so a bad later --c writes none
+                traces.append((Path(args.outdir) / f"trace_{method}_c{inst.c}.csv", trace))
+        del inst   # free this dense d x d target before the next one is built
+    with _writing("traces"):
+        for path, trace in traces:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(trace.to_csv())
     _emit(results)
     return EXIT_DIVERGED if any(r["classification"] == "diverged" for r in results) else EXIT_OK
 
@@ -253,7 +255,7 @@ def _add_rank_one_flags(p: argparse.ArgumentParser) -> None:
     """The flags `bilinear` and `sweep` share, defaulting to the library's values."""
     p.add_argument("--eta", type=float, default=bilinear.DEFAULT_ETA)
     p.add_argument("--steps", type=int, default=BILINEAR_STEPS)
-    p.add_argument("--init", default="generic",
+    p.add_argument("--init", default=bilinear.DEFAULT_INIT,
                    help=" | ".join([*bilinear.INITS, "'alpha0,beta0'"]))
     p.add_argument("--d", type=int, default=bilinear.DEFAULT_D)
     p.add_argument("--seed", type=int, help=_SEED_HELP)

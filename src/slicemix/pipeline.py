@@ -94,14 +94,14 @@ class PipelineConfig:
     gate_noise: bool = True
     base: int = 96             # tile side in pixels
     grid: int = 3              # feature cells per tile side
-    max_grid: int = MAX_GRID
     sizes: tuple[int, ...] = (96, 128, 160, 192, 224, 256, 288)
     n_train: int = 20
     n_eval: int = 10
+    max_grid = MAX_GRID        # not a field: tilings range over slicing's grid options
 
     def __post_init__(self):
-        for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base",
-                     "grid", "max_grid", "n_train"):
+        for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base", "grid",
+                     "n_train"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.n_eval < 0:
@@ -265,7 +265,7 @@ class ForwardCache:
     runs VJP arithmetic (see moe_apply for the gate sample) and draws nothing."""
 
     gate_sample: GateSample | None
-    selection: RouterSelection | None   # the first image's; None in global_only
+    selection: RouterSelection | None   # the first image's; None in global_only or pinned
     patches: QFormerActivations | None
     order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order,
     kept: np.ndarray | None             # and the mask of its kept slots; None in global_only
@@ -294,7 +294,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
         raise ValueError(f"unknown forward mode '{mode}'")
     n, d, cfg = len(views), params.readout.shape[0], task.cfg
     starts = offsets * params.qf_local.n_queries     # each image's first local token
-    gate_s = patches = eps = noise = None
+    gate_s = patches = eps = noise = sel = None
     gate_draws = 2 if (mode != "local_only" and rng is not None
                        and params.gate.noise_enabled) else 0
     route_draws = 1 if (mode != "global_only" and rng is not None and fixed_selections is None
@@ -307,7 +307,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
         eps = draws[gate_at] if gate_draws else None
         noise = cfg.router_noise_sigma * np.delete(draws, gate_at) if route_draws else None
     if mode == "global_only":
-        sel, order, n_kept, kept = None, None, np.zeros(n, dtype=np.intp), None
+        order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
     else:
         patches = qformer_apply(patch_tokens, params.qf_local)
         local = patches.out.reshape(-1, d)
@@ -316,7 +316,6 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
             _, order, n_kept, kept = cut
             sel = image_selection(cut, starts, 0, cfg.gamma)
         else:
-            sel = fixed_selections[0]
             order, n_kept, kept = pinned_cut(fixed_selections, starts)
     if mode == "local_only":
         g_out = np.empty((n, 0, d))

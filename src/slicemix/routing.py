@@ -100,15 +100,18 @@ def _padded(flat: np.ndarray, real: np.ndarray, fill: float) -> np.ndarray:
     return out
 
 
-def _kept_counts(cum: np.ndarray, gamma: float, n_tokens) -> np.ndarray:
-    """Tokens kept per row of cumulative sorted score mass: up to the first to
-    reach gamma, or all if none does. Scores are non-negative, so the mass
-    never falls and the entries short of gamma all come first. Gamma = 1
-    keeps all: the mass can round to 1 before a tail too small to move it."""
+def _cut(scores: np.ndarray, key: np.ndarray, n_tokens, gamma: float):
+    """Sort each row of (B, K) non-negative scores by ascending key, ties keeping
+    the lower index first; return the orders, the running masses and how many
+    tokens each row keeps: up to the first to reach gamma (the mass never falls,
+    so all short of it come first), or all if none does or gamma = 1, as the mass
+    can round to 1 before a tail too small to move it."""
     _check_gamma(gamma)
+    order = key.argsort(axis=1, kind="stable")
+    cum = scores[np.arange(len(key))[:, None], order].cumsum(axis=1)
     if gamma == 1.0:
-        return n_tokens
-    return np.minimum((cum < gamma).sum(axis=-1, initial=1), n_tokens)
+        return order, cum, n_tokens
+    return order, cum, np.minimum((cum < gamma).sum(axis=1, initial=1), n_tokens)
 
 
 def route_batch(z_v, starts, z_x, gamma: float, noise=None):
@@ -148,10 +151,8 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     # padding adds exact zeros after a row's tokens, so its running total ends on theirs
     scores /= scores.cumsum(axis=1)[:, -1:]
     key = -scores if noise is None else np.negative(scores + _padded(noise, real, -np.inf))
-    order = key.argsort(axis=1, kind="stable")        # ties keep the lower index first
     # padding slots come last and weigh exactly zero
-    cum = scores[np.arange(len(lens))[:, None], order].cumsum(axis=1)
-    n_kept = _kept_counts(cum, gamma, counts)
+    order, _, n_kept = _cut(scores, key, counts, gamma)
     most = max(n_kept.tolist())
     return scores, order[:, :most] + starts[:-1, None], n_kept, slots[:most] < n_kept[:, None]
 
@@ -184,19 +185,14 @@ def pinned_cut(selections, starts):
 
 def select_prefix(scores: np.ndarray, gamma: float):
     """Shortest prefix of the tokens, in descending order of score, whose
-    non-negative score mass reaches gamma.
-
-    The cut is inclusive: the token whose addition reaches gamma is kept.
-    Every token is kept at gamma = 1, however the running mass rounds, and
-    whenever the total mass falls short of gamma.
-    """
+    non-negative score mass reaches gamma: route_batch's cut on one row. The
+    token that reaches gamma is kept, and every token at gamma = 1, however the
+    running mass rounds, or whenever the total mass falls short of gamma."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a non-empty 1-D vector")
-    order = np.argsort(-scores, kind="stable")  # ties keep the lower index first
-    cum = scores[order].cumsum()
-    n_kept = int(_kept_counts(cum, gamma, len(order)))
-    return order[:n_kept].astype(np.int64), float(cum[n_kept - 1])
+    order, cum, (n_kept,) = _cut(scores[None], -scores[None], [scores.size], gamma)
+    return order[0, :n_kept].astype(np.int64), float(cum[0, n_kept - 1])
 
 
 def route_tokens(z_v, z_x, cfg: RouterConfig,

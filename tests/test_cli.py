@@ -5,6 +5,7 @@ import inspect
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +192,23 @@ class TestSweepCommand:
         assert (code, out, err) == (EXIT_USAGE, "", f"sweep: {needle}\n")
         assert built == []
 
+    def test_one_instance_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # each instance holds a dense d x d target, so the sweep frees one
+        # before it builds the next
+        built, make = [], bl.make_instance
+
+        def tracked(**kwargs):
+            assert [ref for ref in built if ref() is not None] == []
+            inst = make(**kwargs)
+            built.append(weakref.ref(inst))
+            return inst
+        monkeypatch.setattr(bl, "make_instance", tracked)
+        code, out, _ = run_cli(["sweep", "--c", "0.1,0.2,0.3,0.4", "--methods", "gd,alt",
+                                "--d", "8", "--steps", "5", "--outdir", str(tmp_path)], capsys)
+        assert code == 0 and len(built) == 4 and len(json.loads(out)) == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"trace_{m}_c{c}.csv" for m in ("gd", "alt") for c in (0.1, 0.2, 0.3, 0.4))
+
 
 class TestTrainCommand:
     def test_unknown_config_key_exits_2_and_names_it(self, tmp_path, capsys):
@@ -257,6 +275,8 @@ class TestLibraryDefaults:
         assert args.d == bl.DEFAULT_D == inspect.signature(bl.make_instance).parameters["d"].default
         assert args.eta == bl.DEFAULT_ETA == \
             inspect.signature(bl.run_experiment).parameters["eta"].default
+        assert args.init == bl.DEFAULT_INIT == "generic" == \
+            inspect.signature(bl.run_experiment).parameters["init"].default
         assert _option(command, "--init").help == "generic | antisym | sym | 'alpha0,beta0'"
         assert list(bl.INITS) == ["generic", "antisym", "sym"]
 
@@ -391,7 +411,7 @@ class TestScipyStaysUnloaded:
             "xs = np.linspace(-6.0, 6.0, 101)\n"
             "y, dy = numerics.gelu(xs), numerics.gelu_grad(xs)\n"
             "from scipy.special import erf\n"
-            "assert numerics._erf is erf\n"
+            "assert numerics._erf() is erf\n"
             "cdf = 0.5 * (1.0 + erf(xs / np.sqrt(2.0)))\n"
             "assert np.array_equal(y, 0.5 * xs * (1.0 + erf(xs / np.sqrt(2.0))))\n"
             "pdf = np.exp(-0.5 * xs * xs) / np.sqrt(2.0 * np.pi)\n"

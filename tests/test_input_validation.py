@@ -13,7 +13,7 @@ from slicemix import bilinear as bl
 from slicemix import pipeline as pl
 from slicemix.cli import (EXIT_DIVERGED, EXIT_USAGE, SEED_ENV_VAR, ConfigError, main,
                           merge_config, write_matrix)
-from slicemix.slicing import plan_partition
+from slicemix.slicing import MAX_GRID, plan_partition
 
 
 def run_cli(args, capsys):
@@ -103,6 +103,9 @@ class TestTrajectoryInputs:
     @pytest.mark.parametrize("extra, needle", [
         (["--steps", "-1"], "steps must be non-negative"),
         (["--eta", "0"], "step size must be positive"),
+        # this --c replaces the first: c = 0.5 runs before 1.5 is rejected, and
+        # no trace is written until every run is done
+        (["--c", "0.5,1.5"], "c must lie in (-1, 1)"),
     ])
     def test_sweep_run_errors_exit_2(self, extra, needle, tmp_path, capsys):
         outdir = tmp_path / "traces"
@@ -229,6 +232,7 @@ class TestTrainConfig:
     def test_max_grid_is_not_a_config_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'slicing'"):
             merge_config({"slicing": {"max_grid": 1}})
+        assert pl.PipelineConfig.max_grid == MAX_GRID
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": -0.5}, {"gamma": 1.5}, {"gamma": math.nan},
@@ -279,7 +283,9 @@ class TestConfigRanges:
         ({"sizes": (96, -128)}, "sizes"),
     ])
     def test_pipeline_config_rejects(self, kwargs, needle):
-        with pytest.raises(ValueError, match=needle):
+        # max_grid is slicing's class constant, not a field to set
+        error = TypeError if "max_grid" in kwargs else ValueError
+        with pytest.raises(error, match=needle):
             pl.PipelineConfig(**kwargs)
 
 

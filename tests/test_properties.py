@@ -75,7 +75,31 @@ def ragged_batches(draw):
     return tokens, np.array([0, *accumulate(lens)]), text
 
 
+@st.composite
+def logit_batches(draw):
+    """1-8 images of 1-60 tokens, one feature wide, against a text of one 1.0:
+    each token's similarity is its logit, a value in [-1, 1] scaled by up to
+    50, so an image's score mass may sit on one token or spread over all."""
+    lens = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
+    scale = draw(st.floats(min_value=0.0, max_value=50.0))
+    logits = draw(hnp.arrays(np.float64, (sum(lens), 1),
+                             elements=st.floats(min_value=-1.0, max_value=1.0)))
+    return scale * logits, np.array([0, *accumulate(lens)]), np.ones((1, 1))
+
+
 class TestRouteBatch:
+    @properties
+    @given(logit_batches(), gammas | st.just(1.0))
+    def test_each_row_is_select_prefix_on_its_scores(self, batch, gamma):
+        # the batch and the one-vector paths share one cut, bit for bit
+        tokens, starts, text = batch
+        cut = scores, rows, n_kept, _ = route_batch(tokens, starts, text, gamma)
+        for i in range(len(starts) - 1):
+            kept, cum = select_prefix(scores[i, :starts[i + 1] - starts[i]], gamma)
+            assert n_kept[i] == len(kept)
+            assert np.array_equal(rows[i, :n_kept[i]] - starts[i], kept)
+            assert cum == image_selection(cut, starts, i, gamma).cumulative_at_cut
+
     @properties
     @given(ragged_batches(), gammas | st.just(1.0),
            st.none() | st.integers(min_value=0, max_value=2**32 - 1))
