@@ -43,6 +43,7 @@ __all__ = [
     "qformer_vjp",
     "gate_weights",
     "gate_sample",
+    "global_experts",
     "moe_apply",
     "adapter_grads",
 ]
@@ -229,24 +230,29 @@ def gate_weights(pooled, p: GateParams,
     return gate_sample(pooled, p, rng).weights
 
 
+def global_experts(tokens, mlp: MlpParams, qf: QFormerParams):
+    """Both experts' forward pass: the (MlpActivations, QFormerActivations) moe_apply mixes."""
+    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
+    if qf.n_queries != t.shape[-2]:
+        raise ValueError("global expert shape mismatch")
+    return mlp_apply(t, mlp), qformer_apply(t, qf)
+
+
 def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
-              rng: np.random.Generator | None = None, eps=None):
+              rng: np.random.Generator | None = None, eps=None, experts=None):
     """Soft two-expert mixture; returns (output, gate sample).
 
     The gate sees the column mean of the tokens, so one weight pair applies
     to the whole image (one pair per image of a stack); `eps` goes to
     gate_sample. The gate sample also carries both experts' saved
-    activations for adapter_grads.
+    activations for adapter_grads. `experts`, global_experts' result on
+    these tokens and parameters, stands in for the experts' forward pass.
     """
-    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
-    if qf.n_queries != t.shape[-2]:
-        raise ValueError("global expert shape mismatch")
-    sample = gate_sample(t.sum(axis=-2) / t.shape[-2], gate, rng, eps)
-    sample.mlp = mlp_apply(t, mlp)
-    sample.qformer = qformer_apply(t, qf)
+    m, q = global_experts(tokens, mlp, qf) if experts is None else experts
+    sample = gate_sample(m.tokens.sum(axis=-2) / m.tokens.shape[-2], gate, rng, eps)
+    sample.mlp, sample.qformer = m, q
     g = sample.weights.T[..., None, None]   # one scale per expert and image
-    out = g[0] * sample.mlp.out + g[1] * sample.qformer.out
-    return out, sample
+    return g[0] * m.out + g[1] * q.out, sample
 
 
 def _sigmoid(x):

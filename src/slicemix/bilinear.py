@@ -32,6 +32,7 @@ __all__ = [
     "BilinearInstance",
     "BilinearState",
     "Trace",
+    "check_instance",
     "make_instance",
     "coords_of",
     "eigen_coords",
@@ -45,6 +46,7 @@ __all__ = [
     "gd_coord_step",
     "alt_step",
     "best_rank1_loss_svd",
+    "check_run",
     "run_experiment",
     "METHODS",
     "INITS",
@@ -117,12 +119,17 @@ class BilinearState:
                    alpha=alpha, beta=beta, tau=tau, nu=nu, eta=eta)
 
 
-def make_instance(d: int = DEFAULT_D, c: float = 0.5, seed: int = 0) -> BilinearInstance:
-    """Random unit a plus a Gram-Schmidt-mixed unit b with a.b = c exactly."""
+def check_instance(d: int, c: float) -> None:
+    """make_instance's check of its arguments, for a caller that checks before it builds."""
     if not -1.0 < c < 1.0:
         raise ValueError("c must lie in (-1, 1)")
     if not 2 <= d <= 4096:
         raise ValueError("dimension must lie in [2, 4096], as the target is dense d x d")
+
+
+def make_instance(d: int = DEFAULT_D, c: float = 0.5, seed: int = 0) -> BilinearInstance:
+    """Random unit a plus a Gram-Schmidt-mixed unit b with a.b = c exactly."""
+    check_instance(d, c)
     rng = make_rng(seed)
     a = rng.standard_normal(d)
     a = a / np.linalg.norm(a)
@@ -363,6 +370,17 @@ METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
            "alternating": _alternating_blocks}
 
 
+def check_run(method: str, steps: int, eta: float, stop_window: int = 100) -> None:
+    """run_experiment's checks of its step count, window and step size, for a
+    caller that checks before it runs."""
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if stop_window < 1:
+        raise ValueError("stop_window must be at least 1")
+    if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
+        raise ValueError("step size must be positive and finite")
+
+
 def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
                    method: str = "alternating", steps: int = 1000,
                    eta: float = DEFAULT_ETA, stop_tol: float | None = 1e-6,
@@ -382,12 +400,7 @@ def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
     < stop_tol (t is reported as steps_to_converge). Overflow within a run
     raises no numpy warning: the divergence stop reports it.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if stop_window < 1:
-        raise ValueError("stop_window must be at least 1")
-    if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
-        raise ValueError("step size must be positive and finite")
+    check_run(method, steps, eta, stop_window)
     alpha0, beta0 = resolve_init(init)
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")

@@ -74,9 +74,12 @@ def default_seed() -> int:
     if not value:
         return 0
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{SEED_ENV_VAR} must be non-negative, got {value!r}")
+    return seed
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -201,20 +204,25 @@ def cmd_sweep(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
     init = _parse_init(args.init)
-    results, traces = [], []
+    # every instance and run is checked first, so a bad later one writes no trace
+    for c in cs:
+        bilinear.check_instance(args.d, c)
+    for m in methods:
+        bilinear.check_run(METHODS[m], args.steps, args.eta)
+    results = []
     for c in cs:
         inst = bilinear.make_instance(d=args.d, c=c, seed=args.seed)
         for method in methods:
             trace = bilinear.run_experiment(inst, init=init, method=METHODS[method],
                                             steps=args.steps, eta=args.eta)
             results.append(trace.summary())
-            if args.outdir:   # written once every run is done, so a bad later --c writes none
-                traces.append((Path(args.outdir) / f"trace_{method}_c{inst.c}.csv", trace))
+            if args.outdir:   # written and freed at once, so traces never pile up
+                with _writing("traces"):
+                    Path(args.outdir).mkdir(parents=True, exist_ok=True)
+                    (Path(args.outdir) / f"trace_{method}_c{inst.c}.csv").write_text(
+                        trace.to_csv())
+            del trace
         del inst   # free this dense d x d target before the next one is built
-    with _writing("traces"):
-        for path, trace in traces:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(trace.to_csv())
     _emit(results)
     return EXIT_DIVERGED if any(r["classification"] == "diverged" for r in results) else EXIT_OK
 
@@ -314,6 +322,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in args and args.seed is None:
             args.seed = default_seed()
+        elif "seed" in args and args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

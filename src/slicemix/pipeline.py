@@ -32,6 +32,7 @@ from .adapters import (
     QFormerActivations,
     QFormerParams,
     adapter_grads,
+    global_experts,
     init_gate,
     init_mlp,
     init_qformer,
@@ -275,25 +276,35 @@ class ForwardCache:
     pred: np.ndarray                    # (B, out_dim)
 
 
-def _stack(samples):
-    """A batch's global views, all its patches in one stack, and image offsets."""
+@dataclass
+class _Batch:
+    views: np.ndarray              # (B, grid^2, feat_dim) global views
+    patch_tokens: np.ndarray       # every image's patches in one stack
+    offsets: np.ndarray            # (B + 1,) each image's first patch, then the total
+    targets: np.ndarray | None = None
+    experts: tuple | None = None   # global_experts on the views while the adapter is frozen
+
+
+def _stack(samples) -> _Batch:
+    """The samples stacked once, for every pass over them."""
     if not samples:
         raise ValueError("a batch needs at least one sample")
-    return (np.array([s.global_tokens for s in samples]),
-            np.concatenate([s.patch_tokens for s in samples]),
-            np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]))
+    return _Batch(np.array([s.global_tokens for s in samples]),
+                  np.concatenate([s.patch_tokens for s in samples]),
+                  np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]),
+                  np.array([s.target for s in samples]))
 
 
-def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: ToyTask,
+def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
                    mode: str, rng=None, fixed_selections=None) -> ForwardCache:
-    """A batch, stacked as _stack returns it, through the pipeline in one pass.
-    One normal draw covers the batch's noise, laid out per image as its gate
-    pair, then one router draw per compressed local token, so a generator
-    advances as over the images one by one."""
+    """A batch through the pipeline in one pass. One normal draw covers the
+    batch's noise, laid out per image as its gate pair, then one router draw
+    per compressed local token, so a generator advances as over the images
+    one by one."""
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode '{mode}'")
-    n, d, cfg = len(views), params.readout.shape[0], task.cfg
-    starts = offsets * params.qf_local.n_queries     # each image's first local token
+    views, n, d, cfg = batch.views, len(batch.views), params.readout.shape[0], task.cfg
+    starts = batch.offsets * params.qf_local.n_queries     # each image's first local token
     gate_s = patches = eps = noise = sel = None
     gate_draws = 2 if (mode != "local_only" and rng is not None
                        and params.gate.noise_enabled) else 0
@@ -309,7 +320,7 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     if mode == "global_only":
         order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
     else:
-        patches = qformer_apply(patch_tokens, params.qf_local)
+        patches = qformer_apply(batch.patch_tokens, params.qf_local)
         local = patches.out.reshape(-1, d)
         if fixed_selections is None:
             cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise)
@@ -320,7 +331,8 @@ def _forward_batch(views, patch_tokens, offsets, params: PipelineParams, task: T
     if mode == "local_only":
         g_out = np.empty((n, 0, d))
     else:
-        g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate, eps=eps)
+        g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate, eps=eps,
+                                  experts=batch.experts)
     # each image's global rows, then its kept local rows in keeping order,
     # zero-padded to the most any image keeps: the zeros add nothing, so each
     # sum is bitwise a lone image's
@@ -344,22 +356,24 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
     With a generator the gate noise and router sort noise are live (training
     mode); without one the pass is deterministic (evaluation mode).
     """
-    cache = _forward_batch(sample.global_tokens[None], sample.patch_tokens,
-                           np.array([0, len(sample.patch_tokens)]), params, task, mode, rng)
+    batch = _Batch(sample.global_tokens[None], sample.patch_tokens,
+                   np.array([0, len(sample.patch_tokens)]))
+    cache = _forward_batch(batch, params, task, mode, rng)
     return cache.pred[0], cache
 
 
 def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
-              grads: PipelineParams) -> None:
-    """Add the batch's parameter gradients, given dL/dpred per image, into `grads`."""
-    grads.readout += cache.pooled.T @ dpred
+              grads: PipelineParams, groups) -> None:
+    """Add the batch's gradients of `groups`, given dL/dpred per image, into `grads`."""
+    if "readout" in groups:
+        grads.readout += cache.pooled.T @ dpred
     drow = (dpred @ params.readout.T) / cache.n_rows[:, None]
-    if cache.gate_sample is not None:
+    if cache.gate_sample is not None and "adapter" in groups:
         g = cache.gate_sample
         adapter_grads(params.mlp, params.qf_global, params.gate,
                       np.broadcast_to(drow[:, None, :], g.mlp.out.shape), g,
                       (grads.mlp, grads.qf_global, grads.gate))
-    if cache.patches is not None:
+    if cache.patches is not None and "local" in groups:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
         dlocal.reshape(-1, drow.shape[1])[cache.order[cache.kept]] = drow.repeat(
@@ -368,19 +382,21 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
 
 
 def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
-                         mode: str = "full", rng=None, fixed_selections=None):
-    """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients.
+                         mode: str = "full", rng=None, fixed_selections=None, groups=None):
+    """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients of
+    `groups` (names in PARAM_GROUPS; None means all); other slices stay zero.
 
     The batch runs as one stacked pass. The backward reuses the activations
     the forward saved in the ForwardCache and draws no random numbers, so
     the generator advances exactly as over the forward pass alone. Each
     image's upstream gradient is scaled by 1/B.
     """
-    cache = _forward_batch(*_stack(samples), params, task, mode, rng, fixed_selections)
-    resid = cache.pred - np.array([s.target for s in samples])
-    inv = 1.0 / len(samples)
+    batch = samples if isinstance(samples, _Batch) else _stack(samples)
+    cache = _forward_batch(batch, params, task, mode, rng, fixed_selections)
+    resid = cache.pred - batch.targets
+    inv = 1.0 / len(resid)
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
-    _backward(params, cache, inv * resid, grads)
+    _backward(params, cache, inv * resid, grads, PARAM_GROUPS if groups is None else groups)
     # each image's r @ r as a stacked row product, bitwise the 1-D dot, and a
     # cumsum that adds them left to right as a loop over the images does
     sq = (resid[:, None] @ resid[..., None])[:, 0, 0]
@@ -389,8 +405,8 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
 
 def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float:
     """Mean held-out loss with gate and router noise disabled."""
-    cache = _forward_batch(*_stack(task.eval_set), params, task, mode)
-    resid = cache.pred - np.array([s.target for s in task.eval_set])
+    batch = _stack(task.eval_set)
+    resid = _forward_batch(batch, params, task, mode).pred - batch.targets
     sq = (resid[:, None] @ resid[..., None])[:, 0, 0]   # as batch_loss_and_grads sums it
     return float(np.cumsum(0.5 * sq)[-1]) / len(task.eval_set)
 
@@ -459,15 +475,18 @@ class RunReport:
 
 
 def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
-    """Full-batch descent under the schedule's stage plan.
-
-    Stage freezes are exact: parameters outside a stage's trainable groups
-    are never touched. A non-finite loss flags the report as diverged and
-    stops training instead of raising.
+    """Full-batch descent under the schedule's stage plan, on a training set
+    stacked once per run. Each step computes only its stage's gradients:
+    stages I and II skip the readout's, and stage II also skips the
+    adapter's and runs the frozen global experts once, at its start (the
+    gate still draws fresh noise every step). Parameters outside a stage's
+    groups are never touched. A non-finite loss flags the report as diverged
+    and stops training instead of raising.
     """
     if not task.eval_set:
         raise ValueError("training needs a task with at least one eval sample")
     params = init_params(task, schedule.seed)
+    batch = _stack(task.train_set)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
     # one (stage, learning rate) entry per step
     plan = [(stage, lr) for stage, n_steps, lr in zip(stage_plan(schedule.mode),
@@ -478,8 +497,12 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
     # a diverging run overflows before the flag trips; keep that path quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for step, ((label, fmode, groups), lr) in enumerate(plan):
-            loss_val, grads = batch_loss_and_grads(task.train_set, params, task,
-                                                   fmode, rng=noise_rng)
+            if fmode == "local_only" or "adapter" in groups:
+                batch.experts = None
+            elif batch.experts is None:
+                batch.experts = global_experts(batch.views, params.mlp, params.qf_global)
+            loss_val, grads = batch_loss_and_grads(batch, params, task, fmode,
+                                                   rng=noise_rng, groups=groups)
             rows.append((step, label, loss_val))
             if not np.isfinite(loss_val):
                 diverged = True

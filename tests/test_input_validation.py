@@ -103,9 +103,10 @@ class TestTrajectoryInputs:
     @pytest.mark.parametrize("extra, needle", [
         (["--steps", "-1"], "steps must be non-negative"),
         (["--eta", "0"], "step size must be positive"),
-        # this --c replaces the first: c = 0.5 runs before 1.5 is rejected, and
-        # no trace is written until every run is done
+        # this --c replaces the first: 1.5 is rejected before c = 0.5 runs
         (["--c", "0.5,1.5"], "c must lie in (-1, 1)"),
+        # alt ignores the step size, so its run would come before gd's rejection
+        (["--methods", "alt,gd", "--eta", "0"], "step size must be positive"),
     ])
     def test_sweep_run_errors_exit_2(self, extra, needle, tmp_path, capsys):
         outdir = tmp_path / "traces"
@@ -327,6 +328,36 @@ class TestSeedEnvVar:
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
         assert [run_cli(args, capsys) for args in commands] == expected
         assert all(code == 0 for code, _, _ in expected)
+
+
+class TestNegativeSeed:
+    """A negative seed is rejected before any work, naming where it came from:
+    numpy's own message names neither the flag nor the variable."""
+
+    COMMANDS = [["bilinear", "--c", "0.5"], ["sweep", "--c", "0.5"], ["train", "--mode", "e2e"]]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bl, "make_instance", lambda **kwargs: built.append(kwargs))
+        monkeypatch.setattr(pl, "make_toy_task", lambda *args: built.append(args))
+        return built
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_flag(self, args, built, monkeypatch, capsys):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, err = run_cli(args + ["--seed", "-1"], capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", f"{args[0]}: --seed must be non-negative, "
+                                                    "got -1\n")
+        assert built == []
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_env_var(self, args, built, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "-4")
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", f"{args[0]}: {SEED_ENV_VAR} must be "
+                                                    "non-negative, got '-4'\n")
+        assert built == []
 
 
 class TestStrictJson:

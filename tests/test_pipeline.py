@@ -3,6 +3,7 @@ gradients with the selection pinned, the flat parameter store, exact stage
 freezes, determinism, and the frozen golden forward trace and training runs."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -319,7 +320,8 @@ class TestBatchedPass:
         batch = task.train_set[:n]
         assert len(batch) == n
         r_batch, r_loop, r_loss = make_rng(21), make_rng(21), make_rng(21)
-        cache = pl._forward_batch(*pl._stack(batch), params, task, mode, rng=r_batch)
+        stack = pl._stack(batch)
+        cache = pl._forward_batch(stack, params, task, mode, rng=r_batch)
         preds, sels = [], []
         for s in batch:
             pred, c = pl.forward(s, params, task, mode, rng=r_loop)
@@ -331,7 +333,7 @@ class TestBatchedPass:
         else:
             # the batch's cut, row by row, is each lone image's kept local
             # tokens shifted by the image's first row in the stack
-            starts = pl._stack(batch)[2] * params.qf_local.n_queries
+            starts = stack.offsets * params.qf_local.n_queries
             assert cache.n_kept.tolist() == [len(s.kept_indices) for s in sels]
             for rows, kept, start, want in zip(cache.order, cache.kept, starts, sels):
                 assert np.array_equal(rows[kept], start + want.kept_indices)
@@ -384,36 +386,98 @@ class TestTrain:
         assert report.steps == []
         assert np.isfinite(report.final_eval)
 
-    def test_stage_freezes_are_bitwise_exact(self):
-        # run stage I+II only and watch the frozen groups
+    def test_stage_freezes_are_bitwise_exact(self, monkeypatch):
+        # train against a reference loop that computes every group's gradient
+        # on every step and applies only the stage's groups, with gate and
+        # router noise live: the per-step losses, the report and the trained
+        # parameters agree bit for bit, so neither the skipped gradients nor
+        # frozen experts kept across a stage boundary change anything
         task = pl.make_toy_task(4)
-        sched = pl.StageSchedule(mode="alternating", steps=(5, 5, 0),
-                                 lr=(0.5, 0.5, 0.5), seed=4)
-        params = pl.init_params(task, 4)
-        before = {g: a.copy() for g, a in pl.params_arrays(params).items()}
-        # replicate the training loop's first two stages manually via train();
-        # then verify against a fresh init that stage II never touched adapter
-        report = pl.train(sched, task)
-        assert not report.diverged
-        # direct check through the internals: advance I then II with the
-        # library loop and compare snapshots around stage II
-        rng = make_rng((4 << 8) ^ 0xA17E12)
-        p = pl.init_params(task, 4)
-        for _ in range(5):  # stage I trains adapter only
-            _, g = pl.batch_loss_and_grads(task.train_set, p, task, "global_only",
-                                           rng=rng)
-            pl.params_arrays(p)["adapter"] -= 0.5 * pl.params_arrays(g)["adapter"]
-        after_one = {g: a.copy() for g, a in pl.params_arrays(p).items()}
-        for _ in range(5):  # stage II trains local only
-            _, g = pl.batch_loss_and_grads(task.train_set, p, task, "full", rng=rng)
-            pl.params_arrays(p)["local"] -= 0.5 * pl.params_arrays(g)["local"]
-        now = pl.params_arrays(p)
-        assert np.array_equal(now["adapter"], after_one["adapter"])
-        assert np.array_equal(now["readout"], after_one["readout"])
-        assert not np.array_equal(now["local"], after_one["local"])
-        # stage I must not have touched local/readout either
-        for g in ("local", "readout"):
-            assert np.array_equal(after_one[g], before[g])
+        assert task.cfg.gate_noise and task.cfg.router_noise_sigma > 0.0
+        init, trained = pl.init_params, []
+        monkeypatch.setattr(pl, "init_params",
+                            lambda *args: trained.append(init(*args)) or trained[-1])
+        for mode, steps in (("alternating", (4, 4, 4)), ("e2e", (6,))):
+            sched = pl.StageSchedule(mode, steps, (pl.DEFAULT_LR,) * len(steps), seed=4)
+            trained.clear()
+            report = pl.train(sched, task)
+            rng = make_rng((4 << 8) ^ 0xA17E12)
+            p, rows = init(task, 4), []
+            for (label, fmode, groups), n_steps, lr in zip(pl.stage_plan(mode), steps,
+                                                           sched.lr):
+                before = {g: a.copy() for g, a in pl.params_arrays(p).items()}
+                for _ in range(n_steps):
+                    loss, g = pl.batch_loss_and_grads(task.train_set, p, task, fmode, rng=rng)
+                    rows.append((len(rows), label, loss))
+                    for group in groups:
+                        pl.params_arrays(p)[group] -= lr * pl.params_arrays(g)[group]
+                # the stage moved exactly its own groups
+                for group, now in pl.params_arrays(p).items():
+                    assert np.array_equal(now, before[group]) == (group not in groups)
+            assert report == dataclasses.replace(
+                report, steps=rows, final_eval=pl.evaluate(p, task, "full"),
+                only_global_eval=pl.evaluate(p, task, "global_only"),
+                only_local_eval=pl.evaluate(p, task, "local_only"), diverged=False)
+            assert len(trained) == 1 and trained[0].buffer.tobytes() == p.buffer.tobytes()
+
+    @pytest.mark.parametrize("mode, steps, adapter_vjps, expert_passes", [
+        ("alternating", (0, 5, 0), 0, 1),
+        ("alternating", (3, 5, 2), 5, 6),
+        ("e2e", (5,), 5, 5),
+    ])
+    def test_frozen_work_is_skipped(self, mode, steps, adapter_vjps, expert_passes,
+                                    monkeypatch):
+        # a stage that freezes the adapter never runs its VJP, and runs the
+        # frozen global experts on the training views once, at the stage's
+        # start, instead of once per step; the training set is stacked once
+        from slicemix import adapters as ad
+        task = pl.make_toy_task(4, pl.PipelineConfig(n_train=3, n_eval=2))
+        calls = {"adapter_grads": [], "mlp_apply": [], "qformer_apply": [], "_stack": []}
+        shape_of = {"adapter_grads": lambda args: args[4].mlp.tokens.shape,
+                    "mlp_apply": lambda args: np.shape(args[0]),
+                    "qformer_apply": lambda args: np.shape(args[0]),
+                    "_stack": lambda args: len(args[0])}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(shape_of[name](args))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        # the experts' forward runs through the adapters module's own names;
+        # the local compression's runs through the pipeline's
+        for module, name in ((pl, "adapter_grads"), (ad, "mlp_apply"), (ad, "qformer_apply"),
+                             (pl, "_stack")):
+            counting(module, name)
+        report = pl.train(pl.StageSchedule(mode, steps, (0.25,) * len(steps), seed=4), task)
+        assert len(report.steps) == sum(steps) and not report.diverged
+        train_views = (3,) + task.train_set[0].global_tokens.shape
+        eval_views = (2,) + train_views[1:]
+        assert calls["adapter_grads"] == [train_views] * adapter_vjps
+        # the evaluations after training run full and global_only once each
+        for name in ("mlp_apply", "qformer_apply"):
+            assert calls[name] == [train_views] * expert_passes + [eval_views] * 2
+        assert calls["_stack"] == [3, 2, 2, 2]
+
+    @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
+    def test_group_gradients_are_slices_of_the_full_gradient(self, task, params, mode):
+        # groups=None is every group; a subset gives the same loss, draws and
+        # bytes in its own slices, and exact zeros in the others
+        batch = task.train_set[:4]
+        r_full = make_rng(41)
+        full_loss, full = pl.batch_loss_and_grads(batch, params, task, mode, rng=r_full)
+        for groups in (pl.PARAM_GROUPS, {"adapter"}, {"local"}, {"readout"},
+                       {"adapter", "readout"}, ()):
+            rng = make_rng(41)
+            loss, grads = pl.batch_loss_and_grads(batch, params, task, mode, rng=rng,
+                                                  groups=groups)
+            assert loss == full_loss
+            assert rng.bit_generator.state == r_full.bit_generator.state
+            for name, got in pl.params_arrays(grads).items():
+                want = pl.params_arrays(full)[name] if name in groups else np.zeros(got.size)
+                assert got.tobytes() == want.tobytes(), (groups, name)
 
     def test_stage_one_loss_decreases_first_ten_steps(self):
         # noise disabled so the descent property is well defined: live gate
