@@ -70,6 +70,9 @@ PARAM_GROUPS = ("adapter", "local", "readout")
 FORWARD_MODES = ("full", "global_only", "local_only")
 DEFAULT_TOTAL_STEPS = 240
 DEFAULT_LR = 0.25
+# pixels a task build may touch: per image, the image, its tile canvas (at most
+# (MAX_GRID * base)^2) and its global view; a config past it fails before any work
+TASK_PIXEL_BUDGET = 10**8
 
 # (label, forward mode, trainable groups) per stage, for each training mode
 STAGE_PLANS = MappingProxyType({
@@ -111,6 +114,11 @@ class PipelineConfig:
             raise ValueError("sizes must be non-empty and each size at least 1")
         if self.base % self.grid != 0:
             raise ValueError("tile side must be divisible by the cell grid")
+        pixels = (self.n_train + self.n_eval) * (
+            max(self.sizes) ** 2 + (self.max_grid * self.base) ** 2 + self.base ** 2)
+        if pixels > TASK_PIXEL_BUDGET:
+            raise ValueError(f"the task would touch {pixels} pixels (images, tile canvases "
+                             f"and global views), past the budget of {TASK_PIXEL_BUDGET}")
         # the router's own checks, run here so a bad value fails before any work
         RouterConfig(gamma=self.gamma, train_noise_sigma=self.router_noise_sigma)
 
@@ -191,8 +199,11 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
             h = int(rng.choice(cfg.sizes))
             smooth = resize_bilinear(rng.random((5, 5)), h, w)
             fine = rng.random((h, w))
-            out.append(_build_sample(0.7 * smooth + 0.3 * fine, cfg,
-                                     w_feat, w_teacher, w_teacher_coarse))
+            # 0.7 * smooth + 0.3 * fine, in place on the two fresh arrays
+            smooth *= 0.7
+            fine *= 0.3
+            smooth += fine
+            out.append(_build_sample(smooth, cfg, w_feat, w_teacher, w_teacher_coarse))
         return out
 
     return ToyTask(cfg=cfg, seed=seed, w_feat=w_feat, w_teacher=w_teacher,
@@ -391,6 +402,9 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
     the generator advances exactly as over the forward pass alone. Each
     image's upstream gradient is scaled by 1/B.
     """
+    unknown = sorted(set(groups or ()).difference(PARAM_GROUPS), key=str)
+    if unknown:
+        raise ValueError(f"unknown parameter groups {unknown}; the groups are {PARAM_GROUPS}")
     batch = samples if isinstance(samples, _Batch) else _stack(samples)
     cache = _forward_batch(batch, params, task, mode, rng, fixed_selections)
     resid = cache.pred - batch.targets

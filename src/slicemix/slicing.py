@@ -92,8 +92,24 @@ def _axis_samples(n_in: int, n_out: int):
     return i0, i1, centers - i0
 
 
+def _lerp_x(rows: np.ndarray, x0, x1, wx) -> np.ndarray:
+    # rows[:, x0] * (1 - wx) + rows[:, x1] * wx, on the two fresh gathers
+    out = rows[:, x0]
+    out *= 1.0 - wx
+    right = rows[:, x1]
+    right *= wx
+    out += right
+    return out
+
+
 def resize_bilinear(pixels, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resampling with half-pixel-aligned sample centers."""
+    """Separable bilinear resampling with half-pixel-aligned sample centers.
+
+    Each output pixel is (p[y0, x0] * (1 - wx) + p[y0, x1] * wx) * (1 - wy)
+    + (p[y1, x0] * (1 - wx) + p[y1, x1] * wx) * wy. The x blend runs either
+    on all in_h input rows before the rows are gathered, or on the 2 * out_h
+    gathered rows, whichever is fewer; each element sees the same operations
+    either way, so both orders give the same bits."""
     p = np.asarray(pixels, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("image must be 2-D")
@@ -104,9 +120,16 @@ def resize_bilinear(pixels, out_h: int, out_w: int) -> np.ndarray:
         return p.copy()
     y0, y1, wy = _axis_samples(in_h, out_h)
     x0, x1, wx = _axis_samples(in_w, out_w)
-    top = p[y0][:, x0] * (1.0 - wx) + p[y0][:, x1] * wx
-    bot = p[y1][:, x0] * (1.0 - wx) + p[y1][:, x1] * wx
-    return top * (1.0 - wy)[:, None] + bot * wy[:, None]
+    if in_h < 2 * out_h:
+        rows = _lerp_x(p, x0, x1, wx)
+        top, bot = rows[y0], rows[y1]
+    else:
+        top, bot = _lerp_x(p[y0], x0, x1, wx), _lerp_x(p[y1], x0, x1, wx)
+    # top and bot are fresh arrays; p may be the caller's and is never written
+    top *= (1.0 - wy)[:, None]
+    bot *= wy[:, None]
+    top += bot
+    return top
 
 
 def _pad_center(p: np.ndarray, target_h: int, target_w: int) -> np.ndarray:

@@ -290,6 +290,49 @@ class TestConfigRanges:
             pl.PipelineConfig(**kwargs)
 
 
+class TestTaskBudget:
+    """A config whose task build would touch more than TASK_PIXEL_BUDGET
+    pixels fails before anything is built."""
+
+    @staticmethod
+    def pixels(cfg):
+        # per image: the image, its tile canvas at the largest grid, its global view
+        per_image = max(cfg.sizes) ** 2 + (MAX_GRID * cfg.base) ** 2 + cfg.base ** 2
+        return (cfg.n_train + cfg.n_eval) * per_image
+
+    def test_at_the_bound_and_one_pixel_past(self, monkeypatch):
+        hires = dict(sizes=(384, 576), n_train=48, n_eval=0)
+        bound = self.pixels(pl.PipelineConfig(**hires))
+        monkeypatch.setattr(pl, "TASK_PIXEL_BUDGET", bound)
+        pl.PipelineConfig(**hires)
+        monkeypatch.setattr(pl, "TASK_PIXEL_BUDGET", bound - 1)
+        with pytest.raises(ValueError, match=f"touch {bound} pixels .* budget of {bound - 1}$"):
+            pl.PipelineConfig(**hires)
+
+    def test_at_the_bound_and_one_image_past(self):
+        per_image = self.pixels(pl.PipelineConfig(n_train=1, n_eval=0))
+        n = pl.TASK_PIXEL_BUDGET // per_image
+        assert self.pixels(pl.PipelineConfig(n_train=n, n_eval=0)) <= pl.TASK_PIXEL_BUDGET
+        with pytest.raises(ValueError, match=f"past the budget of {pl.TASK_PIXEL_BUDGET}"):
+            pl.PipelineConfig(n_train=n, n_eval=1)
+
+    def test_the_largest_built_config_fits(self):
+        # perfbench's infer-hires: 48 images of up to 576 px on a side
+        cfg = pl.PipelineConfig(sizes=(384, 576), n_train=48, n_eval=0)
+        assert self.pixels(cfg) <= pl.TASK_PIXEL_BUDGET
+        assert self.pixels(pl.PipelineConfig()) <= pl.TASK_PIXEL_BUDGET
+
+    @pytest.mark.parametrize("training", [
+        {"n_train": 10**20}, {"n_eval": 10**20}, {"sizes": [10**6]}, {"base": 10**5, "grid": 1},
+    ], ids=["n_train", "n_eval", "sizes", "base"])
+    def test_cli_rejects_before_building(self, training, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a task was built")
+        monkeypatch.setattr(pl, "make_toy_task", never)
+        assert_rejected(train_args(tmp_path, {"training": training}), capsys,
+                        f"past the budget of {pl.TASK_PIXEL_BUDGET}")
+
+
 class TestRouteOverflow:
     def test_overflowing_similarities_exit_2_without_warnings(self, tmp_path, capsys):
         # finite fixtures whose token-text products overflow to infinity

@@ -479,6 +479,19 @@ class TestTrain:
                 want = pl.params_arrays(full)[name] if name in groups else np.zeros(got.size)
                 assert got.tobytes() == want.tobytes(), (groups, name)
 
+    @pytest.mark.parametrize("groups", [{"adpater"}, ("local", "Readout"), "adapter"])
+    def test_unknown_group_names_are_rejected(self, task, params, groups):
+        # a misspelt name would otherwise leave its group's gradient at zero;
+        # the check runs before the forward pass, so no noise is drawn
+        rng = make_rng(41)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="unknown parameter groups") as err:
+            pl.batch_loss_and_grads(task.train_set[:2], params, task, rng=rng, groups=groups)
+        # a bare string is a set of letters, none of them a group name
+        unknown = set(groups).difference(pl.PARAM_GROUPS)
+        assert unknown and all(repr(name) in str(err.value) for name in unknown)
+        assert rng.bit_generator.state == state
+
     def test_stage_one_loss_decreases_first_ten_steps(self):
         # noise disabled so the descent property is well defined: live gate
         # and router draws perturb individual steps by design

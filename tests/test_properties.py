@@ -11,7 +11,7 @@ import copy
 from itertools import accumulate
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -282,7 +282,55 @@ class TestPlanPartition:
 pixel_sides = st.integers(min_value=1, max_value=40)
 
 
+def four_gather_resize(p, out_h, out_w):
+    """resize_bilinear as first written: each of the four corner sets gathered
+    from the whole image, then blended along x and along y."""
+    in_h, in_w = p.shape
+    if (out_h, out_w) == (in_h, in_w):
+        return p.copy()
+
+    def axis(n_in, n_out):
+        centers = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        i0 = np.floor(centers).astype(np.intp)
+        return i0, np.minimum(i0 + 1, n_in - 1), centers - i0
+
+    y0, y1, wy = axis(in_h, out_h)
+    x0, x1, wx = axis(in_w, out_w)
+    top = p[y0][:, x0] * (1.0 - wx) + p[y0][:, x1] * wx
+    bot = p[y1][:, x0] * (1.0 - wx) + p[y1][:, x1] * wx
+    return top * (1.0 - wy)[:, None] + bot * wy[:, None]
+
+
+@st.composite
+def resize_cases(draw):
+    """An image of 1-40 by 1-40 pixels, any float64 values (infinities, NaN
+    and signed zeros included), and an output size of 1-40 by 1-40."""
+    in_h, in_w, out_h, out_w = (draw(pixel_sides) for _ in range(4))
+    img = draw(hnp.arrays(np.float64, (in_h, in_w), elements=st.floats(width=64)))
+    return img, out_h, out_w
+
+
 class TestResizeBilinear:
+    @properties
+    @given(resize_cases())
+    # both pass orders (x blend first when in_h < 2 * out_h), each with y and
+    # x scaled the same way and in opposite ways
+    @example((np.arange(15.0).reshape(5, 3), 40, 31))    # up, up: x first
+    @example((np.arange(120.0).reshape(40, 3), 9, 31))   # down y, up x: gathered rows
+    @example((np.arange(120.0).reshape(3, 40), 31, 9))   # up y, down x: x first
+    @example((np.arange(1600.0).reshape(40, 40), 7, 5))  # down, down: gathered rows
+    @example((np.arange(1600.0).reshape(40, 40), 25, 5))  # down y by < 2: x first
+    def test_bitwise_equal_to_the_four_gather_formula(self, case):
+        img, out_h, out_w = case
+        before = img.tobytes()
+        img.setflags(write=False)   # any write into the caller's array raises
+        with np.errstate(all="ignore"):   # inf * 0 makes NaN, in both formulas
+            out = resize_bilinear(img, out_h, out_w)
+            want = four_gather_resize(img, out_h, out_w)
+        assert out.shape == (out_h, out_w) and out.flags.writeable
+        assert out.tobytes() == want.tobytes()
+        assert img.tobytes() == before
+
     @properties
     @given(pixel_sides, pixel_sides, pixel_sides, pixel_sides,
            st.floats(min_value=-1e3, max_value=1e3))
