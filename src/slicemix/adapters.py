@@ -278,8 +278,9 @@ def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
     scale = g.T[..., None, None]
     mlp_vjp(sample.mlp, mlp, scale[0] * dout, d_mlp)
     qformer_vjp(sample.qformer, qf, scale[1] * dout, d_qf)
-    dg = np.stack([(dout * sample.mlp.out).sum(axis=(-2, -1)),
-                   (dout * sample.qformer.out).sum(axis=(-2, -1))], axis=-1)
+    dg = np.empty(g.shape)
+    dg[..., 0] = (dout * sample.mlp.out).sum(axis=(-2, -1))
+    dg[..., 1] = (dout * sample.qformer.out).sum(axis=(-2, -1))
     dlogits = g * (dg - (dg * g).sum(axis=-1, keepdims=True))
     d_gate.w_g += _rows(sample.pooled).T @ _rows(dlogits)
     if sample.eps is not None:

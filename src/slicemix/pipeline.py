@@ -254,10 +254,10 @@ def init_params(task: ToyTask, seed: int) -> PipelineParams:
 
 
 def params_arrays(params: PipelineParams) -> dict[str, np.ndarray]:
-    """Each trainable group's slice of the buffer; the split drives stage freezing."""
-    end = params.buffer.size - params.readout.size
-    start = end - sum(a.size for a in vars(params.qf_local).values())
-    return dict(zip(PARAM_GROUPS, np.split(params.buffer, [start, end])))
+    """Each trainable group's slice of the buffer, cut where `layout` places
+    qf_local's first array and the readout; the slices drive stage freezing."""
+    b, start, end = params.buffer, params.layout[10][0].start, params.layout[14][0].start
+    return {"adapter": b[:start], "local": b[start:end], "readout": b[end:]}
 
 
 def params_vector(params: PipelineParams) -> np.ndarray:
@@ -327,7 +327,10 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         gate_at = ((np.arange(n) * gate_draws + starts[:-1] * route_draws)[:, None]
                    + np.arange(gate_draws))
         eps = draws[gate_at] if gate_draws else None
-        noise = cfg.router_noise_sigma * np.delete(draws, gate_at) if route_draws else None
+        if route_draws:
+            is_gate = np.zeros(len(draws), dtype=bool)
+            is_gate[gate_at] = True
+            noise = cfg.router_noise_sigma * draws[~is_gate]
     if mode == "global_only":
         order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
     else:
@@ -402,27 +405,42 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
     the generator advances exactly as over the forward pass alone. Each
     image's upstream gradient is scaled by 1/B.
     """
+    if isinstance(groups, str):
+        raise ValueError(f"groups takes a collection of names from {PARAM_GROUPS}, "
+                         f"not the string {groups!r}")
     unknown = sorted(set(groups or ()).difference(PARAM_GROUPS), key=str)
     if unknown:
         raise ValueError(f"unknown parameter groups {unknown}; the groups are {PARAM_GROUPS}")
     batch = samples if isinstance(samples, _Batch) else _stack(samples)
+    grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
+    return _loss_into(grads, batch, params, task, mode, rng, fixed_selections,
+                      PARAM_GROUPS if groups is None else groups), grads
+
+
+def _loss_into(grads: PipelineParams, batch: _Batch, params: PipelineParams, task: ToyTask,
+               mode: str, rng, fixed_selections, groups) -> float:
+    """batch_loss_and_grads' loss, adding the gradients of `groups` (checked
+    names) into `grads`, a zeroed store in `params`' layout."""
     cache = _forward_batch(batch, params, task, mode, rng, fixed_selections)
     resid = cache.pred - batch.targets
     inv = 1.0 / len(resid)
-    grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
-    _backward(params, cache, inv * resid, grads, PARAM_GROUPS if groups is None else groups)
+    _backward(params, cache, inv * resid, grads, groups)
     # each image's r @ r as a stacked row product, bitwise the 1-D dot, and a
     # cumsum that adds them left to right as a loop over the images does
     sq = (resid[:, None] @ resid[..., None])[:, 0, 0]
-    return float(np.cumsum(inv * (0.5 * sq))[-1]), grads
+    return float((inv * (0.5 * sq)).cumsum()[-1])
 
 
 def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float:
     """Mean held-out loss with gate and router noise disabled."""
-    batch = _stack(task.eval_set)
+    return _eval_loss(_stack(task.eval_set), params, task, mode)
+
+
+def _eval_loss(batch: _Batch, params: PipelineParams, task: ToyTask, mode: str) -> float:
+    """evaluate on the eval set already stacked as `batch`."""
     resid = _forward_batch(batch, params, task, mode).pred - batch.targets
     sq = (resid[:, None] @ resid[..., None])[:, 0, 0]   # as batch_loss_and_grads sums it
-    return float(np.cumsum(0.5 * sq)[-1]) / len(task.eval_set)
+    return float((0.5 * sq).cumsum()[-1]) / len(resid)
 
 
 @dataclass(frozen=True)
@@ -489,18 +507,22 @@ class RunReport:
 
 
 def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
-    """Full-batch descent under the schedule's stage plan, on a training set
-    stacked once per run. Each step computes only its stage's gradients:
-    stages I and II skip the readout's, and stage II also skips the
-    adapter's and runs the frozen global experts once, at its start (the
-    gate still draws fresh noise every step). Parameters outside a stage's
-    groups are never touched. A non-finite loss flags the report as diverged
-    and stops training instead of raising.
+    """Full-batch descent under the schedule's stage plan. The run builds once
+    what it fixes: the stacked training set, the stacked eval set (for all
+    three evaluations), one gradient store, zeroed each step, and each
+    group's slice of the parameters and of the store. Each step computes
+    only its stage's gradients: stages I and II skip the readout's, and
+    stage II also skips the adapter's and runs the frozen global experts
+    once, at its start (the gate still draws fresh noise every step).
+    Parameters outside a stage's groups are never touched. A non-finite loss
+    flags the report as diverged and stops training instead of raising.
     """
     if not task.eval_set:
         raise ValueError("training needs a task with at least one eval sample")
     params = init_params(task, schedule.seed)
     batch = _stack(task.train_set)
+    grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
+    parr, garr = params_arrays(params), params_arrays(grads)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
     # one (stage, learning rate) entry per step
     plan = [(stage, lr) for stage, n_steps, lr in zip(stage_plan(schedule.mode),
@@ -515,18 +537,17 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
                 batch.experts = None
             elif batch.experts is None:
                 batch.experts = global_experts(batch.views, params.mlp, params.qf_global)
-            loss_val, grads = batch_loss_and_grads(batch, params, task, fmode,
-                                                   rng=noise_rng, groups=groups)
+            grads.buffer.fill(0.0)
+            loss_val = _loss_into(grads, batch, params, task, fmode, noise_rng, None, groups)
             rows.append((step, label, loss_val))
             if not np.isfinite(loss_val):
                 diverged = True
                 break
-            parr, garr = params_arrays(params), params_arrays(grads)
             for group in groups:
                 parr[group] -= lr * garr[group]
-        final_eval = evaluate(params, task, "full")
-        only_global = evaluate(params, task, "global_only")
-        only_local = evaluate(params, task, "local_only")
+        eval_batch = _stack(task.eval_set)
+        final_eval, only_global, only_local = (_eval_loss(eval_batch, params, task, fmode)
+                                               for fmode in ("full", "global_only", "local_only"))
     return RunReport(
         mode=schedule.mode,
         seed=schedule.seed,

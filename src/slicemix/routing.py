@@ -95,7 +95,8 @@ def _matrix(a, what: str) -> np.ndarray:
 def _padded(flat: np.ndarray, real: np.ndarray, fill: float) -> np.ndarray:
     """Values stacked image after image, laid out as the rows of the
     (B, K_max) array whose entries `real` marks, the rest set to `fill`."""
-    out = np.full(real.shape, fill)
+    out = np.empty(real.shape)
+    out.fill(fill)
     out[real] = flat
     return out
 

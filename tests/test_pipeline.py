@@ -2,9 +2,11 @@
 gradients with the selection pinned, the flat parameter store, exact stage
 freezes, determinism, and the frozen golden forward trace and training runs."""
 
+import collections
 import copy
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -429,7 +431,8 @@ class TestTrain:
                                     monkeypatch):
         # a stage that freezes the adapter never runs its VJP, and runs the
         # frozen global experts on the training views once, at the stage's
-        # start, instead of once per step; the training set is stacked once
+        # start, instead of once per step; the training set and the eval set
+        # are stacked once each
         from slicemix import adapters as ad
         task = pl.make_toy_task(4, pl.PipelineConfig(n_train=3, n_eval=2))
         calls = {"adapter_grads": [], "mlp_apply": [], "qformer_apply": [], "_stack": []}
@@ -459,7 +462,58 @@ class TestTrain:
         # the evaluations after training run full and global_only once each
         for name in ("mlp_apply", "qformer_apply"):
             assert calls[name] == [train_views] * expert_passes + [eval_views] * 2
-        assert calls["_stack"] == [3, 2, 2, 2]
+        assert calls["_stack"] == [3, 2]
+
+    def test_what_the_run_fixes_is_built_once(self, monkeypatch):
+        # one gradient store per run (init_params lays out the parameters
+        # with the only other _on_buffer call), one stack of the training set
+        # and one of the eval set, and no np.split: each count is the same
+        # for runs of 10 and of 40 steps
+        task = pl.make_toy_task(4, pl.PipelineConfig(n_train=3, n_eval=2))
+        calls = collections.Counter()
+        for module, name in ((pl, "_on_buffer"), (pl, "_stack"), (np, "split")):
+            def wrapper(*args, fn=getattr(module, name), name=name, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        per_run = {}
+        for n_steps in (10, 40):
+            calls.clear()
+            for mode in ("alternating", "e2e"):
+                pl.train(pl.default_schedule(mode, seed=4, total_steps=n_steps), task)
+            per_run[n_steps] = dict(calls)
+        assert per_run[10] == per_run[40] == {"_on_buffer": 4, "_stack": 4}
+
+    def test_calls_per_step_are_bounded(self):
+        """Python-level (`call`) and C-level (`c_call`) profiler events per
+        training step, from the difference between a 30-step and a 60-step
+        run, so the run's fixed cost cancels. Operator ufuncs (`@`, `*`, `+`)
+        do not appear as `c_call` events on Python 3.11, so the arithmetic
+        itself is not counted: the bounds pin the per-step overhead. They sit
+        at the counts measured when the training step stopped rebuilding
+        what the run fixes; a change that adds calls must raise them and
+        give its reason in CHANGES.md."""
+        task = pl.make_toy_task(3)
+        pl.train(pl.default_schedule("e2e", seed=3, total_steps=3), task)  # lazy imports
+
+        def events(mode, n_steps):
+            counts = collections.Counter()
+
+            def profile(frame, event, arg):
+                counts[event] += 1
+            schedule = pl.default_schedule(mode, seed=3, total_steps=n_steps)
+            sys.setprofile(profile)
+            try:
+                pl.train(schedule, task)
+            finally:
+                sys.setprofile(None)
+            return counts
+
+        for mode, bounds in (("e2e", {"call": 105.0, "c_call": 125.0}),
+                             ("alternating", {"call": 75.4, "c_call": 89.4})):
+            short, long = events(mode, 30), events(mode, 60)
+            per_step = {e: (long[e] - short[e]) / 30 for e in bounds}
+            assert all(per_step[e] <= bounds[e] for e in bounds), (mode, per_step)
 
     @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
     def test_group_gradients_are_slices_of_the_full_gradient(self, task, params, mode):
@@ -479,7 +533,7 @@ class TestTrain:
                 want = pl.params_arrays(full)[name] if name in groups else np.zeros(got.size)
                 assert got.tobytes() == want.tobytes(), (groups, name)
 
-    @pytest.mark.parametrize("groups", [{"adpater"}, ("local", "Readout"), "adapter"])
+    @pytest.mark.parametrize("groups", [{"adpater"}, ("local", "Readout")])
     def test_unknown_group_names_are_rejected(self, task, params, groups):
         # a misspelt name would otherwise leave its group's gradient at zero;
         # the check runs before the forward pass, so no noise is drawn
@@ -487,9 +541,19 @@ class TestTrain:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="unknown parameter groups") as err:
             pl.batch_loss_and_grads(task.train_set[:2], params, task, rng=rng, groups=groups)
-        # a bare string is a set of letters, none of them a group name
         unknown = set(groups).difference(pl.PARAM_GROUPS)
         assert unknown and all(repr(name) in str(err.value) for name in unknown)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("groups", ["adapter", "readout", ""])
+    def test_a_bare_string_is_rejected(self, task, params, groups):
+        # a string is a collection of letters, not of names: even a group's
+        # own name is rejected, before any noise is drawn
+        rng = make_rng(41)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="groups takes a collection of names") as err:
+            pl.batch_loss_and_grads(task.train_set[:2], params, task, rng=rng, groups=groups)
+        assert repr(groups) in str(err.value)
         assert rng.bit_generator.state == state
 
     def test_stage_one_loss_decreases_first_ten_steps(self):
@@ -553,7 +617,7 @@ class TestTrain:
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
-        monkeypatch.setattr(pl, "batch_loss_and_grads", no_step)
+        monkeypatch.setattr(pl, "_loss_into", no_step)
         with pytest.raises(ValueError, match="at least one eval sample"):
             pl.train(pl.default_schedule("e2e", total_steps=3), task)
 
