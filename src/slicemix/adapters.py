@@ -23,6 +23,7 @@ from .numerics import (
     cross_attention_vjp,
     gelu,
     gelu_grad,
+    normal_cdf,
     softmax,
     softplus,
 )
@@ -82,6 +83,7 @@ class MlpActivations:
 
     tokens: np.ndarray
     pre: np.ndarray      # x W1 + b1
+    cdf: np.ndarray      # normal_cdf(pre), GELU's one erf pass, reused by the VJP
     hidden: np.ndarray   # gelu(pre)
     out: np.ndarray
 
@@ -161,18 +163,19 @@ def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
     the token count is preserved. Keeps the activations mlp_vjp reuses."""
     t = _check_tokens(tokens, p.w1.shape[0], "mlp_apply")
     pre = t @ p.w1 + p.b1
-    hidden = gelu(pre)
-    return MlpActivations(tokens=t, pre=pre, hidden=hidden, out=hidden @ p.w2 + p.b2)
+    cdf = normal_cdf(pre)
+    hidden = gelu(pre, cdf)
+    return MlpActivations(tokens=t, pre=pre, cdf=cdf, hidden=hidden, out=hidden @ p.w2 + p.b2)
 
 
 def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams) -> None:
     """Add the parameter gradients of sum(acts.out * dout), summed over a
     stack, into `grads`."""
     grads.w2 += _rows(acts.hidden).T @ _rows(dout)
-    grads.b2 += _rows(dout).sum(axis=0)
-    dh = (dout @ p.w2.T) * gelu_grad(acts.pre)
+    grads.b2 += np.add.reduce(_rows(dout), axis=0)
+    dh = (dout @ p.w2.T) * gelu_grad(acts.pre, acts.cdf)
     grads.w1 += _rows(acts.tokens).T @ _rows(dh)
-    grads.b1 += _rows(dh).sum(axis=0)
+    grads.b1 += np.add.reduce(_rows(dh), axis=0)
 
 
 def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
@@ -249,7 +252,7 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     these tokens and parameters, stands in for the experts' forward pass.
     """
     m, q = global_experts(tokens, mlp, qf) if experts is None else experts
-    sample = gate_sample(m.tokens.sum(axis=-2) / m.tokens.shape[-2], gate, rng, eps)
+    sample = gate_sample(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, rng, eps)
     sample.mlp, sample.qformer = m, q
     g = sample.weights.T[..., None, None]   # one scale per expert and image
     return g[0] * m.out + g[1] * q.out, sample
@@ -279,9 +282,9 @@ def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
     mlp_vjp(sample.mlp, mlp, scale[0] * dout, d_mlp)
     qformer_vjp(sample.qformer, qf, scale[1] * dout, d_qf)
     dg = np.empty(g.shape)
-    dg[..., 0] = (dout * sample.mlp.out).sum(axis=(-2, -1))
-    dg[..., 1] = (dout * sample.qformer.out).sum(axis=(-2, -1))
-    dlogits = g * (dg - (dg * g).sum(axis=-1, keepdims=True))
+    dg[..., 0] = np.add.reduce(dout * sample.mlp.out, axis=(-2, -1))
+    dg[..., 1] = np.add.reduce(dout * sample.qformer.out, axis=(-2, -1))
+    dlogits = g * (dg - np.add.reduce(dg * g, axis=-1, keepdims=True))
     d_gate.w_g += _rows(sample.pooled).T @ _rows(dlogits)
     if sample.eps is not None:
         coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits

@@ -18,6 +18,7 @@ __all__ = [
     "make_rng",
     "softmax",
     "softplus",
+    "normal_cdf",
     "gelu",
     "gelu_grad",
     "attention_weights",
@@ -38,7 +39,8 @@ def _erf():
     return erf
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, elementwise; GELU's one erf pass."""
     return 0.5 * (1.0 + _erf()(x / _SQRT2))
 
 
@@ -53,8 +55,8 @@ def softmax(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty vector or matrix")
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softplus(x):
@@ -62,23 +64,29 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def gelu(x):
-    """Exact (erf-based) GELU."""
+def gelu(x, cdf=None):
+    """Exact (erf-based) GELU; `cdf`, if given, is normal_cdf(x) already computed."""
     x = np.asarray(x, dtype=np.float64)
-    return x * _normal_cdf(x)
+    return x * (normal_cdf(x) if cdf is None else cdf)
 
 
-def gelu_grad(x):
-    """Derivative of the erf-based GELU."""
+def gelu_grad(x, cdf=None):
+    """Derivative of the erf-based GELU; `cdf` as for gelu."""
     x = np.asarray(x, dtype=np.float64)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return _normal_cdf(x) + x * pdf
+    return (normal_cdf(x) if cdf is None else cdf) + x * pdf
 
 
 def attention_weights(queries, keys) -> np.ndarray:
     """Row-stochastic weights softmax(queries . keys^T / sqrt(d)), one row per
-    query (per stacked key matrix); callers have already checked the shapes."""
-    return softmax(queries @ keys.swapaxes(-1, -2) / math.sqrt(queries.shape[-1]))
+    query (per stacked key matrix); callers have already checked the shapes.
+    The bytes are softmax's; the row max, exact in any order, is taken across
+    a transposed copy, whose few long rows numpy reduces faster than many short ones."""
+    s = queries @ keys.swapaxes(-1, -2) / math.sqrt(queries.shape[-1])
+    rows = s.reshape(-1, s.shape[-1])   # a view: s is fresh and contiguous
+    rows -= np.maximum.reduce(rows.T.copy(), axis=0)[:, None]
+    np.exp(s, out=s)
+    return s / np.add.reduce(s, axis=-1, keepdims=True)
 
 
 def cross_attention(queries, keys, values) -> np.ndarray:
@@ -108,7 +116,7 @@ def cross_attention_vjp(queries, keys, values, dout, weights):
     dv = weights.swapaxes(-1, -2) @ dout
     dw = dout @ values.swapaxes(-1, -2)
     # gradient of the scaled scores q . k^T / sqrt(d)
-    ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) / math.sqrt(d)
+    ds = weights * (dw - np.add.reduce(dw * weights, axis=-1, keepdims=True)) / math.sqrt(d)
     dq = ds.swapaxes(0, -2).reshape(n_q, -1) @ keys.reshape(-1, d)
     return dq, ds.swapaxes(-1, -2) @ queries, dv
 

@@ -19,7 +19,8 @@ its forward pass saved and draws no random numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -41,7 +42,8 @@ from .adapters import (
     qformer_vjp,
 )
 from .numerics import make_rng
-from .routing import RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch
+from .routing import (RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch,
+                      route_layout)
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
 from .routing import route_tokens  # noqa: F401
 from .slicing import MAX_GRID, extract_patches, make_global_view, plan_partition, resize_bilinear
@@ -277,7 +279,7 @@ class ForwardCache:
     runs VJP arithmetic (see moe_apply for the gate sample) and draws nothing."""
 
     gate_sample: GateSample | None
-    selection: RouterSelection | None   # the first image's; None in global_only or pinned
+    first: tuple | None                 # image_selection's arguments for the first image
     patches: QFormerActivations | None
     order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order,
     kept: np.ndarray | None             # and the mask of its kept slots; None in global_only
@@ -286,23 +288,31 @@ class ForwardCache:
     pooled: np.ndarray                  # (B, model_dim)
     pred: np.ndarray                    # (B, out_dim)
 
+    @cached_property
+    def selection(self) -> RouterSelection | None:
+        """The first image's record, read off the cut on first access; None if unrouted."""
+        return None if self.first is None else image_selection(*self.first)
+
 
 @dataclass
 class _Batch:
     views: np.ndarray              # (B, grid^2, feat_dim) global views
     patch_tokens: np.ndarray       # every image's patches in one stack
-    offsets: np.ndarray            # (B + 1,) each image's first patch, then the total
+    starts: np.ndarray             # (B + 1,) each image's first local token, then the total
     targets: np.ndarray | None = None
     experts: tuple | None = None   # global_experts on the views while the adapter is frozen
+    # the layouts a pass fixes, each built by the first pass that needs it:
+    route: tuple | None = None     # route_layout(starts)
+    noise: dict = field(default_factory=dict)   # per (gate, router) draws: gate_at, routed
 
 
-def _stack(samples) -> _Batch:
+def _stack(samples, n_queries: int) -> _Batch:
     """The samples stacked once, for every pass over them."""
     if not samples:
         raise ValueError("a batch needs at least one sample")
     return _Batch(np.array([s.global_tokens for s in samples]),
                   np.concatenate([s.patch_tokens for s in samples]),
-                  np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]),
+                  n_queries * np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]),
                   np.array([s.target for s in samples]))
 
 
@@ -315,31 +325,36 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode '{mode}'")
     views, n, d, cfg = batch.views, len(batch.views), params.readout.shape[0], task.cfg
-    starts = batch.offsets * params.qf_local.n_queries     # each image's first local token
-    gate_s = patches = eps = noise = sel = None
+    starts = batch.starts
+    gate_s = patches = eps = noise = first = None
     gate_draws = 2 if (mode != "local_only" and rng is not None
                        and params.gate.noise_enabled) else 0
     route_draws = 1 if (mode != "global_only" and rng is not None and fixed_selections is None
                         and cfg.router_noise_sigma > 0.0) else 0
     if gate_draws or route_draws:
-        draws = rng.standard_normal(n * gate_draws + starts[-1] * route_draws)
-        # image i's draws begin after i gate pairs and the router draws of its predecessors
-        gate_at = ((np.arange(n) * gate_draws + starts[:-1] * route_draws)[:, None]
-                   + np.arange(gate_draws))
+        if (gate_draws, route_draws) not in batch.noise:
+            # image i's draws begin after i gate pairs and the router draws of its predecessors
+            gate_at = ((np.arange(n) * gate_draws + starts[:-1] * route_draws)[:, None]
+                       + np.arange(gate_draws))
+            routed = np.ones(n * gate_draws + starts[-1] * route_draws, dtype=bool)
+            routed[gate_at] = False
+            batch.noise[gate_draws, route_draws] = gate_at, routed
+        gate_at, routed = batch.noise[gate_draws, route_draws]
+        draws = rng.standard_normal(len(routed))
         eps = draws[gate_at] if gate_draws else None
         if route_draws:
-            is_gate = np.zeros(len(draws), dtype=bool)
-            is_gate[gate_at] = True
-            noise = cfg.router_noise_sigma * draws[~is_gate]
+            noise = cfg.router_noise_sigma * draws[routed]
     if mode == "global_only":
         order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
     else:
         patches = qformer_apply(batch.patch_tokens, params.qf_local)
         local = patches.out.reshape(-1, d)
         if fixed_selections is None:
-            cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise)
+            if batch.route is None:
+                batch.route = route_layout(starts)
+            cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise, layout=batch.route)
             _, order, n_kept, kept = cut
-            sel = image_selection(cut, starts, 0, cfg.gamma)
+            first = cut, starts, 0, cfg.gamma
         else:
             order, n_kept, kept = pinned_cut(fixed_selections, starts)
     if mode == "local_only":
@@ -356,9 +371,9 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         local_rows[~kept] = 0.0
         feats = np.concatenate([g_out, local_rows], axis=1)
     n_rows = g_out.shape[1] + n_kept
-    pooled = feats.sum(axis=1) / n_rows[:, None]
+    pooled = np.add.reduce(feats, axis=1) / n_rows[:, None]
     # a row-by-row readout: bitwise a lone image's pass
-    return ForwardCache(gate_sample=gate_s, selection=sel, patches=patches, order=order,
+    return ForwardCache(gate_sample=gate_s, first=first, patches=patches, order=order,
                         kept=kept, n_kept=n_kept, n_rows=n_rows, pooled=pooled,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
@@ -371,7 +386,7 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
     mode); without one the pass is deterministic (evaluation mode).
     """
     batch = _Batch(sample.global_tokens[None], sample.patch_tokens,
-                   np.array([0, len(sample.patch_tokens)]))
+                   np.array([0, len(sample.patch_tokens) * params.qf_local.n_queries]))
     cache = _forward_batch(batch, params, task, mode, rng)
     return cache.pred[0], cache
 
@@ -384,8 +399,9 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
     drow = (dpred @ params.readout.T) / cache.n_rows[:, None]
     if cache.gate_sample is not None and "adapter" in groups:
         g = cache.gate_sample
-        adapter_grads(params.mlp, params.qf_global, params.gate,
-                      np.broadcast_to(drow[:, None, :], g.mlp.out.shape), g,
+        # np.broadcast_to's stride-0 view, made directly: its strides decide mlp_vjp's products
+        up = np.ndarray(g.mlp.out.shape, buffer=drow, strides=(drow.strides[0], 0, drow.itemsize))
+        adapter_grads(params.mlp, params.qf_global, params.gate, up, g,
                       (grads.mlp, grads.qf_global, grads.gate))
     if cache.patches is not None and "local" in groups:
         # the selection is a hard gather: unkept rows add exact zero gradient
@@ -411,7 +427,7 @@ def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
     unknown = sorted(set(groups or ()).difference(PARAM_GROUPS), key=str)
     if unknown:
         raise ValueError(f"unknown parameter groups {unknown}; the groups are {PARAM_GROUPS}")
-    batch = samples if isinstance(samples, _Batch) else _stack(samples)
+    batch = _stack(samples, params.qf_local.n_queries)
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
     return _loss_into(grads, batch, params, task, mode, rng, fixed_selections,
                       PARAM_GROUPS if groups is None else groups), grads
@@ -433,7 +449,7 @@ def _loss_into(grads: PipelineParams, batch: _Batch, params: PipelineParams, tas
 
 def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float:
     """Mean held-out loss with gate and router noise disabled."""
-    return _eval_loss(_stack(task.eval_set), params, task, mode)
+    return _eval_loss(_stack(task.eval_set, params.qf_local.n_queries), params, task, mode)
 
 
 def _eval_loss(batch: _Batch, params: PipelineParams, task: ToyTask, mode: str) -> float:
@@ -520,7 +536,7 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
     if not task.eval_set:
         raise ValueError("training needs a task with at least one eval sample")
     params = init_params(task, schedule.seed)
-    batch = _stack(task.train_set)
+    batch = _stack(task.train_set, params.qf_local.n_queries)
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
     parr, garr = params_arrays(params), params_arrays(grads)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
@@ -545,7 +561,7 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
                 break
             for group in groups:
                 parr[group] -= lr * garr[group]
-        eval_batch = _stack(task.eval_set)
+        eval_batch = _stack(task.eval_set, params.qf_local.n_queries)
         final_eval, only_global, only_local = (_eval_loss(eval_batch, params, task, fmode)
                                                for fmode in ("full", "global_only", "local_only"))
     return RunReport(

@@ -30,6 +30,7 @@ __all__ = [
     "RouterSelection",
     "compress_local",
     "select_prefix",
+    "route_layout",
     "route_batch",
     "image_selection",
     "pinned_cut",
@@ -87,7 +88,7 @@ def compress_local(patch_tokens, params: QFormerParams) -> np.ndarray:
 
 def _matrix(a, what: str) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0:
+    if m.ndim != 2 or 0 in m.shape:
         raise ValueError(f"{what} must be a non-empty 2-D matrix")
     return m
 
@@ -112,10 +113,21 @@ def _cut(scores: np.ndarray, key: np.ndarray, n_tokens, gamma: float):
     cum = scores[np.arange(len(key))[:, None], order].cumsum(axis=1)
     if gamma == 1.0:
         return order, cum, n_tokens
-    return order, cum, np.minimum((cum < gamma).sum(axis=1, initial=1), n_tokens)
+    return order, cum, np.minimum(np.add.reduce(cum < gamma, axis=1, initial=1), n_tokens)
 
 
-def route_batch(z_v, starts, z_x, gamma: float, noise=None):
+def route_layout(starts):
+    """route_batch's padded layout of `starts`: row counts, slots, real-slot mask."""
+    starts = np.asarray(starts)
+    counts = starts[1:] - starts[:-1]
+    lens = counts.tolist()
+    if starts[0] != 0 or min(lens) < 1:
+        raise ValueError("every image needs at least one of the token rows")
+    slots = np.arange(max(lens))
+    return counts, slots, slots < counts[:, None]
+
+
+def route_batch(z_v, starts, z_x, gamma: float, noise=None, *, layout=None):
     """Route every image of a batch in one pass.
 
     Image i owns rows starts[i]:starts[i+1] of z_v, at least one. Its scores
@@ -127,6 +139,7 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     every step works on each row alone (the softmax total is summed in token
     order), so an image gets bit for bit what routing it on its own gives.
 
+    `layout`, route_layout(starts) if given, saves rebuilding it per call.
     Returns the cut as (scores, rows, n_kept, kept): the (B, K_max) noiseless
     scores, zero past an image's tokens; each image's rows of z_v in keeping
     order, as many per image as the most any image keeps; its kept count; and
@@ -137,17 +150,14 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None):
     if v.shape[1] != x.shape[1]:
         raise ValueError("image and text tokens must share their feature width")
     starts = np.asarray(starts)
-    counts = starts[1:] - starts[:-1]
-    lens = counts.tolist()
-    if starts[0] != 0 or starts[-1] != len(v) or min(lens) < 1:
+    counts, slots, real = route_layout(starts) if layout is None else layout
+    if starts[-1] != len(v):
         raise ValueError("every image needs at least one of the token rows")
-    slots = np.arange(max(lens))
-    real = slots < counts[:, None]
     # each token's dot products with every text token, summed and averaged;
     # row by row, so a token's similarity does not depend on its neighbours
     sim = np.einsum("nd,td->n", v, x) / len(x)
     scores = _padded(sim, real, -np.inf)
-    scores -= scores.max(axis=1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
     # padding adds exact zeros after a row's tokens, so its running total ends on theirs
     scores /= scores.cumsum(axis=1)[:, -1:]

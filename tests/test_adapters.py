@@ -208,6 +208,26 @@ class TestAdapterGrads:
         assert d_mlp.w1[0, 0] == pytest.approx(y * w2 * (cdf + h * pdf) * x, rel=1e-12)
         assert d_mlp.b1[0] == pytest.approx(y * w2 * (cdf + h * pdf), rel=1e-12)
 
+    def test_saved_cdf_gives_the_gelu_grad_bytes(self):
+        # mlp_apply keeps GELU's normal CDF and mlp_vjp reuses it: the hidden
+        # layer is bitwise gelu(pre), and the first layer's gradients are
+        # bitwise those of the VJP written with gelu_grad(pre), which runs
+        # the erf pass a second time
+        from slicemix.numerics import gelu, gelu_grad
+        rng = make_rng(38)
+        mlp = ad.init_mlp(rng, 5, 6)
+        tokens = 3.0 * rng.standard_normal((4, 7, 5))
+        acts = ad.mlp_apply(tokens, mlp)
+        assert acts.hidden.tobytes() == gelu(acts.pre).tobytes()
+        dout = rng.standard_normal(acts.out.shape)
+        got, want = zeros_like_params(mlp), zeros_like_params(mlp)
+        ad.mlp_vjp(acts, mlp, dout, got)
+        dh = ((dout @ mlp.w2.T) * gelu_grad(acts.pre)).reshape(-1, 6)
+        want.w1 += tokens.reshape(-1, 5).T @ dh
+        want.b1 += dh.sum(axis=0)
+        assert got.w1.tobytes() == want.w1.tobytes()
+        assert got.b1.tobytes() == want.b1.tobytes()
+
     def test_broadcasting_dout_rejected(self):
         # a (4, 3) upstream gradient broadcasts over a stack of 3 images
         mlp, qf, gate = make_trio(36, 4, 5, 3)

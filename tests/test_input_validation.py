@@ -1,18 +1,27 @@
 """Bad plan geometry, trajectory arguments, train configs, matrix fixtures
 and SLIME_KIT_SEED values are rejected before any run starts: exit 2, one
-stderr line, nothing on stdout. What does reach stdout is strict JSON."""
+stderr line, nothing on stdout. What does reach stdout is strict JSON, and a
+property drives drawn arguments, configs, fixtures and seeds through it."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
-from slicemix.cli import (EXIT_DIVERGED, EXIT_USAGE, SEED_ENV_VAR, ConfigError, main,
-                          merge_config, write_matrix)
+from slicemix.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, SEED_ENV_VAR, ConfigError,
+                          main, merge_config, write_matrix)
 from slicemix.slicing import MAX_GRID, plan_partition
 
 
@@ -345,6 +354,19 @@ class TestRouteOverflow:
                             "scores are not finite")
 
 
+    @pytest.mark.parametrize("tokens, text, needle", [
+        ("2 0\n", "1 0\n", "image tokens must be a non-empty 2-D matrix"),
+        ("2 1\n0.1 0.2\n", "0 1\n", "text tokens must be a non-empty 2-D matrix"),
+    ])
+    def test_empty_fixture_exits_2(self, tokens, text, needle, tmp_path, capsys):
+        # a matrix without columns is as empty as one without rows: routing
+        # on it would score every token at zero similarity
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        tok.write_text(tokens)
+        txt.write_text(text)
+        assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys, needle)
+
+
 class TestSeedEnvVar:
     @pytest.mark.parametrize("args", [
         ["bilinear", "--method", "alt", "--c", "0.5", "--steps", "5"],
@@ -457,3 +479,140 @@ class TestStrictJson:
         write_matrix(txt, np.array([[1.0]]))
         assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
                         "values must be finite")
+
+
+# -- the CLI boundary as a property --------------------------------------------
+
+def mostly(valid, invalid):
+    """Draws from `invalid` when a drawn digit 0-4 is 4, else from `valid`, so
+    that most drawn invocations get past most checks."""
+    return st.integers(min_value=0, max_value=4).flatmap(lambda k: invalid if k == 4 else valid)
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+positive = st.integers(min_value=1, max_value=6)
+non_positive = st.integers(min_value=-1, max_value=0)
+
+
+def flags(**options):
+    """`--name=value` for each drawn option that is present; the `=` form
+    keeps argparse from reading a value like -inf as a flag."""
+    return st.fixed_dictionaries({}, optional=options).map(
+        lambda d: [f"--{name}={value}" for name, value in d.items()])
+
+
+@st.composite
+def fixtures(draw, cols: int):
+    """Matrix fixture text: mostly a `rows cols` header and as many values,
+    finite or not; sometimes a broken header or a wrong value count."""
+    rows = draw(mostly(st.integers(min_value=1, max_value=3), non_positive))
+    cols = draw(mostly(st.just(cols), st.integers(min_value=-1, max_value=3)))
+    value = st.floats(min_value=-3.0, max_value=3.0).map(repr)
+    n = max(rows * cols, 0)
+    values = draw(mostly(st.lists(value, min_size=n, max_size=n), st.lists(
+        value | st.sampled_from(["nan", "inf", "1e300", "x"]), max_size=8)))
+    header = draw(mostly(st.just(f"{rows} {cols}"), st.sampled_from(["", "2", "x 1", "1.5 1"])))
+    return " ".join([header, *values]) + "\n"
+
+
+def train_configs():
+    """Config JSON with tiny sizes and at most two steps, and sometimes a
+    wrong value or type, an unknown key or text that is not a config at all."""
+    optional = {
+        "adapter": {"feat_dim": mostly(positive, non_positive | st.just("x")),
+                    "model_dim": mostly(positive, non_positive),
+                    "gate_noise": mostly(st.booleans(), st.just("yes"))},
+        "router": {"gamma": mostly(st.floats(min_value=0.05, max_value=1.0), any_float),
+                   "local_queries": mostly(positive, non_positive),
+                   "train_noise_sigma": mostly(st.floats(min_value=0.0, max_value=1.0),
+                                               any_float)},
+        "training": {"out_dim": mostly(positive, non_positive),
+                     "base": mostly(st.sampled_from([12, 48, 96]), st.sampled_from([0, 7])),
+                     "grid": mostly(st.integers(min_value=1, max_value=4), non_positive),
+                     "lr": mostly(st.floats(min_value=0.01, max_value=1.0),
+                                  any_float | st.just(1e300))},
+    }
+    # the work a config asks for is bounded: these keys are always present
+    training = st.fixed_dictionaries({
+        "sizes": mostly(st.lists(st.integers(min_value=1, max_value=200), min_size=1,
+                                 max_size=2), st.lists(non_positive, max_size=2)),
+        "n_train": mostly(st.integers(min_value=1, max_value=3), non_positive),
+        "n_eval": mostly(st.integers(min_value=1, max_value=2), non_positive),
+        "total_steps": mostly(st.integers(min_value=1, max_value=2), non_positive),
+    }, optional=optional["training"])
+    config = st.fixed_dictionaries({"training": training}, optional={
+        "adapter": st.fixed_dictionaries({}, optional=optional["adapter"]),
+        "router": st.fixed_dictionaries({}, optional=optional["router"])})
+    return mostly(config.map(json.dumps), st.sampled_from(
+        ["", "{", "[]", "null", "NaN", '{"training": 5}', '{"bogus": 1}']))
+
+
+@st.composite
+def invocations(draw):
+    """argv that argparse accepts, the texts of the two fixtures and the
+    config it may name, and SLIME_KIT_SEED (None: unset)."""
+    c = mostly(st.floats(min_value=-0.99, max_value=0.99), any_float).map(repr)
+    methods = mostly(st.sampled_from(["gd", "alt", "alternating", "gd_vector"]),
+                     st.just("bogus"))
+    rank_one = flags(
+        eta=mostly(st.floats(min_value=1e-4, max_value=0.5), any_float | st.just(1e300)),
+        steps=mostly(st.integers(min_value=0, max_value=5), non_positive),
+        d=mostly(st.integers(min_value=2, max_value=40), st.sampled_from([-2, 1, 5000])),
+        seed=mostly(st.integers(min_value=0, max_value=2**70), st.integers(min_value=-3,
+                                                                           max_value=-1)),
+        init=mostly(st.sampled_from(["generic", "antisym", "sym", "0.5,0.5"]),
+                    st.sampled_from(["bogus", "1,x", "1,2,3"])))
+    command = draw(st.sampled_from(["plan", "route", "bilinear", "sweep", "train"]))
+    if command == "plan":
+        side = mostly(st.integers(min_value=1, max_value=5000),
+                      non_positive | st.integers(min_value=10**6, max_value=10**30))
+        argv = [f"--width={draw(side)}", f"--height={draw(side)}", *draw(flags(base=side))]
+    elif command == "route":
+        argv = ["--tokens={tokens}", "--text={text}",
+                *draw(flags(gamma=mostly(st.floats(min_value=0.01, max_value=1.0),
+                                         any_float)))]
+    elif command == "bilinear":
+        argv = [f"--c={draw(c)}", *draw(flags(method=methods)), *draw(rank_one)]
+    elif command == "sweep":
+        argv = [f"--c={draw(st.lists(c, max_size=3).map(','.join))}",
+                *draw(flags(methods=st.lists(methods, max_size=3).map(",".join))),
+                *draw(rank_one)]
+    else:
+        argv = [f"--mode={draw(st.sampled_from(sorted(pl.STAGE_PLANS)))}", "--config={config}",
+                *draw(flags(seed=st.integers(min_value=-3, max_value=2**70)))]
+    width = draw(st.integers(min_value=1, max_value=3))
+    env_seed = draw(st.none() | st.sampled_from(["", "0", "7", "-4", "abc", "1e3", str(2**70)]))
+    return ([command, *argv], draw(fixtures(width)), draw(fixtures(width)),
+            draw(train_configs()), env_seed)
+
+
+class TestCliBoundary:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(invocations())
+    @example((["bilinear", "--c=0.5", "--method=gd", "--eta=1e100", "--steps=50", "--seed=1"],
+              "", "", "", None))   # a run that diverges: exit 3
+    def test_exit_codes_and_streams(self, case):
+        # whatever arrives at the door: exit 0 or 3 with one strict-JSON
+        # document on stdout, or exit 2 with nothing on stdout and one
+        # `<command>: ` line on stderr; never an exception
+        argv, tokens, text, config, env_seed = case
+        env = {} if env_seed is None else {SEED_ENV_VAR: env_seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: str(Path(tmp) / f"{name}.txt") for name in ("tokens", "text", "config")}
+            for name, content in zip(paths, (tokens, text, config)):
+                Path(paths[name]).write_text(content)
+            argv = [arg.format(**paths) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                if env_seed is None:
+                    os.environ.pop(SEED_ENV_VAR, None)
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED), (argv, code)
+        if code == EXIT_USAGE:
+            assert out == "", argv
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert err.startswith(f"{argv[0]}: "), (argv, err)
+        else:
+            strict_json(out)

@@ -30,6 +30,24 @@ def params(task):
     return pl.init_params(task, 1)
 
 
+def profiler_events(fn) -> collections.Counter:
+    """Python-level (`call`) and C-level (`c_call`) profiler events of fn().
+    Operator ufuncs (`@`, `*`, `+`) do not appear as `c_call` events on
+    Python 3.11, so the arithmetic itself is not counted: bounds on these
+    counts pin per-call overhead. A change that adds calls must raise the
+    bounds that pin them and give its reason in CHANGES.md."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        counts[event] += 1
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
 class TestToyTask:
     def test_deterministic_construction(self):
         t1 = pl.make_toy_task(3)
@@ -322,7 +340,7 @@ class TestBatchedPass:
         batch = task.train_set[:n]
         assert len(batch) == n
         r_batch, r_loop, r_loss = make_rng(21), make_rng(21), make_rng(21)
-        stack = pl._stack(batch)
+        stack = pl._stack(batch, params.qf_local.n_queries)
         cache = pl._forward_batch(stack, params, task, mode, rng=r_batch)
         preds, sels = [], []
         for s in batch:
@@ -335,7 +353,7 @@ class TestBatchedPass:
         else:
             # the batch's cut, row by row, is each lone image's kept local
             # tokens shifted by the image's first row in the stack
-            starts = stack.offsets * params.qf_local.n_queries
+            starts = stack.starts
             assert cache.n_kept.tolist() == [len(s.kept_indices) for s in sels]
             for rows, kept, start, want in zip(cache.order, cache.kept, starts, sels):
                 assert np.array_equal(rows[kept], start + want.kept_indices)
@@ -485,35 +503,76 @@ class TestTrain:
         assert per_run[10] == per_run[40] == {"_on_buffer": 4, "_stack": 4}
 
     def test_calls_per_step_are_bounded(self):
-        """Python-level (`call`) and C-level (`c_call`) profiler events per
-        training step, from the difference between a 30-step and a 60-step
-        run, so the run's fixed cost cancels. Operator ufuncs (`@`, `*`, `+`)
-        do not appear as `c_call` events on Python 3.11, so the arithmetic
-        itself is not counted: the bounds pin the per-step overhead. They sit
-        at the counts measured when the training step stopped rebuilding
-        what the run fixes; a change that adds calls must raise them and
-        give its reason in CHANGES.md."""
+        """Profiler events per training step, from the difference between a
+        30-step and a 60-step run, so the run's fixed cost cancels. The
+        bounds sit at the counts measured once a step stopped rebuilding
+        what its batch fixes (see profiler_events)."""
         task = pl.make_toy_task(3)
         pl.train(pl.default_schedule("e2e", seed=3, total_steps=3), task)  # lazy imports
 
         def events(mode, n_steps):
-            counts = collections.Counter()
-
-            def profile(frame, event, arg):
-                counts[event] += 1
             schedule = pl.default_schedule(mode, seed=3, total_steps=n_steps)
-            sys.setprofile(profile)
-            try:
-                pl.train(schedule, task)
-            finally:
-                sys.setprofile(None)
-            return counts
+            return profiler_events(lambda: pl.train(schedule, task))
 
-        for mode, bounds in (("e2e", {"call": 105.0, "c_call": 125.0}),
-                             ("alternating", {"call": 75.4, "c_call": 89.4})):
+        for mode, bounds in (("e2e", {"call": 73.0, "c_call": 98.0}),
+                             ("alternating", {"call": 52.4, "c_call": 69.7})):
             short, long = events(mode, 30), events(mode, 60)
             per_step = {e: (long[e] - short[e]) / 30 for e in bounds}
             assert all(per_step[e] <= bounds[e] for e in bounds), (mode, per_step)
+
+    def test_calls_per_operation_are_bounded(self):
+        # criterion 08's unit of work, a 2-image all-groups loss and gradient
+        # with the selections pinned, and one 30-patch forward, each after a
+        # first call that does the lazy imports (see profiler_events)
+        task = pl.make_toy_task(900, pl.PipelineConfig(n_train=2, n_eval=1, sizes=(96, 128)))
+        params = pl.init_params(task, 0)
+        sels = [pl.forward(s, params, task)[1].selection for s in task.train_set]
+        hires = pl.make_toy_task(1, pl.PipelineConfig(sizes=(416, 512), n_train=4, n_eval=0))
+        image = next(s for s in hires.train_set if len(s.patch_tokens) == 30)
+        hires_params = pl.init_params(hires, 1)
+        for op, bounds in (
+                (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
+                                                 fixed_selections=sels),
+                 {"call": 84, "c_call": 110}),
+                (lambda: pl.forward(image, hires_params, hires), {"call": 40, "c_call": 51})):
+            op()
+            counts = profiler_events(op)
+            assert all(counts[e] <= bounds[e] for e in bounds), (bounds, counts)
+
+    def test_a_reused_batch_gives_a_fresh_batchs_bytes(self, task, params):
+        # the layouts a batch keeps after its first pass (route, noise per
+        # draw configuration) give every later pass, steps and evaluations
+        # alike, the bytes a freshly stacked batch gives
+        n_q = params.qf_local.n_queries
+        reused = pl._stack(task.train_set, n_q)
+        grads = pl._on_buffer(np.empty_like(params.buffer), params.layout,
+                              params.gate.noise_enabled)
+        r_reused, r_fresh = make_rng(31), make_rng(31)
+        for mode in ("full", "global_only", "local_only", "full", "global_only"):
+            grads.buffer.fill(0.0)
+            loss = pl._loss_into(grads, reused, params, task, mode, r_reused, None,
+                                 pl.PARAM_GROUPS)
+            want_loss, want = pl.batch_loss_and_grads(task.train_set, params, task, mode,
+                                                      rng=r_fresh)
+            assert loss == want_loss and grads.buffer.tobytes() == want.buffer.tobytes(), mode
+        assert reused.route is not None and sorted(reused.noise) == [(0, 1), (2, 0), (2, 1)]
+        evals = pl._stack(task.eval_set, n_q)
+        for mode in pl.FORWARD_MODES * 2:
+            assert pl._eval_loss(evals, params, task, mode) == pl.evaluate(params, task, mode)
+
+    def test_a_training_step_reads_no_record(self, monkeypatch):
+        # the first image's RouterSelection is read off the cut only when a
+        # caller asks for it, once; training never does
+        calls = []
+        image_selection = pl.image_selection
+        monkeypatch.setattr(pl, "image_selection",
+                            lambda *args: calls.append(args) or image_selection(*args))
+        task = pl.make_toy_task(4, pl.PipelineConfig(n_train=3, n_eval=2))
+        for mode in ("alternating", "e2e"):
+            pl.train(pl.default_schedule(mode, seed=4, total_steps=6), task)
+        assert calls == []
+        cache = pl.forward(task.train_set[0], pl.init_params(task, 4), task)[1]
+        assert calls == [] and cache.selection is cache.selection and len(calls) == 1
 
     @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
     def test_group_gradients_are_slices_of_the_full_gradient(self, task, params, mode):

@@ -8,6 +8,7 @@ suite stays reproducible; raise max_examples locally to search wider.
 """
 
 import copy
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -17,9 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
-from slicemix.numerics import make_rng
-from slicemix.routing import (RouterConfig, image_selection, route_batch, route_tokens,
-                              select_prefix)
+from slicemix.numerics import attention_weights, make_rng, softmax
+from slicemix.routing import (RouterConfig, image_selection, route_batch, route_layout,
+                              route_tokens, select_prefix)
 from slicemix.slicing import plan_partition, resize_bilinear
 
 properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -113,6 +114,9 @@ class TestRouteBatch:
             r_batch, r_alone = make_rng(seed), make_rng(seed)
             noise = cfg.train_noise_sigma * r_batch.standard_normal(len(tokens))
         cut = scores, rows, n_kept, kept = route_batch(tokens, starts, text, gamma, noise)
+        # a layout built once, as a batch keeps it, routes to the same bytes
+        laid = route_batch(tokens, starts, text, gamma, noise, layout=route_layout(starts))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cut, laid))
         sels = [image_selection(cut, starts, i, gamma) for i in range(len(starts) - 1)]
         assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
         # the batch layout: a score slot per token of the longest image, zero
@@ -160,6 +164,48 @@ class TestRouteBatch:
                 last = sel.scores[kept[-1]]
                 assert np.all(sel.scores[dropped] <= last)
                 assert np.all(dropped[sel.scores[dropped] == last] > kept[-1])
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def attention_stacks(draw):
+    """Queries and 2-D or stacked 3-D keys, 1-8 features wide, with 1-9 keys
+    per row (one key makes one-column score rows) and stacks of up to 30.
+    Up to four entries are 0.0, -0.0, +-inf or NaN, and widths from 8 on
+    send the products through BLAS's larger kernels."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    q_shape = (draw(st.integers(min_value=1, max_value=5)), d)
+    k_shape = (*draw(st.sampled_from([(), (1,), (30,)]) | st.tuples(
+        st.integers(min_value=1, max_value=6))), draw(st.integers(min_value=1, max_value=9)), d)
+    q, k = (draw(hnp.arrays(np.float64, shape, elements=st.floats(min_value=-10.0,
+                                                                   max_value=10.0)))
+            for shape in (q_shape, k_shape))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        a = draw(st.sampled_from([q, k]))
+        a.flat[draw(st.integers(min_value=0, max_value=a.size - 1))] = draw(
+            st.sampled_from(SPECIAL_FLOATS))
+    return q, k
+
+
+class TestAttentionWeights:
+    @properties
+    @given(attention_stacks())
+    def test_bitwise_softmax_of_the_scaled_scores(self, case):
+        # the weights take their row max across a transposed copy, and are
+        # bitwise softmax's, which takes it along each row: a max is exact in
+        # any order, and -0.0 against 0.0 only changes the sign of zeros that
+        # exp maps to 1.0. A row with a NaN is all NaN either way, but numpy's
+        # own last-axis max picks the payload and sign of its NaN by row
+        # length and position, so NaNs compare as NaNs
+        q, k = case
+        with np.errstate(all="ignore"):
+            got = attention_weights(q, k)
+            want = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[1]))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @st.composite
