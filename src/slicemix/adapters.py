@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    attention_weights,
-    cross_attention_vjp,
-    gelu,
-    gelu_grad,
-    normal_cdf,
-    softmax,
-    softplus,
-)
+from .numerics import (_softmax, attention_weights, cross_attention_vjp, gelu_grad, normal_cdf,
+                       softplus)
 
 __all__ = [
     "MlpParams",
@@ -83,7 +76,7 @@ class MlpActivations:
 
     tokens: np.ndarray
     pre: np.ndarray      # x W1 + b1
-    cdf: np.ndarray      # normal_cdf(pre), GELU's one erf pass, reused by the VJP
+    cdf: np.ndarray      # normal_cdf(pre), GELU's one CDF pass, reused by the VJP
     hidden: np.ndarray   # gelu(pre)
     out: np.ndarray
 
@@ -153,36 +146,46 @@ def _check_tokens(tokens, d_in: int, what: str) -> np.ndarray:
     return t
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """A vector, matrix or stack of matrices as one matrix of all its rows."""
-    return a.reshape(-1, a.shape[-1])
-
-
 def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
     """Per-token gelu(x W1 + b1) W2 + b2 on a token matrix or a stack of them;
     the token count is preserved. Keeps the activations mlp_vjp reuses."""
-    t = _check_tokens(tokens, p.w1.shape[0], "mlp_apply")
-    pre = t @ p.w1 + p.b1
+    return _mlp(_check_tokens(tokens, p.w1.shape[0], "mlp_apply"), p)
+
+
+def _mlp(t: np.ndarray, p: MlpParams) -> MlpActivations:
+    """mlp_apply on tokens already checked."""
+    pre = t @ p.w1
+    pre += p.b1
     cdf = normal_cdf(pre)
-    hidden = gelu(pre, cdf)
-    return MlpActivations(tokens=t, pre=pre, cdf=cdf, hidden=hidden, out=hidden @ p.w2 + p.b2)
+    hidden = pre * cdf   # gelu(pre, cdf)
+    out = hidden @ p.w2
+    out += p.b2
+    return MlpActivations(tokens=t, pre=pre, cdf=cdf, hidden=hidden, out=out)
 
 
 def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams) -> None:
     """Add the parameter gradients of sum(acts.out * dout), summed over a
     stack, into `grads`."""
-    grads.w2 += _rows(acts.hidden).T @ _rows(dout)
-    grads.b2 += np.add.reduce(_rows(dout), axis=0)
-    dh = (dout @ p.w2.T) * gelu_grad(acts.pre, acts.cdf)
-    grads.w1 += _rows(acts.tokens).T @ _rows(dh)
-    grads.b1 += np.add.reduce(_rows(dh), axis=0)
+    # each stack as one matrix of all its rows
+    rows = dout.reshape(-1, dout.shape[-1])
+    grads.w2 += acts.hidden.reshape(-1, acts.hidden.shape[-1]).T @ rows
+    grads.b2 += np.add.reduce(rows, axis=0)
+    dh = dout @ p.w2.T
+    dh *= gelu_grad(acts.pre, acts.cdf)
+    dh = dh.reshape(-1, dh.shape[-1])
+    grads.w1 += acts.tokens.reshape(-1, acts.tokens.shape[-1]).T @ dh
+    grads.b1 += np.add.reduce(dh, axis=0)
 
 
 def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
     """Learnable queries cross-attend over projected tokens, keeping the
     activations qformer_vjp reuses. The output always has n_queries rows
     whatever the input length; a (P, L, d_in) stack gives (P, n_queries, d_out)."""
-    t = _check_tokens(tokens, p.wk.shape[0], "qformer_apply")
+    return _qformer(_check_tokens(tokens, p.wk.shape[0], "qformer_apply"), p)
+
+
+def _qformer(t: np.ndarray, p: QFormerParams) -> QFormerActivations:
+    """qformer_apply on tokens already checked."""
     k = t @ p.wk
     v = t @ p.wv
     w = attention_weights(p.queries, k)
@@ -195,12 +198,15 @@ def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
                 grads: QFormerParams) -> None:
     """Add the parameter gradients of sum(acts.out * dout), summed over a
     stack, into `grads`."""
-    grads.wo += _rows(acts.attended).T @ _rows(dout)
+    # each stack as one matrix of all its rows
+    d_in = p.wk.shape[0]
+    grads.wo += acts.attended.reshape(-1, d_in).T @ dout.reshape(-1, dout.shape[-1])
     dq, dk, dv = cross_attention_vjp(p.queries, acts.keys, acts.values,
                                      dout @ p.wo.T, acts.weights)
     grads.queries += dq
-    grads.wk += _rows(acts.tokens).T @ _rows(dk)
-    grads.wv += _rows(acts.tokens).T @ _rows(dv)
+    tokens = acts.tokens.reshape(-1, d_in)
+    grads.wk += tokens.T @ dk.reshape(-1, d_in)
+    grads.wv += tokens.T @ dv.reshape(-1, d_in)
 
 
 def gate_sample(pooled, p: GateParams, rng: np.random.Generator | None = None,
@@ -215,16 +221,21 @@ def gate_sample(pooled, p: GateParams, rng: np.random.Generator | None = None,
     x = np.asarray(pooled, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
         raise ValueError("pooled feature width does not match gate parameters")
+    return _gate(x, p, rng, eps)
+
+
+def _gate(x: np.ndarray, p: GateParams, rng, eps) -> GateSample:
+    """gate_sample on a pooled array already checked."""
     rows = x[..., None, :]   # row by row, so a stack's products are bitwise its rows'
     logits = (rows @ p.w_g)[..., 0, :]
     if p.noise_enabled and eps is None and rng is not None:
         eps = rng.standard_normal(logits.shape)
     if not p.noise_enabled or eps is None:
-        return GateSample(pooled=x, weights=softmax(logits))
+        return GateSample(pooled=x, weights=_softmax(logits))
     if np.shape(eps) != logits.shape:
         raise ValueError("gate noise draws must match the gate weights' shape")
     logits = logits + eps * softplus((rows @ p.w_noise)[..., 0, :])
-    return GateSample(pooled=x, weights=softmax(logits), eps=eps)
+    return GateSample(pooled=x, weights=_softmax(logits), eps=eps)
 
 
 def gate_weights(pooled, p: GateParams,
@@ -238,7 +249,7 @@ def global_experts(tokens, mlp: MlpParams, qf: QFormerParams):
     t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
     if qf.n_queries != t.shape[-2]:
         raise ValueError("global expert shape mismatch")
-    return mlp_apply(t, mlp), qformer_apply(t, qf)
+    return _mlp(t, mlp), _qformer(t, qf)
 
 
 def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
@@ -252,7 +263,8 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     these tokens and parameters, stands in for the experts' forward pass.
     """
     m, q = global_experts(tokens, mlp, qf) if experts is None else experts
-    sample = gate_sample(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, rng, eps)
+    # the mean of tokens global_experts checked needs no second check
+    sample = _gate(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, rng, eps)
     sample.mlp, sample.qformer = m, q
     g = sample.weights.T[..., None, None]   # one scale per expert and image
     return g[0] * m.out + g[1] * q.out, sample
@@ -285,7 +297,8 @@ def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
     dg[..., 0] = np.add.reduce(dout * sample.mlp.out, axis=(-2, -1))
     dg[..., 1] = np.add.reduce(dout * sample.qformer.out, axis=(-2, -1))
     dlogits = g * (dg - np.add.reduce(dg * g, axis=-1, keepdims=True))
-    d_gate.w_g += _rows(sample.pooled).T @ _rows(dlogits)
+    pooled = sample.pooled.reshape(-1, sample.pooled.shape[-1]).T   # a lone vector is one row
+    d_gate.w_g += pooled @ dlogits.reshape(-1, 2)
     if sample.eps is not None:
         coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits
-        d_gate.w_noise += _rows(sample.pooled).T @ _rows(coef)
+        d_gate.w_noise += pooled @ coef.reshape(-1, 2)

@@ -93,9 +93,16 @@ def read_matrix(path: str) -> np.ndarray:
         raise ValueError(f"{path}: header '{text[0]} {text[1]}' must give two integers") from None
     if rows < 0 or cols < 0:
         raise ValueError(f"{path}: header '{rows} {cols}' must give non-negative sizes")
-    data = [float(x) for x in text[2:]]
-    if len(data) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, found {len(data)}")
+    values = text[2:]
+    if len(values) != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} values, found {len(values)}")
+    data = []
+    for i, x in enumerate(values):   # a value exists, so cols >= 1
+        try:
+            data.append(float(x))
+        except ValueError:
+            raise ValueError(f"{path}: row {i // cols + 1}, column {i % cols + 1}: "
+                             f"'{x}' is not a number") from None
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: values must be finite")
     return np.array(data, dtype=np.float64).reshape(rows, cols)

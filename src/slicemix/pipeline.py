@@ -20,7 +20,6 @@ its forward pass saved and draws no random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -42,7 +41,7 @@ from .adapters import (
     qformer_vjp,
 )
 from .numerics import make_rng
-from .routing import (RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch,
+from .routing import (RouterConfig, RouterSelection, _route, image_selection, pinned_cut,
                       route_layout)
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
 from .routing import route_tokens  # noqa: F401
@@ -287,11 +286,14 @@ class ForwardCache:
     n_rows: np.ndarray                  # pooled rows per image
     pooled: np.ndarray                  # (B, model_dim)
     pred: np.ndarray                    # (B, out_dim)
+    _selection: RouterSelection | None = field(default=None, init=False, repr=False)
 
-    @cached_property
+    @property
     def selection(self) -> RouterSelection | None:
         """The first image's record, read off the cut on first access; None if unrouted."""
-        return None if self.first is None else image_selection(*self.first)
+        if self._selection is None and self.first is not None:
+            self._selection = image_selection(*self.first)
+        return self._selection
 
 
 @dataclass
@@ -352,7 +354,8 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         if fixed_selections is None:
             if batch.route is None:
                 batch.route = route_layout(starts)
-            cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise, layout=batch.route)
+            # arrays this pass built, so route_batch's checks would find nothing
+            cut = _route(local, starts, task.text_embed, cfg.gamma, noise, batch.route)
             _, order, n_kept, kept = cut
             first = cut, starts, 0, cfg.gamma
         else:
@@ -385,8 +388,11 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
     With a generator the gate noise and router sort noise are live (training
     mode); without one the pass is deterministic (evaluation mode).
     """
-    batch = _Batch(sample.global_tokens[None], sample.patch_tokens,
-                   np.array([0, len(sample.patch_tokens) * params.qf_local.n_queries]))
+    k = len(sample.patch_tokens) * params.qf_local.n_queries
+    # route_layout's answer for one image of k local tokens: every slot is real
+    slots = np.arange(k)
+    batch = _Batch(sample.global_tokens[None], sample.patch_tokens, np.array([0, k]),
+                   route=(np.array([k]), slots, np.ones((1, k), dtype=bool)))
     cache = _forward_batch(batch, params, task, mode, rng)
     return cache.pred[0], cache
 

@@ -150,12 +150,19 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None, *, layout=None):
     if v.shape[1] != x.shape[1]:
         raise ValueError("image and text tokens must share their feature width")
     starts = np.asarray(starts)
-    counts, slots, real = route_layout(starts) if layout is None else layout
+    layout = route_layout(starts) if layout is None else layout
     if starts[-1] != len(v):
         raise ValueError("every image needs at least one of the token rows")
+    return _route(v, starts, x, gamma, noise, layout)
+
+
+def _route(v: np.ndarray, starts: np.ndarray, x: np.ndarray, gamma: float, noise, layout):
+    """route_batch on float64 matrices and a layout already checked against each other."""
+    counts, slots, real = layout
     # each token's dot products with every text token, summed and averaged;
     # row by row, so a token's similarity does not depend on its neighbours
-    sim = np.einsum("nd,td->n", v, x) / len(x)
+    sim = np.einsum("nd,td->n", v, x)
+    sim /= len(x)
     scores = _padded(sim, real, -np.inf)
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)

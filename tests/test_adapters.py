@@ -64,12 +64,11 @@ class TestMlpForward:
                          rng.standard_normal((4, 5)), rng.standard_normal(5))
         out = ad.mlp_apply(tokens, p).out
         # independent re-evaluation of the two affine maps, scalar-wise
-        from scipy.special import erf
         expect = np.empty((2, 5))
         for i in range(2):
             hidden = [sum(tokens[i, k] * p.w1[k, j] for k in range(3)) + p.b1[j]
                       for j in range(4)]
-            act = [0.5 * h * (1 + erf(h / math.sqrt(2))) for h in hidden]
+            act = [0.5 * h * (1 + math.erf(h / math.sqrt(2))) for h in hidden]
             for j in range(5):
                 expect[i, j] = sum(act[k] * p.w2[k, j] for k in range(4)) + p.b2[j]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
@@ -191,7 +190,6 @@ class TestAdapterGrads:
     def test_single_token_mlp_chain_rule(self):
         # quadratic loss on the MLP expert with 1x1 weights: d/dw2 and
         # d/dw1 follow the scalar chain rule computed symbolically
-        from scipy.special import erf
         w1, b1, w2, b2, x = 0.7, 0.1, -1.3, 0.2, 0.9
         mlp = ad.MlpParams(np.array([[w1]]), np.array([b1]),
                            np.array([[w2]]), np.array([b2]))
@@ -200,7 +198,7 @@ class TestAdapterGrads:
         d_mlp = zeros_like_params(mlp)
         ad.mlp_vjp(acts, mlp, np.array([[y]]), d_mlp)  # loss = y^2 / 2
         h = x * w1 + b1
-        cdf = 0.5 * (1 + erf(h / math.sqrt(2)))
+        cdf = 0.5 * (1 + math.erf(h / math.sqrt(2)))
         pdf = math.exp(-0.5 * h * h) / math.sqrt(2 * math.pi)
         a = h * cdf
         assert d_mlp.w2[0, 0] == pytest.approx(y * a, rel=1e-12)
@@ -212,7 +210,7 @@ class TestAdapterGrads:
         # mlp_apply keeps GELU's normal CDF and mlp_vjp reuses it: the hidden
         # layer is bitwise gelu(pre), and the first layer's gradients are
         # bitwise those of the VJP written with gelu_grad(pre), which runs
-        # the erf pass a second time
+        # the CDF pass a second time
         from slicemix.numerics import gelu, gelu_grad
         rng = make_rng(38)
         mlp = ad.init_mlp(rng, 5, 6)

@@ -366,6 +366,14 @@ class TestRouteOverflow:
         txt.write_text(text)
         assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys, needle)
 
+    def test_value_that_is_not_a_number_exits_2_naming_where(self, tmp_path, capsys):
+        # float's own message named neither the file nor the place of the value
+        tok, txt = tmp_path / "tokens.txt", tmp_path / "text.txt"
+        tok.write_text("2 2\n0.1 0.2\n0.3 x\n")
+        txt.write_text("1 2\n1 1\n")
+        assert_rejected(["route", "--tokens", str(tok), "--text", str(txt)], capsys,
+                        f"{tok}: row 2, column 2: 'x' is not a number")
+
 
 class TestSeedEnvVar:
     @pytest.mark.parametrize("args", [

@@ -14,6 +14,7 @@ from slicemix.numerics import (
     gelu,
     gelu_grad,
     make_rng,
+    normal_cdf,
     softmax,
     softplus,
 )
@@ -131,10 +132,21 @@ class TestCrossAttention:
 
 class TestGelu:
     def test_matches_definition(self):
-        from scipy.special import erf
+        # 0.5 * (1 + erf(x / sqrt(2))) would lose digits to cancellation for x < 0
         xs = np.linspace(-4, 4, 9)
-        np.testing.assert_allclose(gelu(xs), 0.5 * xs * (1 + erf(xs / np.sqrt(2))),
-                                   rtol=1e-15)
+        want = [0.5 * x * math.erfc(-x / math.sqrt(2.0)) for x in xs]
+        np.testing.assert_allclose(gelu(xs), want, rtol=1e-15)
+
+    def test_non_finite_inputs(self):
+        # the CDF is exactly 1 and 0 at ±inf and NaN stays NaN, without an
+        # error or a warning; GELU is x * Φ(x), so -inf * 0 is NaN, as x * (1 +
+        # erf(x / sqrt(2))) / 2 gives it
+        cdf = normal_cdf(np.array([np.inf, -np.inf, np.nan, 1e300, -1e300]))
+        assert cdf[[0, 3]].tolist() == [1.0, 1.0] and cdf[[1, 4]].tolist() == [0.0, 0.0]
+        assert np.isnan(cdf[2])
+        with np.errstate(invalid="ignore"):
+            y = gelu(np.array([np.inf, -np.inf, np.nan]))
+        assert y[0] == np.inf and np.isnan(y[1:]).all()
 
     def test_grad_against_fd(self):
         rng = make_rng(4)

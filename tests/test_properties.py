@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
-from slicemix.numerics import attention_weights, make_rng, softmax
+from slicemix.numerics import attention_weights, make_rng, normal_cdf, softmax
 from slicemix.routing import (RouterConfig, image_selection, route_batch, route_layout,
                               route_tokens, select_prefix)
 from slicemix.slicing import plan_partition, resize_bilinear
@@ -193,8 +193,9 @@ class TestAttentionWeights:
     @properties
     @given(attention_stacks())
     def test_bitwise_softmax_of_the_scaled_scores(self, case):
-        # the weights take their row max across a transposed copy, and are
-        # bitwise softmax's, which takes it along each row: a max is exact in
+        # the weights take their row max across a transposed copy on tall
+        # stacks and along each row on short ones, and are bitwise softmax's,
+        # which takes it along each row: a max is exact in
         # any order, and -0.0 against 0.0 only changes the sign of zeros that
         # exp maps to 1.0. A row with a NaN is all NaN either way, but numpy's
         # own last-axis max picks the payload and sign of its NaN by row
@@ -206,6 +207,28 @@ class TestAttentionWeights:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestNormalCdf:
+    @properties
+    @given(st.lists(st.floats(min_value=-10.0, max_value=10.0) | st.floats(allow_nan=False),
+                    min_size=1, max_size=50))
+    # a grid point, cell edges (the farthest from a Taylor centre) at -3, -1
+    # and 0, the end cells' edges, and the first floats past ±8.5
+    @example([-3.0, -3.0 + 1 / 1024, -1.0 - 1 / 1024, 1 / 1024, -8.5 + 1 / 1024,
+              8.5 - 1 / 1024, math.nextafter(8.5, 9.0), math.nextafter(-8.5, -9.0)])
+    def test_matches_the_erfc_reference(self, xs):
+        # the reference is Φ without the cancellation of 0.5 * (1 + erf(x / sqrt(2))),
+        # whose own rounding grows with |x| in the lower tail, so the relative
+        # bound holds from -3 up and the absolute one everywhere
+        x = np.array(xs)
+        got = normal_cdf(x)
+        want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in xs])
+        err = np.abs(got - want)
+        assert np.all(err <= 4e-16), x[err > 4e-16]
+        upper = x >= -3.0
+        assert np.all(err[upper] <= 4e-15 * want[upper]), x[upper][err[upper] > 4e-15 * want[upper]]
+        assert np.all(got[x > 8.5] == 1.0) and np.all(got[x < -8.5] == 0.0)
 
 
 @st.composite
