@@ -157,7 +157,7 @@ def _mlp(t: np.ndarray, p: MlpParams) -> MlpActivations:
     pre = t @ p.w1
     pre += p.b1
     cdf = normal_cdf(pre)
-    hidden = pre * cdf   # gelu(pre, cdf)
+    hidden = pre * cdf   # gelu(pre), on the CDF the VJP reuses
     out = hidden @ p.w2
     out += p.b2
     return MlpActivations(tokens=t, pre=pre, cdf=cdf, hidden=hidden, out=out)
@@ -209,23 +209,16 @@ def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
     grads.wv += tokens.T @ dv.reshape(-1, d_in)
 
 
-def gate_sample(pooled, p: GateParams, rng: np.random.Generator | None = None,
+def gate_sample(x: np.ndarray, p: GateParams, rng: np.random.Generator | None = None,
                 eps=None) -> GateSample:
-    """Evaluate the gate on a pooled feature vector, or on each row of a stack.
+    """Evaluate the gate on a float64 pooled feature vector, or on each row of
+    a stack, whose width the caller has checked (gate_weights checks it).
 
     Noise is applied only when the parameters enable it AND a generator is
     provided (training mode); without a generator the gate is deterministic.
     A stack draws as its rows would one by one; `eps`, shaped like the
     weights, supplies the draws instead.
     """
-    x = np.asarray(pooled, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
-        raise ValueError("pooled feature width does not match gate parameters")
-    return _gate(x, p, rng, eps)
-
-
-def _gate(x: np.ndarray, p: GateParams, rng, eps) -> GateSample:
-    """gate_sample on a pooled array already checked."""
     rows = x[..., None, :]   # row by row, so a stack's products are bitwise its rows'
     logits = (rows @ p.w_g)[..., 0, :]
     if p.noise_enabled and eps is None and rng is not None:
@@ -241,7 +234,10 @@ def _gate(x: np.ndarray, p: GateParams, rng, eps) -> GateSample:
 def gate_weights(pooled, p: GateParams,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Mixing weights for the two experts; always in the 2-simplex."""
-    return gate_sample(pooled, p, rng).weights
+    x = np.asarray(pooled, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
+        raise ValueError("pooled feature width does not match gate parameters")
+    return gate_sample(x, p, rng).weights
 
 
 def global_experts(tokens, mlp: MlpParams, qf: QFormerParams):
@@ -264,7 +260,7 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     """
     m, q = global_experts(tokens, mlp, qf) if experts is None else experts
     # the mean of tokens global_experts checked needs no second check
-    sample = _gate(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, rng, eps)
+    sample = gate_sample(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, rng, eps)
     sample.mlp, sample.qformer = m, q
     g = sample.weights.T[..., None, None]   # one scale per expert and image
     return g[0] * m.out + g[1] * q.out, sample

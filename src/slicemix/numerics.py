@@ -22,7 +22,6 @@ __all__ = [
     "gelu",
     "gelu_grad",
     "attention_weights",
-    "cross_attention",
     "cross_attention_vjp",
     "fd_grad_check",
 ]
@@ -107,14 +106,14 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def gelu(x, cdf=None):
-    """Exact GELU, x * Φ(x); `cdf`, if given, is normal_cdf(x) already computed."""
+def gelu(x):
+    """Exact GELU, x * Φ(x)."""
     x = np.asarray(x, dtype=np.float64)
-    return x * (normal_cdf(x) if cdf is None else cdf)
+    return x * normal_cdf(x)
 
 
 def gelu_grad(x, cdf=None):
-    """Derivative of the exact GELU, Φ(x) + x φ(x); `cdf` as for gelu."""
+    """Derivative of the exact GELU, Φ(x) + x φ(x); `cdf` is normal_cdf(x) if given."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.exp(-0.5 * x * x)   # then in place: the pdf, x times it, plus the cdf
     grad *= _INV_SQRT_2PI
@@ -142,29 +141,11 @@ def attention_weights(queries, keys) -> np.ndarray:
     return s
 
 
-def cross_attention(queries, keys, values) -> np.ndarray:
-    """Scaled dot-product attention.
-
-    Each output row i is sum_j w_ij * values[j] with
-    w_i = softmax(queries[i] . keys^T / sqrt(d)); weight rows sum to 1.
-    """
-    q, k, v = [np.asarray(a, dtype=np.float64) for a in (queries, keys, values)]
-    if q.ndim != 2 or k.ndim not in (2, 3) or v.ndim != k.ndim:
-        raise ValueError("attention takes 2-D queries and 2-D or stacked 3-D keys and values")
-    if q.shape[1] != k.shape[-1]:
-        raise ValueError(f"query dim {q.shape[1]} does not match key dim {k.shape[-1]}")
-    if k.shape[:-1] != v.shape[:-1]:
-        raise ValueError(f"{k.shape[-2]} key rows vs {v.shape[-2]} value rows")
-    if k.shape[-2] == 0:
-        raise ValueError("attention needs at least one key")
-    return attention_weights(q, k) @ v
-
-
 def cross_attention_vjp(queries, keys, values, dout, weights):
-    """Gradients of cross_attention w.r.t. (queries, keys, values) given dL/dout
-    and the attention weights the forward pass saved, whose arrays need no
-    second shape check; with stacked keys the query gradient sums over the stack.
-    """
+    """Gradients of attention_weights(queries, keys) @ values w.r.t. (queries,
+    keys, values) given dL/dout and the attention weights the forward pass
+    saved, whose arrays need no second shape check; with stacked keys the
+    query gradient sums over the stack."""
     n_q, d = queries.shape
     dv = weights.swapaxes(-1, -2) @ dout
     # gradient of the scaled scores q . k^T / sqrt(d),

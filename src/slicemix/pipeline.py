@@ -41,7 +41,7 @@ from .adapters import (
     qformer_vjp,
 )
 from .numerics import make_rng
-from .routing import (RouterConfig, RouterSelection, _route, image_selection, pinned_cut,
+from .routing import (RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch,
                       route_layout)
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
 from .routing import route_tokens  # noqa: F401
@@ -354,8 +354,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         if fixed_selections is None:
             if batch.route is None:
                 batch.route = route_layout(starts)
-            # arrays this pass built, so route_batch's checks would find nothing
-            cut = _route(local, starts, task.text_embed, cfg.gamma, noise, batch.route)
+            cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise, batch.route)
             _, order, n_kept, kept = cut
             first = cut, starts, 0, cfg.gamma
         else:
@@ -366,15 +365,15 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate, eps=eps,
                                   experts=batch.experts)
     # each image's global rows, then its kept local rows in keeping order,
-    # zero-padded to the most any image keeps: the zeros add nothing, so each
-    # sum is bitwise a lone image's
+    # zero-padded to the most any image keeps; a cumsum adds rows in order at
+    # any width, so the zeros add nothing and each sum is bitwise a lone image's
     feats = g_out
     if order is not None:
         local_rows = local.take(order, axis=0, mode="clip")
         local_rows[~kept] = 0.0
         feats = np.concatenate([g_out, local_rows], axis=1)
     n_rows = g_out.shape[1] + n_kept
-    pooled = np.add.reduce(feats, axis=1) / n_rows[:, None]
+    pooled = feats.cumsum(axis=1)[:, -1] / n_rows[:, None]
     # a row-by-row readout: bitwise a lone image's pass
     return ForwardCache(gate_sample=gate_s, first=first, patches=patches, order=order,
                         kept=kept, n_kept=n_kept, n_rows=n_rows, pooled=pooled,

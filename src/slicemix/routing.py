@@ -127,7 +127,7 @@ def route_layout(starts):
     return counts, slots, slots < counts[:, None]
 
 
-def route_batch(z_v, starts, z_x, gamma: float, noise=None, *, layout=None):
+def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, layout):
     """Route every image of a batch in one pass.
 
     Image i owns rows starts[i]:starts[i+1] of z_v, at least one. Its scores
@@ -139,30 +139,19 @@ def route_batch(z_v, starts, z_x, gamma: float, noise=None, *, layout=None):
     every step works on each row alone (the softmax total is summed in token
     order), so an image gets bit for bit what routing it on its own gives.
 
-    `layout`, route_layout(starts) if given, saves rebuilding it per call.
-    Returns the cut as (scores, rows, n_kept, kept): the (B, K_max) noiseless
-    scores, zero past an image's tokens; each image's rows of z_v in keeping
-    order, as many per image as the most any image keeps; its kept count; and
-    the mask of each row's first n_kept slots. Past them the rows are padding
-    and may point anywhere, even past the last row.
+    The caller checks the float64 matrices against each other and passes
+    `layout`, route_layout(starts); route_tokens does both. Returns the cut
+    as (scores, rows, n_kept, kept): the (B, K_max) noiseless scores, zero
+    past an image's tokens; each image's rows of z_v in keeping order, as
+    many per image as the most any image keeps; its kept count; and the mask
+    of each row's first n_kept slots. Past them the rows are padding and may
+    point anywhere, even past the last row.
     """
-    v, x = _matrix(z_v, "image tokens"), _matrix(z_x, "text tokens")
-    if v.shape[1] != x.shape[1]:
-        raise ValueError("image and text tokens must share their feature width")
-    starts = np.asarray(starts)
-    layout = route_layout(starts) if layout is None else layout
-    if starts[-1] != len(v):
-        raise ValueError("every image needs at least one of the token rows")
-    return _route(v, starts, x, gamma, noise, layout)
-
-
-def _route(v: np.ndarray, starts: np.ndarray, x: np.ndarray, gamma: float, noise, layout):
-    """route_batch on float64 matrices and a layout already checked against each other."""
     counts, slots, real = layout
     # each token's dot products with every text token, summed and averaged;
     # row by row, so a token's similarity does not depend on its neighbours
-    sim = np.einsum("nd,td->n", v, x)
-    sim /= len(x)
+    sim = np.einsum("nd,td->n", z_v, z_x)
+    sim /= len(z_x)
     scores = _padded(sim, real, -np.inf)
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
@@ -218,9 +207,12 @@ def route_tokens(z_v, z_x, cfg: RouterConfig,
     """Score local tokens against the text embedding and keep the top prefix:
     route_batch on a batch of one. Given a generator and sigma > 0, one
     normal per token perturbs the order; otherwise nothing is drawn."""
-    v = _matrix(z_v, "image tokens")
+    v, x = _matrix(z_v, "image tokens"), _matrix(z_x, "text tokens")
+    if v.shape[1] != x.shape[1]:
+        raise ValueError("image and text tokens must share their feature width")
     noise = None
     if rng is not None and cfg.train_noise_sigma > 0.0:
         noise = cfg.train_noise_sigma * rng.standard_normal(len(v))
-    starts = [0, len(v)]
-    return image_selection(route_batch(v, starts, z_x, cfg.gamma, noise), starts, 0, cfg.gamma)
+    starts = np.array([0, len(v)])
+    cut = route_batch(v, starts, x, cfg.gamma, noise, route_layout(starts))
+    return image_selection(cut, starts, 0, cfg.gamma)

@@ -101,10 +101,10 @@ class TestQFormerForward:
         p = ad.init_qformer(rng, 2, 4, 5)
         out = ad.qformer_apply(tokens, p).out
         # oracle: projections and attention assembled step by step
-        from slicemix.numerics import cross_attention
+        from slicemix.numerics import attention_weights
         keys = tokens @ p.wk
         values = tokens @ p.wv
-        expect = cross_attention(p.queries, keys, values) @ p.wo
+        expect = attention_weights(p.queries, keys) @ values @ p.wo
         np.testing.assert_allclose(out, expect, rtol=1e-13)
         assert out.shape == (2, 5)
 

@@ -234,10 +234,9 @@ class TestGradients:
 
     def test_one_router_call_per_batch(self, task, params, monkeypatch):
         # the router runs once over all of a batch's local tokens, through the
-        # name the pipeline binds (route_batch's core, as the pipeline built
-        # the arrays it routes), and never image by image
+        # name the pipeline binds, and never image by image
         calls = []
-        route = pl._route
+        route = pl.route_batch
 
         def counting(z_v, starts, *args, **kwargs):
             calls.append((len(starts) - 1, len(z_v)))
@@ -246,7 +245,7 @@ class TestGradients:
         def alone(*args, **kwargs):
             raise AssertionError("route_tokens called by the pipeline")
 
-        monkeypatch.setattr(pl, "_route", counting)
+        monkeypatch.setattr(pl, "route_batch", counting)
         monkeypatch.setattr(pl, "route_tokens", alone)
         batch = task.train_set[:3]
         n_q = params.qf_local.n_queries

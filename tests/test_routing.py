@@ -12,6 +12,7 @@ from slicemix.routing import (
     RouterConfig,
     compress_local,
     route_batch,
+    route_layout,
     route_tokens,
     select_prefix,
 )
@@ -64,8 +65,9 @@ class TestGammaAtTheCut:
     @pytest.mark.parametrize("gamma", [np.nan, 0.0, 1.5])
     def test_route_batch_rejects_gamma(self, gamma):
         z_v, z_x = embed_scores([0.5, 0.3, 0.2])
+        starts = np.array([0, 3])
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
-            route_batch(z_v, np.array([0, 3]), z_x, gamma)
+            route_batch(z_v, starts, z_x, gamma, None, route_layout(starts))
 
     @pytest.mark.parametrize("scores", [[], [[0.5, 0.5]], 0.5])
     def test_select_prefix_takes_a_non_empty_vector(self, scores):

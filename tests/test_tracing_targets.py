@@ -2,10 +2,14 @@
 bind, and skips a name that no longer resolves; every metric built on that
 name then reads zero calls. The names that do not resolve are pinned here,
 so deleting another traced name fails this test instead of zeroing a metric
-without a word. Retargeting the tracing shortens the list."""
+without a word. Retargeting the tracing shortens the list. A name can also
+resolve and still record nothing, when the program calls another binding;
+the spans a short training run records are pinned for that."""
 
 import sys
 from pathlib import Path
+
+from slicemix import pipeline as pl
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -22,6 +26,20 @@ UNRESOLVED = [
     "slicemix.routing.relevance_scores",
 ]
 
+# what a 4-step e2e training run records, the task built before tracing
+TRAIN_SPANS = {
+    "pipeline.train", "pipeline.init_params", "numerics.make_rng",
+    "adapters.global_fwd", "adapters.gate_sample", "adapters.global_vjp",
+    "adapters.mlp_vjp", "adapters.global_qformer_vjp",
+    "adapters.local_fwd", "adapters.local_vjp",
+    "numerics.attention_weights", "numerics.cross_attention_vjp",
+    "numerics.gelu_grad", "numerics.softplus",
+}
+# resolve but record nothing in training: global_experts runs the experts'
+# unchecked cores, since running their checked doors instead costs one more
+# asarray per pass than the call bounds in test_pipeline.py allow
+KNOWN_SILENT = {"adapters.mlp_apply", "adapters.global_qformer_apply"}
+
 
 def test_unresolved_targets_are_the_known_stale_ones():
     tracer = Tracer()
@@ -30,3 +48,19 @@ def test_unresolved_targets_are_the_known_stale_ones():
         assert tracer.missing == UNRESOLVED
     finally:
         tracer.uninstall()
+
+
+def test_a_training_run_records_the_known_spans():
+    task = pl.make_toy_task(3)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        pl.train(pl.default_schedule("e2e", total_steps=4), task)
+    finally:
+        tracer.uninstall()
+    counts = tracer.phase(0, tracer.mark()).counts()
+    recorded = {name for name, n in counts.items() if n}
+    assert recorded == TRAIN_SPANS
+    assert not recorded & KNOWN_SILENT and KNOWN_SILENT <= counts.keys()
+    # one gate evaluation per mixture pass: 4 steps and 2 noiseless evaluations
+    assert counts["adapters.gate_sample"] == counts["adapters.global_fwd"] == 6
