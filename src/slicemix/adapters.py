@@ -4,8 +4,8 @@ The experts map vision-feature tokens (L, d_in) into readout space (d_out):
 a GELU MLP that keeps every position, and a query head whose learnable query
 embeddings cross-attend over the tokens. The soft mixture configures the
 query head with exactly L queries so the expert outputs add positionwise.
-The gate scores the mean-pooled token and, given a generator, perturbs each
-logit with a standard-normal draw scaled by softplus(x . w_noise) before the
+The gate scores the mean-pooled token and, given standard-normal draws,
+perturbs each logit by one scaled by softplus(x . w_noise) before the
 softmax. The tokens are frozen features, so the VJPs give parameter gradients
 only: hand-derived, FD-checked, and run on the activations the forward pass
 saved. Each function also takes a stack of token matrices (one per patch or
@@ -149,11 +149,7 @@ def _check_tokens(tokens, d_in: int, what: str) -> np.ndarray:
 def mlp_apply(tokens, p: MlpParams) -> MlpActivations:
     """Per-token gelu(x W1 + b1) W2 + b2 on a token matrix or a stack of them;
     the token count is preserved. Keeps the activations mlp_vjp reuses."""
-    return _mlp(_check_tokens(tokens, p.w1.shape[0], "mlp_apply"), p)
-
-
-def _mlp(t: np.ndarray, p: MlpParams) -> MlpActivations:
-    """mlp_apply on tokens already checked."""
+    t = _check_tokens(tokens, p.w1.shape[0], "mlp_apply")
     pre = t @ p.w1
     pre += p.b1
     cdf = normal_cdf(pre)
@@ -181,11 +177,7 @@ def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
     """Learnable queries cross-attend over projected tokens, keeping the
     activations qformer_vjp reuses. The output always has n_queries rows
     whatever the input length; a (P, L, d_in) stack gives (P, n_queries, d_out)."""
-    return _qformer(_check_tokens(tokens, p.wk.shape[0], "qformer_apply"), p)
-
-
-def _qformer(t: np.ndarray, p: QFormerParams) -> QFormerActivations:
-    """qformer_apply on tokens already checked."""
+    t = _check_tokens(tokens, p.wk.shape[0], "qformer_apply")
     k = t @ p.wk
     v = t @ p.wv
     w = attention_weights(p.queries, k)
@@ -209,20 +201,16 @@ def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
     grads.wv += tokens.T @ dv.reshape(-1, d_in)
 
 
-def gate_sample(x: np.ndarray, p: GateParams, rng: np.random.Generator | None = None,
-                eps=None) -> GateSample:
+def gate_sample(x: np.ndarray, p: GateParams, eps=None) -> GateSample:
     """Evaluate the gate on a float64 pooled feature vector, or on each row of
     a stack, whose width the caller has checked (gate_weights checks it).
 
-    Noise is applied only when the parameters enable it AND a generator is
-    provided (training mode); without a generator the gate is deterministic.
-    A stack draws as its rows would one by one; `eps`, shaped like the
-    weights, supplies the draws instead.
+    Noise is applied only when the parameters enable it AND normal draws
+    `eps`, shaped like the weights, are given (training mode); without them
+    the gate is deterministic.
     """
     rows = x[..., None, :]   # row by row, so a stack's products are bitwise its rows'
     logits = (rows @ p.w_g)[..., 0, :]
-    if p.noise_enabled and eps is None and rng is not None:
-        eps = rng.standard_normal(logits.shape)
     if not p.noise_enabled or eps is None:
         return GateSample(pooled=x, weights=_softmax(logits))
     if np.shape(eps) != logits.shape:
@@ -233,23 +221,25 @@ def gate_sample(x: np.ndarray, p: GateParams, rng: np.random.Generator | None = 
 
 def gate_weights(pooled, p: GateParams,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Mixing weights for the two experts; always in the 2-simplex."""
+    """Mixing weights for the two experts; always in the 2-simplex. A noisy
+    gate given a generator draws one normal per weight."""
     x = np.asarray(pooled, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
         raise ValueError("pooled feature width does not match gate parameters")
-    return gate_sample(x, p, rng).weights
+    eps = rng.standard_normal(x.shape[:-1] + (2,)) if rng is not None and p.noise_enabled else None
+    return gate_sample(x, p, eps).weights
 
 
 def global_experts(tokens, mlp: MlpParams, qf: QFormerParams):
     """Both experts' forward pass: the (MlpActivations, QFormerActivations) moe_apply mixes."""
-    t = _check_tokens(tokens, mlp.w1.shape[0], "moe_apply")
-    if qf.n_queries != t.shape[-2]:
+    m = mlp_apply(tokens, mlp)
+    if qf.n_queries != m.tokens.shape[-2]:
         raise ValueError("global expert shape mismatch")
-    return _mlp(t, mlp), _qformer(t, qf)
+    return m, qformer_apply(m.tokens, qf)
 
 
-def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
-              rng: np.random.Generator | None = None, eps=None, experts=None):
+def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams, eps=None,
+              experts=None):
     """Soft two-expert mixture; returns (output, gate sample).
 
     The gate sees the column mean of the tokens, so one weight pair applies
@@ -260,7 +250,7 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams,
     """
     m, q = global_experts(tokens, mlp, qf) if experts is None else experts
     # the mean of tokens global_experts checked needs no second check
-    sample = gate_sample(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, rng, eps)
+    sample = gate_sample(np.add.reduce(m.tokens, axis=-2) / m.tokens.shape[-2], gate, eps)
     sample.mlp, sample.qformer = m, q
     g = sample.weights.T[..., None, None]   # one scale per expert and image
     return g[0] * m.out + g[1] * q.out, sample

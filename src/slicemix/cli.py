@@ -41,17 +41,16 @@ BILINEAR_STEPS = 20000   # the default --steps of `bilinear` and `sweep`
 METHODS = {"alt": "alternating", **{name: name for name in bilinear.METHODS}}
 
 # The config `train` reads, as section: keys; any other key is rejected. Each
-# key sets the PipelineConfig field of its name (train_noise_sigma sets
-# router_noise_sigma), but total_steps and lr set the schedule.
+# key sets the PipelineConfig field of its name, but total_steps and lr set
+# the schedule.
 TRAIN_KEYS = {
     "adapter": ("feat_dim", "model_dim", "gate_noise"),
     "router": ("gamma", "local_queries", "train_noise_sigma"),
     "training": ("out_dim", "base", "grid", "sizes", "n_train", "n_eval", "total_steps", "lr"),
 }
-_FIELD_OF_KEY = {"train_noise_sigma": "router_noise_sigma"}
 _LIBRARY_DEFAULTS = {**vars(pipeline.PipelineConfig()),
                      "total_steps": pipeline.DEFAULT_TOTAL_STEPS, "lr": pipeline.DEFAULT_LR}
-TRAIN_CONFIG = {section: {key: _LIBRARY_DEFAULTS[_FIELD_OF_KEY.get(key, key)] for key in keys}
+TRAIN_CONFIG = {section: {key: _LIBRARY_DEFAULTS[key] for key in keys}
                 for section, keys in TRAIN_KEYS.items()}
 
 
@@ -242,8 +241,7 @@ def cmd_train(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
     cfg = merge_config(user_cfg)
-    values = {_FIELD_OF_KEY.get(key, key): value
-              for section in cfg.values() for key, value in section.items()}
+    values = {key: value for section in cfg.values() for key, value in section.items()}
     for key in ("n_eval", "total_steps"):
         if values[key] < 1:
             raise ConfigError(f"training.{key} must be at least 1")

@@ -20,6 +20,7 @@ its forward pass saved and draws no random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -95,7 +96,7 @@ class PipelineConfig:
     out_dim: int = 4
     local_queries: int = 4
     gamma: float = RouterConfig.gamma
-    router_noise_sigma: float = RouterConfig.train_noise_sigma
+    train_noise_sigma: float = RouterConfig.train_noise_sigma
     gate_noise: bool = True
     base: int = 96             # tile side in pixels
     grid: int = 3              # feature cells per tile side
@@ -121,7 +122,7 @@ class PipelineConfig:
             raise ValueError(f"the task would touch {pixels} pixels (images, tile canvases "
                              f"and global views), past the budget of {TASK_PIXEL_BUDGET}")
         # the router's own checks, run here so a bad value fails before any work
-        RouterConfig(gamma=self.gamma, train_noise_sigma=self.router_noise_sigma)
+        RouterConfig(gamma=self.gamma, train_noise_sigma=self.train_noise_sigma)
 
     @property
     def cell(self) -> int:
@@ -286,14 +287,11 @@ class ForwardCache:
     n_rows: np.ndarray                  # pooled rows per image
     pooled: np.ndarray                  # (B, model_dim)
     pred: np.ndarray                    # (B, out_dim)
-    _selection: RouterSelection | None = field(default=None, init=False, repr=False)
 
-    @property
+    @cached_property
     def selection(self) -> RouterSelection | None:
         """The first image's record, read off the cut on first access; None if unrouted."""
-        if self._selection is None and self.first is not None:
-            self._selection = image_selection(*self.first)
-        return self._selection
+        return None if self.first is None else image_selection(*self.first)
 
 
 @dataclass
@@ -326,13 +324,13 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
     one by one."""
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode '{mode}'")
-    views, n, d, cfg = batch.views, len(batch.views), params.readout.shape[0], task.cfg
+    views, n, d, cfg = batch.views, batch.views.shape[0], params.readout.shape[0], task.cfg
     starts = batch.starts
     gate_s = patches = eps = noise = first = None
     gate_draws = 2 if (mode != "local_only" and rng is not None
                        and params.gate.noise_enabled) else 0
     route_draws = 1 if (mode != "global_only" and rng is not None and fixed_selections is None
-                        and cfg.router_noise_sigma > 0.0) else 0
+                        and cfg.train_noise_sigma > 0.0) else 0
     if gate_draws or route_draws:
         if (gate_draws, route_draws) not in batch.noise:
             # image i's draws begin after i gate pairs and the router draws of its predecessors
@@ -345,7 +343,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         draws = rng.standard_normal(len(routed))
         eps = draws[gate_at] if gate_draws else None
         if route_draws:
-            noise = cfg.router_noise_sigma * draws[routed]
+            noise = cfg.train_noise_sigma * draws[routed]
     if mode == "global_only":
         order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
     else:
@@ -388,10 +386,10 @@ def forward(sample: Sample, params: PipelineParams, task: ToyTask,
     mode); without one the pass is deterministic (evaluation mode).
     """
     k = len(sample.patch_tokens) * params.qf_local.n_queries
-    # route_layout's answer for one image of k local tokens: every slot is real
-    slots = np.arange(k)
+    # route_layout's answer for one image of k local tokens, without its checks
+    counts, slots = np.array([k]), np.arange(k)
     batch = _Batch(sample.global_tokens[None], sample.patch_tokens, np.array([0, k]),
-                   route=(np.array([k]), slots, np.ones((1, k), dtype=bool)))
+                   route=(counts, slots, slots < counts[:, None]))
     cache = _forward_batch(batch, params, task, mode, rng)
     return cache.pred[0], cache
 
@@ -417,31 +415,23 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
 
 
 def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
-                         mode: str = "full", rng=None, fixed_selections=None, groups=None):
-    """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients of
-    `groups` (names in PARAM_GROUPS; None means all); other slices stay zero.
+                         mode: str = "full", rng=None, fixed_selections=None):
+    """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients.
 
     The batch runs as one stacked pass. The backward reuses the activations
     the forward saved in the ForwardCache and draws no random numbers, so
     the generator advances exactly as over the forward pass alone. Each
     image's upstream gradient is scaled by 1/B.
     """
-    if isinstance(groups, str):
-        raise ValueError(f"groups takes a collection of names from {PARAM_GROUPS}, "
-                         f"not the string {groups!r}")
-    unknown = sorted(set(groups or ()).difference(PARAM_GROUPS), key=str)
-    if unknown:
-        raise ValueError(f"unknown parameter groups {unknown}; the groups are {PARAM_GROUPS}")
     batch = _stack(samples, params.qf_local.n_queries)
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
-    return _loss_into(grads, batch, params, task, mode, rng, fixed_selections,
-                      PARAM_GROUPS if groups is None else groups), grads
+    return _loss_into(grads, batch, params, task, mode, rng, fixed_selections, PARAM_GROUPS), grads
 
 
 def _loss_into(grads: PipelineParams, batch: _Batch, params: PipelineParams, task: ToyTask,
                mode: str, rng, fixed_selections, groups) -> float:
-    """batch_loss_and_grads' loss, adding the gradients of `groups` (checked
-    names) into `grads`, a zeroed store in `params`' layout."""
+    """batch_loss_and_grads' loss, adding the gradients of `groups` (names in
+    PARAM_GROUPS) into `grads`, a zeroed store in `params`' layout."""
     cache = _forward_batch(batch, params, task, mode, rng, fixed_selections)
     resid = cache.pred - batch.targets
     inv = 1.0 / len(resid)

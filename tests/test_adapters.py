@@ -274,7 +274,7 @@ class TestAdapterGrads:
         mlp, qf, gate = make_trio(41, 3, 4, 2, noise=True)
         tokens = rng.standard_normal((3, 4))
         dout = rng.standard_normal((3, 2))
-        _, sample = ad.moe_apply(tokens, mlp, qf, gate, rng=make_rng(7))
+        _, sample = ad.moe_apply(tokens, mlp, qf, gate, eps=make_rng(7).standard_normal(2))
         assert sample.eps is not None
         eps = sample.eps
         d_mlp, d_qf, d_gate = mixture_grads(mlp, qf, gate, dout, sample)
@@ -382,10 +382,11 @@ class TestStackedMixture:
                     ad.GateParams(arrs[8], arrs[9], noise_enabled=True))
 
         def f(vec):
-            out, _ = ad.moe_apply(self.tokens, *unflatten(vec), rng=make_rng(9))
+            out, _ = ad.moe_apply(self.tokens, *unflatten(vec), eps=eps)
             return float(np.vdot(out, self.dout))
 
-        _, sample = ad.moe_apply(self.tokens, self.mlp, self.qf, self.gate, rng=make_rng(9))
+        eps = make_rng(9).standard_normal((3, 2))
+        _, sample = ad.moe_apply(self.tokens, self.mlp, self.qf, self.gate, eps=eps)
         assert sample.eps.shape == (3, 2) and sample.weights.shape == (3, 2)
         grads = mixture_grads(self.mlp, self.qf, self.gate, self.dout, sample)
         assert np.any(grads[2].w_noise != 0.0)
@@ -396,12 +397,13 @@ class TestStackedMixture:
         # a stack draws the same noise as its images one by one; outputs and
         # gate weights are bitwise equal, gradients sum over the stack
         out, sample = ad.moe_apply(self.tokens, self.mlp, self.qf, self.gate,
-                                   rng=make_rng(10))
+                                   eps=make_rng(10).standard_normal((3, 2)))
         grads = mixture_grads(self.mlp, self.qf, self.gate, self.dout, sample)
         rng = make_rng(10)
         loop = zero_grads(self.mlp, self.qf, self.gate)
         for i, t in enumerate(self.tokens):
-            out_i, sample_i = ad.moe_apply(t, self.mlp, self.qf, self.gate, rng=rng)
+            out_i, sample_i = ad.moe_apply(t, self.mlp, self.qf, self.gate,
+                                           eps=rng.standard_normal(2))
             assert np.array_equal(out[i], out_i)
             assert np.array_equal(sample.weights[i], sample_i.weights)
             ad.adapter_grads(self.mlp, self.qf, self.gate, self.dout[i], sample_i, loop)
@@ -410,9 +412,9 @@ class TestStackedMixture:
 
     def test_stack_of_one_equals_the_matrix(self):
         t, dout = self.tokens[0], self.dout[0]
-        out, sample = ad.moe_apply(t, self.mlp, self.qf, self.gate, rng=make_rng(11))
-        out1, sample1 = ad.moe_apply(t[None], self.mlp, self.qf, self.gate,
-                                     rng=make_rng(11))
+        eps = make_rng(11).standard_normal(2)
+        out, sample = ad.moe_apply(t, self.mlp, self.qf, self.gate, eps=eps)
+        out1, sample1 = ad.moe_apply(t[None], self.mlp, self.qf, self.gate, eps=eps[None])
         assert out.shape == t.shape[:1] + (3,) and sample.weights.shape == (2,)
         assert np.array_equal(out1[0], out)
         assert np.array_equal(sample1.weights[0], sample.weights)
@@ -422,9 +424,10 @@ class TestStackedMixture:
 
     def test_supplied_draws_replace_the_generator(self):
         pooled = self.tokens.mean(axis=1)
-        drawn = ad.gate_sample(pooled, self.gate, make_rng(12))
+        # gate_weights draws one normal per weight, in the stack's row order
+        drawn = ad.gate_weights(pooled, self.gate, make_rng(12))
         given = ad.gate_sample(pooled, self.gate, eps=make_rng(12).standard_normal((3, 2)))
-        assert np.array_equal(drawn.weights, given.weights)
+        assert np.array_equal(drawn, given.weights) and given.eps is not None
         with pytest.raises(ValueError, match="noise draws"):
             ad.gate_sample(pooled, self.gate, eps=np.zeros(2))
 

@@ -246,8 +246,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": -0.5}, {"gamma": 1.5}, {"gamma": math.nan},
-        {"router_noise_sigma": -0.1}, {"n_train": 0},
-        {"router_noise_sigma": math.nan}, {"router_noise_sigma": math.inf},
+        {"train_noise_sigma": -0.1}, {"n_train": 0},
+        {"train_noise_sigma": math.nan}, {"train_noise_sigma": math.inf},
     ])
     def test_pipeline_config_rejects(self, kwargs):
         with pytest.raises(ValueError):

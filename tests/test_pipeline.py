@@ -35,8 +35,9 @@ def profiler_events(fn) -> collections.Counter:
     """Python-level (`call`) and C-level (`c_call`) profiler events of fn().
     Operator ufuncs (`@`, `*`, `+`) do not appear as `c_call` events on
     Python 3.11, so the arithmetic itself is not counted: bounds on these
-    counts pin per-call overhead. A change that adds calls must raise the
-    bounds that pin them and give its reason in CHANGES.md."""
+    counts pin per-call overhead. No bound is loosened: a change that adds
+    calls pays for them inside the bounds, and a bound comes down to the
+    count when the count falls."""
     counts = collections.Counter()
 
     def profile(frame, event, arg):
@@ -414,7 +415,7 @@ class TestTrain:
         # parameters agree bit for bit, so neither the skipped gradients nor
         # frozen experts kept across a stage boundary change anything
         task = pl.make_toy_task(4)
-        assert task.cfg.gate_noise and task.cfg.router_noise_sigma > 0.0
+        assert task.cfg.gate_noise and task.cfg.train_noise_sigma > 0.0
         init, trained = pl.init_params, []
         monkeypatch.setattr(pl, "init_params",
                             lambda *args: trained.append(init(*args)) or trained[-1])
@@ -454,9 +455,9 @@ class TestTrain:
         # are stacked once each
         from slicemix import adapters as ad
         task = pl.make_toy_task(4, pl.PipelineConfig(n_train=3, n_eval=2))
-        calls = {"adapter_grads": [], "_mlp": [], "_stack": []}
+        calls = {"adapter_grads": [], "mlp_apply": [], "_stack": []}
         shape_of = {"adapter_grads": lambda args: args[4].mlp.tokens.shape,
-                    "_mlp": lambda args: np.shape(args[0]),
+                    "mlp_apply": lambda args: np.shape(args[0]),
                     "_stack": lambda args: len(args[0])}
 
         def counting(module, name):
@@ -467,10 +468,10 @@ class TestTrain:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        # global_experts runs both experts' forward on checked tokens, through
-        # the adapters module's unchecked _mlp and _qformer; _qformer also
-        # serves the local compression, so _mlp counts the experts' passes
-        for module, name in ((pl, "adapter_grads"), (ad, "_mlp"), (pl, "_stack")):
+        # global_experts runs both experts' forward through the adapters
+        # module's mlp_apply and qformer_apply; qformer_apply also serves the
+        # local compression, so mlp_apply counts the experts' passes
+        for module, name in ((pl, "adapter_grads"), (ad, "mlp_apply"), (pl, "_stack")):
             counting(module, name)
         report = pl.train(pl.StageSchedule(mode, steps, (0.25,) * len(steps), seed=4), task)
         assert len(report.steps) == sum(steps) and not report.diverged
@@ -478,7 +479,7 @@ class TestTrain:
         eval_views = (2,) + train_views[1:]
         assert calls["adapter_grads"] == [train_views] * adapter_vjps
         # the evaluations after training run full and global_only once each
-        assert calls["_mlp"] == [train_views] * expert_passes + [eval_views] * 2
+        assert calls["mlp_apply"] == [train_views] * expert_passes + [eval_views] * 2
         assert calls["_stack"] == [3, 2]
 
     def test_what_the_run_fixes_is_built_once(self, monkeypatch):
@@ -532,8 +533,8 @@ class TestTrain:
         for op, bounds in (
                 (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
                                                  fixed_selections=sels),
-                 {"call": 62, "c_call": 102}),
-                (lambda: pl.forward(image, hires_params, hires), {"call": 37, "c_call": 41})):
+                 {"call": 62, "c_call": 99}),
+                (lambda: pl.forward(image, hires_params, hires), {"call": 35, "c_call": 40})):
             op()
             counts = profiler_events(op)
             assert all(counts[e] <= bounds[e] for e in bounds), (bounds, counts)
@@ -575,49 +576,28 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
     def test_group_gradients_are_slices_of_the_full_gradient(self, task, params, mode):
-        # groups=None is every group; a subset gives the same loss, draws and
-        # bytes in its own slices, and exact zeros in the others
+        # a training step's subset of the groups gives batch_loss_and_grads'
+        # loss, draws and bytes in its own slices, and exact zeros in the others
         batch = task.train_set[:4]
         r_full = make_rng(41)
         full_loss, full = pl.batch_loss_and_grads(batch, params, task, mode, rng=r_full)
+        stacked = pl._stack(batch, params.qf_local.n_queries)
         for groups in (pl.PARAM_GROUPS, {"adapter"}, {"local"}, {"readout"},
                        {"adapter", "readout"}, ()):
             rng = make_rng(41)
-            loss, grads = pl.batch_loss_and_grads(batch, params, task, mode, rng=rng,
-                                                  groups=groups)
+            grads = pl._on_buffer(np.zeros_like(params.buffer), params.layout,
+                                  params.gate.noise_enabled)
+            loss = pl._loss_into(grads, stacked, params, task, mode, rng, None, groups)
             assert loss == full_loss
             assert rng.bit_generator.state == r_full.bit_generator.state
             for name, got in pl.params_arrays(grads).items():
                 want = pl.params_arrays(full)[name] if name in groups else np.zeros(got.size)
                 assert got.tobytes() == want.tobytes(), (groups, name)
 
-    @pytest.mark.parametrize("groups", [{"adpater"}, ("local", "Readout")])
-    def test_unknown_group_names_are_rejected(self, task, params, groups):
-        # a misspelt name would otherwise leave its group's gradient at zero;
-        # the check runs before the forward pass, so no noise is drawn
-        rng = make_rng(41)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="unknown parameter groups") as err:
-            pl.batch_loss_and_grads(task.train_set[:2], params, task, rng=rng, groups=groups)
-        unknown = set(groups).difference(pl.PARAM_GROUPS)
-        assert unknown and all(repr(name) in str(err.value) for name in unknown)
-        assert rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("groups", ["adapter", "readout", ""])
-    def test_a_bare_string_is_rejected(self, task, params, groups):
-        # a string is a collection of letters, not of names: even a group's
-        # own name is rejected, before any noise is drawn
-        rng = make_rng(41)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="groups takes a collection of names") as err:
-            pl.batch_loss_and_grads(task.train_set[:2], params, task, rng=rng, groups=groups)
-        assert repr(groups) in str(err.value)
-        assert rng.bit_generator.state == state
-
     def test_stage_one_loss_decreases_first_ten_steps(self):
         # noise disabled so the descent property is well defined: live gate
         # and router draws perturb individual steps by design
-        cfg = pl.PipelineConfig(gate_noise=False, router_noise_sigma=0.0)
+        cfg = pl.PipelineConfig(gate_noise=False, train_noise_sigma=0.0)
         lr = pl.default_schedule("alternating").lr[0]
         for seed in (1, 2, 3, 4, 5):
             task = pl.make_toy_task(seed, cfg)

@@ -1,6 +1,7 @@
 """Property tests: invariants of the router's prefix cut and of its batched
 pass, the pipeline gradient's directional derivative, a batched pipeline pass
-against a loop of lone ones, the partition planner,
+against a loop of lone ones, stage freezes against the all-groups gradient
+and a reference training loop, the partition planner,
 bilinear resizing and the factorization runner's stop rule, checked on
 inputs that hypothesis draws.
 
@@ -9,8 +10,9 @@ suite stays reproducible; raise max_examples locally to search wider.
 """
 
 import copy
+import json
 import math
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -346,6 +348,80 @@ class TestBatchEqualsLoop:
                 for rows, kept, start, c in zip(cache.order, cache.kept, batch.starts, lone):
                     assert np.array_equal(rows[kept] - start, c.order[0][c.kept[0]])
             assert r_batch.bit_generator.state == r_loop.bit_generator.state
+
+
+def trained(schedule, task):
+    """train's report and the parameters the run trained."""
+    init, made = pl.init_params, []
+    pl.init_params = lambda *args: made.append(init(*args)) or made[-1]
+    try:
+        return pl.train(schedule, task), made[0]
+    finally:
+        pl.init_params = init
+
+
+def reference_run(schedule, task):
+    """train as a loop that computes every group's gradient on every step and
+    applies only the stage's groups; returns the report and the parameters."""
+    params = pl.init_params(task, schedule.seed)
+    rng = make_rng((schedule.seed << 8) ^ 0xA17E12)   # train's noise stream
+    plan = [(stage, lr) for stage, n, lr in zip(pl.stage_plan(schedule.mode), schedule.steps,
+                                                schedule.lr) for _ in range(n)]
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, ((label, fmode, groups), lr) in enumerate(plan):
+            loss, grads = pl.batch_loss_and_grads(task.train_set, params, task, fmode, rng=rng)
+            rows.append((step, label, loss))
+            if not np.isfinite(loss):
+                break
+            for group in groups:
+                pl.params_arrays(params)[group] -= lr * pl.params_arrays(grads)[group]
+        evals = [pl.evaluate(params, task, fmode) for fmode in pl.FORWARD_MODES]
+    return pl.RunReport(schedule.mode, schedule.seed, rows, *evals, config={},
+                        diverged=bool(rows) and not np.isfinite(rows[-1][2])), params
+
+
+class TestStageFreezes:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(pipeline_cases())
+    def test_each_subset_of_groups_gets_its_slices_of_all_groups(self, case):
+        # a step that computes only some groups' gradients keeps the loss and
+        # the draws of the all-groups pass, gives its groups' bytes, and leaves
+        # the other slices exactly zero, in every forward mode, on one batch
+        # stacked once for all the passes
+        task, params, _, noise_seed, _ = case
+        batch = pl._stack(task.train_set, params.qf_local.n_queries)
+        subsets = [set(c) for k in range(4) for c in combinations(pl.PARAM_GROUPS, k)]
+        for mode in pl.FORWARD_MODES:
+            r_all = make_rng(noise_seed)
+            want_loss, want = pl.batch_loss_and_grads(task.train_set, params, task, mode,
+                                                      rng=r_all)
+            for groups in subsets:
+                rng = make_rng(noise_seed)
+                grads = pl._on_buffer(np.zeros_like(params.buffer), params.layout,
+                                      params.gate.noise_enabled)
+                loss = pl._loss_into(grads, batch, params, task, mode, rng, None, groups)
+                assert loss == want_loss
+                assert rng.bit_generator.state == r_all.bit_generator.state
+                for name, got in pl.params_arrays(grads).items():
+                    ref = pl.params_arrays(want)[name] if name in groups else np.zeros(got.size)
+                    assert got.tobytes() == ref.tobytes(), (mode, groups, name)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pipeline_cases(), st.lists(st.integers(min_value=0, max_value=3), min_size=3,
+                                      max_size=3))
+    def test_a_short_run_is_the_reference_loop(self, case, steps):
+        # skipped gradients and frozen experts kept across steps change no
+        # byte of a run, in every training mode and so every forward mode
+        task, _, _, seed, _ = case
+        for mode in pl.STAGE_PLANS:
+            n = len(pl.stage_plan(mode))
+            schedule = pl.StageSchedule(mode, tuple(steps[:n]), (pl.DEFAULT_LR,) * n, seed)
+            (report, params), (want, want_params) = (trained(schedule, task),
+                                                     reference_run(schedule, task))
+            assert report.to_csv() == want.to_csv(), mode
+            assert json.dumps(report.summary()) == json.dumps(want.summary()), mode
+            assert params.buffer.tobytes() == want_params.buffer.tobytes(), mode
 
 
 sides = st.integers(min_value=1, max_value=5000)

@@ -1,5 +1,6 @@
 """tools/src_lines.py: each line of a fixture module falls in the kind its
-tokens give it, the kinds add up to the file, and bad paths exit 2."""
+tokens give it, the kinds add up to the file, a fixture module's options are
+counted, and bad paths exit 2."""
 
 import importlib.util
 import json
@@ -29,6 +30,50 @@ def f(x):
             s)
 '''
 
+# options: f's y and z; Cfg's fields b and a and Cfg.m's k; Plain.m's k and j.
+# Not: inner (nested), _g and _Hidden (private), Cfg's _c, d (not annotated)
+# and e (a ClassVar), and Plain's p (not a dataclass)
+OPTIONS_FIXTURE = '''import dataclasses
+from dataclasses import dataclass
+
+
+def f(x, y=1, *args, z=2, w, **kwargs):
+    def inner(q=3):
+        return q
+    return inner
+
+
+def _g(a=1):
+    return a
+
+
+@dataclass(frozen=True)
+class Cfg:
+    b: float
+    a: int = 1
+    _c: int = 0
+    d = 5
+    e: "ClassVar[int]" = 3
+
+    def m(self, k=None):
+        return k
+
+
+@dataclasses.dataclass
+class _Hidden:
+    h: int = 0
+
+    def m(self, k=1):
+        return k
+
+
+class Plain:
+    p: int = 0
+
+    def m(self, k=1, j=2):
+        return k + j
+'''
+
 
 def test_fixture_lines_by_kind(tmp_path):
     path = tmp_path / "fixture.py"
@@ -46,6 +91,19 @@ def test_cli_prints_strict_json_totals(tmp_path, capsys):
     assert {k: out[k] for k in ("code", "docstring", "comment", "blank", "total")} == {
         "code": 12, "docstring": 6, "comment": 4, "blank": 10, "total": 32}
     assert sorted(out["files"]) == ["pkg/a.py", "pkg/b.py"]
+
+
+def test_fixture_options(tmp_path, capsys):
+    path = tmp_path / "options.py"
+    path.write_text(OPTIONS_FIXTURE)
+    assert sl.file_options(path) == 7
+    assert sl.main([str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["options"] == out["files"]["options.py"]["options"] == 7
+    # a file that tokenizes but does not parse
+    path.write_text("x = = 1\n")
+    assert sl.main([str(path)]) == 2
+    assert capsys.readouterr().err.startswith("src_lines: ")
 
 
 def test_kinds_add_up_to_every_line_of_the_package():

@@ -30,15 +30,14 @@ UNRESOLVED = [
 TRAIN_SPANS = {
     "pipeline.train", "pipeline.init_params", "numerics.make_rng",
     "adapters.global_fwd", "adapters.gate_sample", "adapters.global_vjp",
+    "adapters.mlp_apply", "adapters.global_qformer_apply",
     "adapters.mlp_vjp", "adapters.global_qformer_vjp",
     "adapters.local_fwd", "adapters.local_vjp",
     "numerics.attention_weights", "numerics.cross_attention_vjp",
     "numerics.gelu_grad", "numerics.softplus",
 }
-# resolve but record nothing in training: global_experts runs the experts'
-# unchecked cores, since running their checked doors instead costs one more
-# asarray per pass than the call bounds in test_pipeline.py allow
-KNOWN_SILENT = {"adapters.mlp_apply", "adapters.global_qformer_apply"}
+# resolve but record nothing in training
+KNOWN_SILENT = set()
 
 
 def test_unresolved_targets_are_the_known_stale_ones():
@@ -62,5 +61,7 @@ def test_a_training_run_records_the_known_spans():
     recorded = {name for name, n in counts.items() if n}
     assert recorded == TRAIN_SPANS
     assert not recorded & KNOWN_SILENT and KNOWN_SILENT <= counts.keys()
-    # one gate evaluation per mixture pass: 4 steps and 2 noiseless evaluations
+    # one gate evaluation and one pass of each expert per mixture pass: 4
+    # steps and 2 noiseless evaluations
     assert counts["adapters.gate_sample"] == counts["adapters.global_fwd"] == 6
+    assert counts["adapters.mlp_apply"] == counts["adapters.global_qformer_apply"] == 6

@@ -8,12 +8,18 @@ counts. Each line counts as one kind, read off `tokenize`: code if any token
 on it is code, else docstring if a docstring spans it, else comment if it
 holds a comment, else blank. A docstring is any string literal that stands
 alone as a statement. The split shows where a change in the total comes
-from: fewer code lines, or fewer docstring, comment or blank lines. A path
-that does not exist or does not tokenize exits 2 with a one-line message.
+from: fewer code lines, or fewer docstring, comment or blank lines.
+
+`options` counts what a caller can set, read off `ast`: each parameter with
+a default of a public function or method, plus each public field of a
+public dataclass. A name is public when neither it nor a class around it
+starts with `_`; functions nested in functions are not counted. A path that
+does not exist or does not parse exits 2 with a one-line message.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import tokenize
@@ -54,6 +60,33 @@ def file_counts(path: Path) -> dict[str, int]:
     return {**{k: kind[1:].count(k) for k in KINDS}, "total": n_lines}
 
 
+def file_options(path: Path) -> int:
+    """The options one source file offers (see the module docstring)."""
+    return _options(ast.parse(path.read_bytes(), str(path)).body)
+
+
+def _options(body) -> int:
+    n = 0
+    for node in body:
+        if getattr(node, "name", "_").startswith("_"):   # private, or not a definition
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            n += _options(node.body)
+            if any(_names_dataclass(d) for d in node.decorator_list):
+                n += sum(isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                         and not f.target.id.startswith("_")
+                         and "ClassVar" not in ast.unparse(f.annotation) for f in node.body)
+    return n
+
+
+def _names_dataclass(decorator) -> bool:
+    """`@dataclass`, `@dataclasses.dataclass`, or either called with arguments."""
+    d = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+
 def tree_counts(paths) -> dict:
     """Totals over every .py file under `paths`, and each file's counts."""
     files = {}
@@ -61,8 +94,9 @@ def tree_counts(paths) -> dict:
         if not root.exists():
             raise OSError(f"{root}: no such file or directory")
         for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
-            files[str(path.relative_to(root.parent))] = file_counts(path)
-    totals = {k: sum(c[k] for c in files.values()) for k in (*KINDS, "total")}
+            files[str(path.relative_to(root.parent))] = {**file_counts(path),
+                                                         "options": file_options(path)}
+    totals = {k: sum(c[k] for c in files.values()) for k in (*KINDS, "total", "options")}
     return {**totals, "files": files}
 
 
