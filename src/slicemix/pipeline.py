@@ -167,13 +167,19 @@ def _featurize_tile(tile: np.ndarray, w_feat: np.ndarray, grid: int) -> np.ndarr
     return cells.reshape(grid * grid, cell * cell) @ w_feat
 
 
+def _shaped(buffer: np.ndarray, h: int, w: int) -> np.ndarray:
+    return buffer[:h * w].reshape(h, w)
+
+
 def _build_sample(pixels: np.ndarray, cfg: PipelineConfig, w_feat: np.ndarray,
-                  w_teacher: np.ndarray, w_teacher_coarse: np.ndarray) -> Sample:
+                  w_teacher: np.ndarray, w_teacher_coarse: np.ndarray,
+                  canvas: np.ndarray) -> Sample:
     h, w = pixels.shape
     plan = plan_partition(w, h, base=cfg.base, max_grid=cfg.max_grid)
     g_tokens = _featurize_tile(make_global_view(pixels, base=cfg.base), w_feat, cfg.grid)
-    p_tokens = np.stack([_featurize_tile(p, w_feat, cfg.grid)
-                         for p in extract_patches(pixels, plan)])
+    canvas_w, canvas_h = plan.grid_px()
+    tiles = extract_patches(pixels, plan, out=_shaped(canvas, canvas_h, canvas_w))
+    p_tokens = np.stack([_featurize_tile(p, w_feat, cfg.grid) for p in tiles])
     target = (p_tokens.reshape(-1, cfg.feat_dim).mean(axis=0) @ w_teacher
               + g_tokens.mean(axis=0) @ w_teacher_coarse)
     return Sample(width=w, height=h, global_tokens=g_tokens,
@@ -191,6 +197,15 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
     w_teacher_coarse = 0.3 * rng.standard_normal((cfg.feat_dim, cfg.out_dim)) \
         / np.sqrt(cfg.feat_dim)
     text_embed = rng.standard_normal((1, cfg.model_dim))
+    # the three full-size arrays each image makes (its smooth field, its
+    # texture and its tile canvas) are views of these flat buffers, so the
+    # build faults their pages in once, not once per image. A plan spans no
+    # more tiles along a side than cover that side, since fewer cover it with
+    # less waste, so no canvas side passes canvas_side
+    image_px = max(cfg.sizes) ** 2
+    smooth_buf, fine_buf = np.empty(image_px), np.empty(image_px)
+    canvas_side = min(cfg.max_grid, -(-max(cfg.sizes) // cfg.base)) * cfg.base
+    canvas_buf = np.empty(canvas_side ** 2)
 
     def draw(n):
         # smooth field the global view can recover plus fine texture that
@@ -199,13 +214,14 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
         for _ in range(n):
             w = int(rng.choice(cfg.sizes))
             h = int(rng.choice(cfg.sizes))
-            smooth = resize_bilinear(rng.random((5, 5)), h, w)
-            fine = rng.random((h, w))
-            # 0.7 * smooth + 0.3 * fine, in place on the two fresh arrays
+            smooth = resize_bilinear(rng.random((5, 5)), h, w, out=_shaped(smooth_buf, h, w))
+            fine = rng.random(out=_shaped(fine_buf, h, w))
+            # 0.7 * smooth + 0.3 * fine, in place
             smooth *= 0.7
             fine *= 0.3
             smooth += fine
-            out.append(_build_sample(smooth, cfg, w_feat, w_teacher, w_teacher_coarse))
+            out.append(_build_sample(smooth, cfg, w_feat, w_teacher, w_teacher_coarse,
+                                     canvas_buf))
         return out
 
     return ToyTask(cfg=cfg, seed=seed, w_feat=w_feat, w_teacher=w_teacher,

@@ -92,53 +92,83 @@ def _axis_samples(n_in: int, n_out: int):
     return i0, i1, centers - i0
 
 
-def _lerp_x(rows: np.ndarray, x0, x1, wx) -> np.ndarray:
-    # rows[:, x0] * (1 - wx) + rows[:, x1] * wx, on the two fresh gathers
-    out = rows[:, x0]
+def _lerp_x(rows: np.ndarray, x0, x1, wx, out=None) -> np.ndarray:
+    # rows[:, x0] * (1 - wx) + rows[:, x1] * wx, into out or a fresh gather;
+    # take gathers the same bytes as fancy indexing in about half the time,
+    # and its indices are in range by construction, so "clip" changes none
+    out = rows.take(x0, axis=1, out=out, mode="clip")
     out *= 1.0 - wx
-    right = rows[:, x1]
+    right = rows.take(x1, axis=1, mode="clip")
     right *= wx
     out += right
     return out
 
 
-def resize_bilinear(pixels, out_h: int, out_w: int) -> np.ndarray:
+def _output(out, shape: tuple[int, int]) -> np.ndarray:
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+            and out.flags.writeable):
+        raise ValueError(f"out must be a writable float64 array of shape {shape}")
+    return out
+
+
+def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Separable bilinear resampling with half-pixel-aligned sample centers.
 
     Each output pixel is (p[y0, x0] * (1 - wx) + p[y0, x1] * wx) * (1 - wy)
     + (p[y1, x0] * (1 - wx) + p[y1, x1] * wx) * wy. The x blend runs either
     on all in_h input rows before the rows are gathered, or on the 2 * out_h
     gathered rows, whichever is fewer; each element sees the same operations
-    either way, so both orders give the same bits."""
+    either way, so both orders give the same bits.
+
+    With out (a writable float64 (out_h, out_w) array, such as a view of a
+    larger canvas) the result is written there and out is returned. out may
+    overlap pixels."""
     p = np.asarray(pixels, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("image must be 2-D")
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be positive")
+    out = _output(out, (out_h, out_w))
     in_h, in_w = p.shape
     if out_h == in_h and out_w == in_w:
-        return p.copy()
+        np.copyto(out, p)
+        return out
     y0, y1, wy = _axis_samples(in_h, out_h)
     x0, x1, wx = _axis_samples(in_w, out_w)
-    if in_h < 2 * out_h:
+    # top gathers straight into out unless out is strided (take would buffer
+    # it), and is weighted before bot is gathered, so a fresh top is freed
+    # first. p is read in full before out is written, so out may overlap it
+    into = out if out.flags.c_contiguous else None
+    x_first = in_h < 2 * out_h
+    if x_first:
         rows = _lerp_x(p, x0, x1, wx)
-        top, bot = rows[y0], rows[y1]
+        top = rows.take(y0, axis=0, out=into, mode="clip")
     else:
-        top, bot = _lerp_x(p[y0], x0, x1, wx), _lerp_x(p[y1], x0, x1, wx)
-    # top and bot are fresh arrays; p may be the caller's and is never written
-    top *= (1.0 - wy)[:, None]
+        rows = p.take(y1, axis=0, mode="clip")   # bot's input rows
+        top = _lerp_x(p.take(y0, axis=0, mode="clip"), x0, x1, wx, out=into)
+    np.multiply(top, (1.0 - wy)[:, None], out=out)
+    del top
+    bot = rows.take(y1, axis=0, mode="clip") if x_first else _lerp_x(rows, x0, x1, wx)
     bot *= wy[:, None]
-    top += bot
-    return top
-
-
-def _pad_center(p: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    # symmetric zero padding; an odd leftover pixel goes after the image
-    out = np.zeros((target_h, target_w), dtype=np.float64)
-    top = (target_h - p.shape[0]) // 2
-    left = (target_w - p.shape[1]) // 2
-    out[top:top + p.shape[0], left:left + p.shape[1]] = p
+    out += bot
     return out
+
+
+def _resize_onto(p: np.ndarray, h: int, w: int, canvas: np.ndarray) -> np.ndarray:
+    # p resized to (h, w) in the middle of canvas, the rest zeroed afterwards,
+    # so the image's pixels are written once and p is read before canvas is
+    # written; the padding is symmetric, an odd leftover pixel after the image
+    top = (canvas.shape[0] - h) // 2
+    left = (canvas.shape[1] - w) // 2
+    resize_bilinear(p, h, w, out=canvas[top:top + h, left:left + w])
+    canvas[:top] = 0.0
+    canvas[top + h:] = 0.0
+    canvas[top:top + h, :left] = 0.0
+    canvas[top:top + h, left + w:] = 0.0
+    return canvas
 
 
 def make_global_view(pixels, base: int = BASE_RESOLUTION) -> np.ndarray:
@@ -154,12 +184,15 @@ def make_global_view(pixels, base: int = BASE_RESOLUTION) -> np.ndarray:
     else:
         out_h = base
         out_w = max(1, int(round(w * base / h)))
-    return _pad_center(resize_bilinear(p, out_h, out_w), base, base)
+    return _resize_onto(p, out_h, out_w, np.empty((base, base)))
 
 
-def scaled_canvas(pixels, plan: PartitionPlan) -> np.ndarray:
+def scaled_canvas(pixels, plan: PartitionPlan, *, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Image scaled by plan.scale and zero-padded symmetrically onto the
-    (n*base) x (m*base) tile canvas."""
+    (n*base) x (m*base) tile canvas. With out (a writable float64 array of
+    the canvas's shape, which may overlap pixels) the canvas is built there
+    and out is returned."""
     p = np.asarray(pixels, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("image must be 2-D")
@@ -167,13 +200,16 @@ def scaled_canvas(pixels, plan: PartitionPlan) -> np.ndarray:
     target_w, target_h = plan.grid_px()
     out_w = min(target_w, max(1, int(round(w * plan.scale))))
     out_h = min(target_h, max(1, int(round(h * plan.scale))))
-    return _pad_center(resize_bilinear(p, out_h, out_w), target_h, target_w)
+    return _resize_onto(p, out_h, out_w, _output(out, (target_h, target_w)))
 
 
-def extract_patches(pixels, plan: PartitionPlan) -> list[np.ndarray]:
+def extract_patches(pixels, plan: PartitionPlan, *, out: np.ndarray | None = None
+                    ) -> list[np.ndarray]:
     """Cut the scaled, padded canvas into m*n base x base tiles, returned
-    top-to-bottom then left-to-right."""
-    canvas = scaled_canvas(pixels, plan)
+    top-to-bottom then left-to-right. The tiles are views of one canvas,
+    built in out when it is given (see scaled_canvas), so writing a tile
+    writes the canvas, and the next build into out overwrites the tiles."""
+    canvas = scaled_canvas(pixels, plan, out=out)
     base = plan.base
-    return [canvas[r * base:(r + 1) * base, c * base:(c + 1) * base].copy()
+    return [canvas[r * base:(r + 1) * base, c * base:(c + 1) * base]
             for r in range(plan.n) for c in range(plan.m)]

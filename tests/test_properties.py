@@ -2,7 +2,8 @@
 pass, the pipeline gradient's directional derivative, a batched pipeline pass
 against a loop of lone ones, stage freezes against the all-groups gradient
 and a reference training loop, the partition planner,
-bilinear resizing and the factorization runner's stop rule, checked on
+bilinear resizing, a task build against one from fresh arrays and the
+factorization runner's stop rule, checked on
 inputs that hypothesis draws.
 
 The draws are derandomized, so every run checks the same examples and the
@@ -12,7 +13,9 @@ suite stays reproducible; raise max_examples locally to search wider.
 import copy
 import json
 import math
+import sys
 from itertools import accumulate, combinations
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -434,6 +437,9 @@ class TestPlanPartition:
     def test_scaled_image_fits_the_canvas(self, w, h, base, max_grid):
         plan = plan_partition(w, h, base=base, max_grid=max_grid)
         assert 1 <= plan.m <= max_grid and 1 <= plan.n <= max_grid
+        # nor more tiles along a side than cover it; make_toy_task sizes its
+        # canvas buffer by this
+        assert plan.m <= -(-w // base) and plan.n <= -(-h // base)
         canvas_w, canvas_h = plan.grid_px()
         assert w * plan.scale <= canvas_w * (1 + 1e-12)
         assert h * plan.scale <= canvas_h * (1 + 1e-12)
@@ -490,15 +496,24 @@ class TestResizeBilinear:
     @example((np.arange(120.0).reshape(3, 40), 31, 9))   # up y, down x: x first
     @example((np.arange(1600.0).reshape(40, 40), 7, 5))  # down, down: gathered rows
     @example((np.arange(1600.0).reshape(40, 40), 25, 5))  # down y by < 2: x first
+    @example((np.arange(12.0).reshape(3, 4), 3, 4))      # same size: a copy
     def test_bitwise_equal_to_the_four_gather_formula(self, case):
         img, out_h, out_w = case
         before = img.tobytes()
         img.setflags(write=False)   # any write into the caller's array raises
         with np.errstate(all="ignore"):   # inf * 0 makes NaN, in both formulas
-            out = resize_bilinear(img, out_h, out_w)
             want = four_gather_resize(img, out_h, out_w)
-        assert out.shape == (out_h, out_w) and out.flags.writeable
-        assert out.tobytes() == want.tobytes()
+            out = resize_bilinear(img, out_h, out_w)
+            assert out.shape == (out_h, out_w) and out.flags.writeable
+            assert out.tobytes() == want.tobytes()
+            # out= as one block and as a strided window of a larger canvas,
+            # whose other pixels it must leave alone
+            canvas = np.full((out_h + 3, out_w + 2), -7.0)
+            for into in (np.full((out_h, out_w), np.nan), canvas[1:-2, 2:]):
+                assert resize_bilinear(img, out_h, out_w, out=into) is into
+                assert into.tobytes() == want.tobytes()
+            assert np.all(canvas[:1] == -7.0) and np.all(canvas[-2:] == -7.0)
+            assert np.all(canvas[:, :2] == -7.0)
         assert img.tobytes() == before
 
     @properties
@@ -519,6 +534,100 @@ class TestResizeBilinear:
         out = resize_bilinear(img, out_h, out_w)
         slack = 1e-15
         assert out.min() >= img.min() - slack and out.max() <= img.max() + slack
+
+
+def reference_task(seed: int, cfg: pl.PipelineConfig) -> pl.ToyTask:
+    """make_toy_task built from fresh arrays throughout: each resize by the
+    four-gather formula, each canvas an np.zeros with the resized image
+    copied in, each tile a .copy(), featurized one tile at a time."""
+    rng = make_rng(seed)
+    w_feat = rng.standard_normal((cfg.cell * cfg.cell, cfg.feat_dim)) / cfg.cell
+    w_teacher = rng.standard_normal((cfg.feat_dim, cfg.out_dim)) / np.sqrt(cfg.feat_dim)
+    w_coarse = 0.3 * rng.standard_normal((cfg.feat_dim, cfg.out_dim)) / np.sqrt(cfg.feat_dim)
+    text_embed = rng.standard_normal((1, cfg.model_dim))
+
+    def padded(img, h, w, canvas_h, canvas_w):
+        canvas = np.zeros((canvas_h, canvas_w))
+        top, left = (canvas_h - h) // 2, (canvas_w - w) // 2
+        canvas[top:top + h, left:left + w] = four_gather_resize(img, h, w)
+        return canvas
+
+    def sample():
+        w, h = int(rng.choice(cfg.sizes)), int(rng.choice(cfg.sizes))
+        smooth = 0.7 * four_gather_resize(rng.random((5, 5)), h, w)
+        img = smooth + 0.3 * rng.random((h, w))
+        base = cfg.base
+        if w >= h:
+            view = padded(img, max(1, int(round(h * base / w))), base, base, base)
+        else:
+            view = padded(img, base, max(1, int(round(w * base / h))), base, base)
+        plan = plan_partition(w, h, base=base, max_grid=cfg.max_grid)
+        canvas_w, canvas_h = plan.grid_px()
+        canvas = padded(img, min(canvas_h, max(1, int(round(h * plan.scale)))),
+                        min(canvas_w, max(1, int(round(w * plan.scale)))), canvas_h, canvas_w)
+        tiles = [canvas[r * base:(r + 1) * base, c * base:(c + 1) * base].copy()
+                 for r in range(plan.n) for c in range(plan.m)]
+        g_tokens = pl._featurize_tile(view, w_feat, cfg.grid)
+        p_tokens = np.stack([pl._featurize_tile(t, w_feat, cfg.grid) for t in tiles])
+        target = (p_tokens.reshape(-1, cfg.feat_dim).mean(axis=0) @ w_teacher
+                  + g_tokens.mean(axis=0) @ w_coarse)
+        return pl.Sample(w, h, g_tokens, p_tokens, target)
+
+    train_set = [sample() for _ in range(cfg.n_train)]
+    return pl.ToyTask(cfg, seed, w_feat, w_teacher, w_coarse, text_embed, train_set,
+                      [sample() for _ in range(cfg.n_eval)])
+
+
+def task_bytes(task: pl.ToyTask) -> list:
+    arrays = [task.w_feat, task.w_teacher, task.w_teacher_coarse, task.text_embed]
+    for s in task.train_set + task.eval_set:
+        arrays += [np.array([s.width, s.height]), s.global_tokens, s.patch_tokens, s.target]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@st.composite
+def task_cases(draw):
+    """A task seed and a small config whose image sides are no multiple of
+    the tile side, so every canvas and global view is padded."""
+    grid = draw(st.integers(min_value=1, max_value=3))
+    base = grid * draw(st.integers(min_value=2, max_value=8))
+    sides = st.integers(min_value=1, max_value=3 * base).filter(lambda n: n % base)
+    cfg = pl.PipelineConfig(
+        feat_dim=draw(st.integers(min_value=1, max_value=6)),
+        model_dim=draw(st.integers(min_value=1, max_value=6)),
+        out_dim=draw(st.integers(min_value=1, max_value=4)), base=base, grid=grid,
+        sizes=tuple(draw(st.lists(sides, min_size=1, max_size=3, unique=True))),
+        n_train=draw(st.integers(min_value=1, max_value=3)),
+        n_eval=draw(st.integers(min_value=0, max_value=2)))
+    return draw(st.integers(min_value=0, max_value=2**32 - 1)), cfg
+
+
+class TestTaskBytes:
+    """A task build reuses its buffers and cuts its tiles as views; its
+    tokens stay those of a build from fresh arrays, byte for byte."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(task_cases())
+    def test_a_build_is_the_fresh_array_reference(self, case):
+        seed, cfg = case
+        assert task_bytes(pl.make_toy_task(seed, cfg)) == task_bytes(reference_task(seed, cfg))
+
+    def test_each_workload_builds_the_reference_inputs(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        def rebuilt(task):
+            return reference_task(task.seed, task.cfg)
+
+        train = workloads.Train(5)
+        grad = workloads.Gradcheck(5)
+        hires = workloads.InferHires(5)
+        refs = [copy.copy(wl) for wl in (train, grad, hires)]
+        refs[0].tasks = [rebuilt(t) for t in train.tasks]
+        refs[1].items = [(rebuilt(t), p) for t, p in grad.items]
+        refs[2].task = rebuilt(hires.task)
+        for wl, ref in zip((train, grad, hires), refs):
+            assert ref.inputs_digest() == wl.inputs_digest(), wl.name
 
 
 starts = st.tuples(st.floats(min_value=-2.0, max_value=2.0),

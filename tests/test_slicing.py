@@ -110,6 +110,46 @@ class TestResize:
         np.testing.assert_allclose(out[1:-1, 1:-1], expect[1:-1, 1:-1], atol=1e-12)
 
 
+    @pytest.mark.parametrize("in_shape, out_shape", [
+        ((20, 30), (41, 25)),   # x blend first, then rows gathered
+        ((60, 30), (21, 44)),   # rows gathered, then x blend
+        ((20, 30), (20, 30)),   # same size: a copy
+    ])
+    def test_out_may_overlap_the_image(self, in_shape, out_shape):
+        buffer = make_rng(21).random(3000)
+        img = buffer[:in_shape[0] * in_shape[1]].reshape(in_shape)
+        want = resize_bilinear(img.copy(), *out_shape)
+        out = buffer[7:7 + out_shape[0] * out_shape[1]].reshape(out_shape)
+        assert resize_bilinear(img, *out_shape, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+def _read_only(shape):
+    out = np.zeros(shape)
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda shape: np.zeros((shape[0] + 1, shape[1])),
+    lambda shape: np.zeros((shape[0], shape[1], 1)),
+    lambda shape: np.zeros(shape, dtype=np.float32),
+    _read_only,
+    lambda shape: np.zeros(shape).tolist(),
+], ids=["shape", "ndim", "dtype", "read-only", "list"])
+def test_a_bad_out_is_rejected_with_one_message(make_out):
+    img = make_rng(22).random((300, 500))
+    plan = plan_partition(500, 300, base=96)
+    canvas_w, canvas_h = plan.grid_px()
+    calls = [(lambda out: resize_bilinear(img, 40, 60, out=out), (40, 60)),
+             (lambda out: scaled_canvas(img, plan, out=out), (canvas_h, canvas_w)),
+             (lambda out: extract_patches(img, plan, out=out), (canvas_h, canvas_w))]
+    for call, shape in calls:
+        with pytest.raises(ValueError) as err:
+            call(make_out(shape))
+        assert str(err.value) == f"out must be a writable float64 array of shape {shape}"
+
+
 class TestGlobalView:
     def test_identity_at_base(self):
         rng = make_rng(15)
@@ -175,6 +215,24 @@ class TestExtractPatches:
         top = (target_h - inner_h) // 2
         assert np.all(canvas[:top] == 0.0)
         assert np.all(canvas[top + inner_h:] == 0.0)
+
+    @pytest.mark.parametrize("h, w", [(800, 1000), (1000, 800), (333, 1001), (95, 97)])
+    def test_tiles_are_views_of_one_canvas(self, h, w):
+        img = make_rng(23).random((h, w))
+        plan = plan_partition(w, h, base=96)
+        canvas_w, canvas_h = plan.grid_px()
+        fresh = scaled_canvas(img, plan)
+        # a dirty buffer: every pixel of the canvas must be written
+        for out in (None, np.full((canvas_h, canvas_w), np.nan)):
+            tiles = extract_patches(img, plan, out=out)
+            canvas = tiles[0].base if out is None else out
+            assert all(t.base is canvas for t in tiles)
+            assert canvas.tobytes() == fresh.tobytes()
+            rebuilt = np.vstack([np.hstack(tiles[r * plan.m:(r + 1) * plan.m])
+                                 for r in range(plan.n)])
+            assert rebuilt.tobytes() == canvas.tobytes()
+            tiles[-1][...] = 5.0   # a tile writes through to its canvas
+            assert np.all(canvas[-96:, -96:] == 5.0)
 
     def test_1024_square_16_patches(self):
         rng = make_rng(19)

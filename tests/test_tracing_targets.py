@@ -4,7 +4,8 @@ name then reads zero calls. The names that do not resolve are pinned here,
 so deleting another traced name fails this test instead of zeroing a metric
 without a word. Retargeting the tracing shortens the list. A name can also
 resolve and still record nothing, when the program calls another binding;
-the spans a short training run records are pinned for that."""
+the spans a short training run and a small task build record are pinned
+for that."""
 
 import sys
 from pathlib import Path
@@ -65,3 +66,25 @@ def test_a_training_run_records_the_known_spans():
     # steps and 2 noiseless evaluations
     assert counts["adapters.gate_sample"] == counts["adapters.global_fwd"] == 6
     assert counts["adapters.mlp_apply"] == counts["adapters.global_qformer_apply"] == 6
+
+
+# what a 5-image task build records: per image one plan, one global view and
+# one canvas cut into tiles, and three resizes (the smooth field, the global
+# view and the canvas)
+BUILD_SPANS = {
+    "pipeline.make_toy_task": 1, "numerics.make_rng": 1,
+    "slicing.plan_partition": 5, "slicing.make_global_view": 5,
+    "slicing.extract_patches": 5, "slicing.scaled_canvas": 5,
+    "slicing.resize_bilinear": 15,
+}
+
+
+def test_a_task_build_records_the_slicing_spans():
+    tracer = Tracer()
+    try:
+        tracer.install()
+        pl.make_toy_task(3, pl.PipelineConfig(n_train=3, n_eval=2))
+    finally:
+        tracer.uninstall()
+    counts = tracer.phase(0, tracer.mark()).counts()
+    assert {name: n for name, n in counts.items() if n} == BUILD_SPANS
