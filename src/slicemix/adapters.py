@@ -86,10 +86,8 @@ class QFormerActivations:
     """What qformer_vjp reuses from the forward pass."""
 
     tokens: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
     weights: np.ndarray   # attention weights, one row per query
-    attended: np.ndarray  # weights @ values
+    attended: np.ndarray  # weights @ tokens
     out: np.ndarray
 
 
@@ -176,29 +174,30 @@ def mlp_vjp(acts: MlpActivations, p: MlpParams, dout, grads: MlpParams) -> None:
 def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
     """Learnable queries cross-attend over projected tokens, keeping the
     activations qformer_vjp reuses. The output always has n_queries rows
-    whatever the input length; a (P, L, d_in) stack gives (P, n_queries, d_out)."""
+    whatever the input length; a (P, L, d_in) stack gives (P, n_queries, d_out).
+    No keys or values are formed: the scores are (q wk^T) t^T and the output
+    is (w t)(wv wo), three stacked products."""
     t = _check_tokens(tokens, p.wk.shape[0], "qformer_apply")
-    k = t @ p.wk
-    v = t @ p.wv
-    w = attention_weights(p.queries, k)
-    att = w @ v
-    return QFormerActivations(tokens=t, keys=k, values=v, weights=w,
-                              attended=att, out=att @ p.wo)
+    # q wk^T, column-major as the transpose of a product, meets the
+    # transposed stack on numpy's BLAS path
+    w = attention_weights((p.wk @ p.queries.T).T, t)
+    att = w @ t
+    return QFormerActivations(tokens=t, weights=w, attended=att, out=att @ (p.wv @ p.wo))
 
 
 def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
                 grads: QFormerParams) -> None:
     """Add the parameter gradients of sum(acts.out * dout), summed over a
-    stack, into `grads`."""
-    # each stack as one matrix of all its rows
+    stack, into `grads`, through those of q wk^T and wv wo."""
     d_in = p.wk.shape[0]
-    grads.wo += acts.attended.reshape(-1, d_in).T @ dout.reshape(-1, dout.shape[-1])
-    dq, dk, dv = cross_attention_vjp(p.queries, acts.keys, acts.values,
-                                     dout @ p.wo.T, acts.weights)
-    grads.queries += dq
-    tokens = acts.tokens.reshape(-1, d_in)
-    grads.wk += tokens.T @ dk.reshape(-1, d_in)
-    grads.wv += tokens.T @ dv.reshape(-1, d_in)
+    dwvo = acts.attended.reshape(-1, d_in).T @ dout.reshape(-1, dout.shape[-1])
+    grads.wv += dwvo @ p.wo.T
+    grads.wo += p.wv.T @ dwvo
+    # (wv wo)^T, row-major as a product of the transposes, keeps the stacked
+    # product on numpy's BLAS path
+    dqk = cross_attention_vjp(acts.tokens, acts.tokens, dout @ (p.wo.T @ p.wv.T), acts.weights)
+    grads.queries += dqk @ p.wk
+    grads.wk += dqk.T @ p.queries
 
 
 def gate_sample(x: np.ndarray, p: GateParams, eps=None) -> GateSample:

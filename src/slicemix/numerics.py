@@ -141,21 +141,19 @@ def attention_weights(queries, keys) -> np.ndarray:
     return s
 
 
-def cross_attention_vjp(queries, keys, values, dout, weights):
-    """Gradients of attention_weights(queries, keys) @ values w.r.t. (queries,
-    keys, values) given dL/dout and the attention weights the forward pass
-    saved, whose arrays need no second shape check; with stacked keys the
-    query gradient sums over the stack."""
-    n_q, d = queries.shape
-    dv = weights.swapaxes(-1, -2) @ dout
+def cross_attention_vjp(keys, values, dout, weights):
+    """Gradient of attention_weights(queries, keys) @ values w.r.t. the
+    queries, given dL/dout and the attention weights the forward pass saved,
+    whose arrays need no second shape check; the weights carry all it needs
+    of the queries. With stacked keys the gradient sums over the stack."""
+    n_q, d = weights.shape[-2], keys.shape[-1]
     # gradient of the scaled scores q . k^T / sqrt(d),
     # weights * (dw - sum(dw * weights)) / sqrt(d), formed in place in dw
     ds = dout @ values.swapaxes(-1, -2)
     ds -= np.add.reduce(ds * weights, axis=-1, keepdims=True)
     ds *= weights
     ds /= math.sqrt(d)
-    dq = ds.swapaxes(0, -2).reshape(n_q, -1) @ keys.reshape(-1, d)
-    return dq, ds.swapaxes(-1, -2) @ queries, dv
+    return ds.swapaxes(0, -2).reshape(n_q, -1) @ keys.reshape(-1, d)
 
 
 def fd_grad_check(f, analytic_grad, point, step: float = 1e-5) -> float:

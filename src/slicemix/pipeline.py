@@ -379,7 +379,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate, eps=eps,
                                   experts=batch.experts)
     # each image's global rows, then its kept local rows in keeping order,
-    # zero-padded to the most any image keeps; a cumsum adds rows in order at
+    # zero-padded to the most any image keeps; a running sum adds rows in order at
     # any width, so the zeros add nothing and each sum is bitwise a lone image's
     feats = g_out
     if order is not None:
@@ -387,7 +387,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         local_rows[~kept] = 0.0
         feats = np.concatenate([g_out, local_rows], axis=1)
     n_rows = g_out.shape[1] + n_kept
-    pooled = feats.cumsum(axis=1)[:, -1] / n_rows[:, None]
+    pooled = np.add.accumulate(feats, axis=1)[:, -1] / n_rows[:, None]
     # a row-by-row readout: bitwise a lone image's pass
     return ForwardCache(gate_sample=gate_s, first=first, patches=patches, order=order,
                         kept=kept, n_kept=n_kept, n_rows=n_rows, pooled=pooled,
@@ -453,9 +453,9 @@ def _loss_into(grads: PipelineParams, batch: _Batch, params: PipelineParams, tas
     inv = 1.0 / len(resid)
     _backward(params, cache, inv * resid, grads, groups)
     # each image's r @ r as a stacked row product, bitwise the 1-D dot, and a
-    # cumsum that adds them left to right as a loop over the images does
+    # running sum that adds them left to right as a loop over the images does
     sq = (resid[:, None] @ resid[..., None])[:, 0, 0]
-    return float((inv * (0.5 * sq)).cumsum()[-1])
+    return float(np.add.accumulate(inv * (0.5 * sq))[-1])
 
 
 def evaluate(params: PipelineParams, task: ToyTask, mode: str = "full") -> float:
@@ -467,7 +467,7 @@ def _eval_loss(batch: _Batch, params: PipelineParams, task: ToyTask, mode: str) 
     """evaluate on the eval set already stacked as `batch`."""
     resid = _forward_batch(batch, params, task, mode).pred - batch.targets
     sq = (resid[:, None] @ resid[..., None])[:, 0, 0]   # as batch_loss_and_grads sums it
-    return float((0.5 * sq).cumsum()[-1]) / len(resid)
+    return float(np.add.accumulate(0.5 * sq)[-1]) / len(resid)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def _cut(scores: np.ndarray, key: np.ndarray, n_tokens, gamma: float):
     can round to 1 before a tail too small to move it."""
     _check_gamma(gamma)
     order = key.argsort(axis=1, kind="stable")
-    cum = scores[np.arange(len(key))[:, None], order].cumsum(axis=1)
+    cum = np.add.accumulate(scores[np.arange(len(key))[:, None], order], axis=1)
     if gamma == 1.0:
         return order, cum, n_tokens
     return order, cum, np.minimum(np.add.reduce(cum < gamma, axis=1, initial=1), n_tokens)
@@ -156,7 +156,7 @@ def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, l
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
     # padding adds exact zeros after a row's tokens, so its running total ends on theirs
-    scores /= scores.cumsum(axis=1)[:, -1:]
+    scores /= np.add.accumulate(scores, axis=1)[:, -1:]
     key = -scores if noise is None else np.negative(scores + _padded(noise, real, -np.inf))
     # padding slots come last and weigh exactly zero
     order, _, n_kept = _cut(scores, key, counts, gamma)
@@ -170,7 +170,7 @@ def image_selection(cut, starts, i: int, gamma: float) -> RouterSelection:
     scores, rows, n_kept, _ = cut
     kept = rows[i, :n_kept[i]] - starts[i]
     s = scores[i, :starts[i + 1] - starts[i]]
-    return RouterSelection(gamma, kept, s, float(s[kept].cumsum()[-1]))
+    return RouterSelection(gamma, kept, s, float(np.add.accumulate(s[kept])[-1]))
 
 
 def pinned_cut(selections, starts):

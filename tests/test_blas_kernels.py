@@ -12,11 +12,13 @@ time, and the three runs are then one.
 
 Batch-equals-loop over drawn configs
 (`tests/test_properties.py::TestBatchEqualsLoop`) is not a pin: under
-`Prescott` a (1, L) @ (L, 1) product's bits depend on whether its operand
-starts on a 16-byte boundary. At feat_dim = model_dim = 1 the batched stack
+`Prescott` the bits of `w @ t` in `adapters.qformer_apply`, an (n_q, L) @
+(L, 1) product per patch at feat_dim = 1, depend on whether the tokens
+start on a 16-byte boundary. At feat_dim = model_dim = 1 the batched stack
 starts an image 8 bytes off that boundary whenever the images before it
-hold an odd number of values, so the batch and the loop differ in the last
-bit there.
+hold an odd number of values, so the batch and the loop can differ in the
+last bit there. The property's drawn examples happen to pass under
+`Prescott`, but the fault stands until the alignment is mended.
 """
 
 import os

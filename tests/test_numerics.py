@@ -113,16 +113,16 @@ class TestCrossAttention:
         k = rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 2))
         dout = rng.standard_normal((3, 2))
-        dq, dk, dv = cross_attention_vjp(q, k, v, dout, attention_weights(q, k))
-        for name, arr, grad in (("q", q, dq), ("k", k, dk), ("v", v, dv)):
-            others = {"q": q, "k": k, "v": v}
+        # the query gradient of a lone key matrix, and of a stack, summed over it
+        for k, v, dout in ((k, v, dout),
+                           (rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 2)),
+                            rng.standard_normal((2, 3, 2)))):
+            dq = cross_attention_vjp(k, v, dout, attention_weights(q, k))
 
-            def f(vec, _name=name, _shape=arr.shape):
-                args = dict(others)
-                args[_name] = vec.reshape(_shape)
-                return float(np.vdot(attention_weights(args["q"], args["k"]) @ args["v"], dout))
+            def f(vec, _k=k, _v=v, _dout=dout):
+                return float(np.vdot(attention_weights(vec.reshape(q.shape), _k) @ _v, _dout))
 
-            assert fd_grad_check(f, grad.ravel(), arr.ravel()) < 1e-8
+            assert fd_grad_check(f, dq.ravel(), q.ravel()) < 1e-8
 
 
 class TestGelu:

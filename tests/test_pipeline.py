@@ -506,7 +506,8 @@ class TestTrain:
         """Profiler events per training step, from the difference between a
         30-step and a 60-step run, so the run's fixed cost cancels. The
         bounds sit at the counts measured once a step stopped re-checking
-        the arrays the pipeline built (see profiler_events)."""
+        the arrays the pipeline built and the query head's backward stopped
+        forming key and value gradients (see profiler_events)."""
         task = pl.make_toy_task(3)
         pl.train(pl.default_schedule("e2e", seed=3, total_steps=3), task)  # lazy imports
 
@@ -514,8 +515,8 @@ class TestTrain:
             schedule = pl.default_schedule(mode, seed=3, total_steps=n_steps)
             return profiler_events(lambda: pl.train(schedule, task))
 
-        for mode, bounds in (("e2e", {"call": 47.0, "c_call": 86.0}),
-                             ("alternating", {"call": 35.0, "c_call": 61.0})):
+        for mode, bounds in (("e2e", {"call": 47.0, "c_call": 76.0}),
+                             ("alternating", {"call": 35.0, "c_call": 54.0})):
             short, long = events(mode, 30), events(mode, 60)
             per_step = {e: (long[e] - short[e]) / 30 for e in bounds}
             assert all(per_step[e] <= bounds[e] for e in bounds), (mode, per_step)
@@ -533,7 +534,7 @@ class TestTrain:
         for op, bounds in (
                 (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
                                                  fixed_selections=sels),
-                 {"call": 62, "c_call": 99}),
+                 {"call": 62, "c_call": 89}),
                 (lambda: pl.forward(image, hires_params, hires), {"call": 35, "c_call": 40})):
             op()
             counts = profiler_events(op)

@@ -1,6 +1,7 @@
 """Property tests: invariants of the router's prefix cut and of its batched
-pass, the pipeline gradient's directional derivative, a batched pipeline pass
-against a loop of lone ones, stage freezes against the all-groups gradient
+pass, the folded query head against the textbook one and its central
+differences, the pipeline gradient's directional derivative, a batched
+pipeline pass against a loop of lone ones, stage freezes against the all-groups gradient
 and a reference training loop, the partition planner,
 bilinear resizing, a task build against one from fresh arrays and the
 factorization runner's stop rule, checked on
@@ -22,9 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from slicemix import adapters as ad
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
-from slicemix.numerics import attention_weights, make_rng, normal_cdf, softmax
+from slicemix.numerics import attention_weights, fd_grad_check, make_rng, normal_cdf, softmax
 from slicemix.routing import (RouterConfig, image_selection, route_batch, route_layout,
                               route_tokens, select_prefix)
 from slicemix.slicing import plan_partition, resize_bilinear
@@ -212,6 +214,55 @@ class TestAttentionWeights:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def textbook_head(tokens, queries, wk, wv, wo):
+    """The query head as written, keys and values formed:
+    softmax(q (t wk)^T / sqrt(d)) (t wv) wo."""
+    k, v = tokens @ wk, tokens @ wv
+    s = queries @ k.swapaxes(-1, -2) / math.sqrt(queries.shape[1])
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True) @ v @ wo
+
+
+@st.composite
+def query_head_cases(draw):
+    """Query-head parameters and a lone token matrix or a stack of 1-4, with
+    1-6 tokens, 1-5 queries (fewer, as many or more), 1-5 features in and 1-4
+    out, and an upstream gradient; the values come from a drawn seed."""
+    n_q, d_in, d_out, n_tokens = (draw(st.integers(min_value=1, max_value=hi))
+                                  for hi in (5, 5, 4, 6))
+    stack = draw(st.sampled_from([(), (1,), (2,), (4,)]))
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p = ad.init_qformer(rng, n_q, d_in, d_out)
+    tokens = rng.standard_normal((*stack, n_tokens, d_in))
+    return p, tokens, rng.standard_normal((*stack, n_q, d_out))
+
+
+class TestFoldedQueryHead:
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(query_head_cases())
+    def test_matches_the_textbook_head_and_its_gradients(self, case):
+        # qformer_apply folds wk into the queries and wv into wo; the output
+        # matches the head that forms keys and values to rounding, and the
+        # four gradients match that head's central differences
+        p, tokens, dout = case
+        shapes = [a.shape for a in (p.queries, p.wk, p.wv, p.wo)]
+
+        def textbook(vec):
+            parts = np.split(vec, list(accumulate(math.prod(s) for s in shapes))[:-1])
+            return textbook_head(tokens, *(a.reshape(s) for a, s in zip(parts, shapes)))
+
+        point = np.concatenate([a.ravel() for a in (p.queries, p.wk, p.wv, p.wo)])
+        acts = ad.qformer_apply(tokens, p)
+        want = textbook(point)
+        assert acts.out.shape == want.shape == dout.shape
+        assert np.max(np.abs(acts.out - want)) <= 1e-12 * np.max(np.abs(want))
+        grads = ad.QFormerParams(*(np.zeros(s) for s in shapes))
+        ad.qformer_vjp(acts, p, dout, grads)
+        analytic = np.concatenate([a.ravel() for a in (grads.queries, grads.wk, grads.wv,
+                                                       grads.wo)])
+        assert fd_grad_check(lambda vec: np.vdot(textbook(vec), dout), analytic, point) < 1e-6
 
 
 class TestNormalCdf:
