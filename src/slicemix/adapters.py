@@ -178,6 +178,8 @@ def qformer_apply(tokens, p: QFormerParams) -> QFormerActivations:
     No keys or values are formed: the scores are (q wk^T) t^T and the output
     is (w t)(wv wo), three stacked products."""
     t = _check_tokens(tokens, p.wk.shape[0], "qformer_apply")
+    if t.shape[-2] < 1:
+        raise ValueError("qformer_apply: tokens must have at least one row to attend over")
     # q wk^T, column-major as the transpose of a product, meets the
     # transposed stack on numpy's BLAS path
     w = attention_weights((p.wk @ p.queries.T).T, t)
@@ -195,7 +197,7 @@ def qformer_vjp(acts: QFormerActivations, p: QFormerParams, dout,
     grads.wo += p.wv.T @ dwvo
     # (wv wo)^T, row-major as a product of the transposes, keeps the stacked
     # product on numpy's BLAS path
-    dqk = cross_attention_vjp(acts.tokens, acts.tokens, dout @ (p.wo.T @ p.wv.T), acts.weights)
+    dqk = cross_attention_vjp(acts.tokens, dout @ (p.wo.T @ p.wv.T), acts.weights)
     grads.queries += dqk @ p.wk
     grads.wk += dqk.T @ p.queries
 

@@ -36,7 +36,6 @@ __all__ = [
     "make_instance",
     "coords_of",
     "eigen_coords",
-    "coords_from_eigen",
     "vector_from_coords",
     "energy",
     "loss",
@@ -76,10 +75,6 @@ class BilinearInstance:
     c: float
     x: np.ndarray  # (d, d) dense target
     m: np.ndarray  # (2, 2) Gram matrix of (a, b)
-
-    @property
-    def d(self) -> int:
-        return self.a.shape[0]
 
     @property
     def lam_plus(self) -> float:
@@ -152,13 +147,9 @@ def coords_of(inst: BilinearInstance, u) -> tuple[float, float]:
 
 
 def eigen_coords(alpha: float, beta: float) -> tuple[float, float]:
+    """(tau, nu) from (alpha, beta), or back: the rotation is its own inverse."""
     s = 1.0 / np.sqrt(2.0)
     return (alpha + beta) * s, (alpha - beta) * s
-
-
-def coords_from_eigen(tau: float, nu: float) -> tuple[float, float]:
-    s = 1.0 / np.sqrt(2.0)
-    return (tau + nu) * s, (tau - nu) * s
 
 
 def vector_from_coords(inst: BilinearInstance, alpha: float, beta: float) -> np.ndarray:
@@ -245,10 +236,12 @@ def resolve_init(init) -> tuple[float, float]:
             return INITS[init]
         except KeyError:
             raise ValueError(f"unknown init '{init}'; options: {sorted(INITS)}") from None
-    alpha0, beta0 = (float(x) for x in init)
-    if not np.isfinite([alpha0, beta0]).all():
+    coords = [float(x) for x in init]
+    if len(coords) != 2:
+        raise ValueError(f"init must be a name or (alpha0, beta0), got {len(coords)} values")
+    if not np.isfinite(coords).all():
         raise ValueError("init coordinates must be finite")
-    return alpha0, beta0
+    return coords[0], coords[1]
 
 
 @dataclass
@@ -333,13 +326,15 @@ def _gd_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta: float,
                 break
         rows -= len(taus)
         tau_col, nu_col, norm = np.array(taus), np.array(nus), np.sqrt(usqs)
-        yield np.stack([*coords_from_eigen(tau_col, nu_col), tau_col, nu_col, norm, norm,
+        yield np.stack([*eigen_coords(tau_col, nu_col), tau_col, nu_col, norm, norm,
                         loss_from_coords(inst, tau_col, nu_col)])
 
 
-def _row(*values) -> np.ndarray:
-    """One trace row as a one-column block."""
-    return np.array(values, dtype=np.float64)[:, None]
+def _vector_row(inst: BilinearInstance, u, v) -> np.ndarray:
+    """The trace row of the raw iterates (u, v), as a one-column block."""
+    alpha, beta = coords_of(inst, u)
+    return np.array([alpha, beta, *eigen_coords(alpha, beta), np.linalg.norm(u),
+                     np.linalg.norm(v), loss(u, v, inst)], dtype=np.float64)[:, None]
 
 
 def _gd_vector_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta: float,
@@ -347,9 +342,7 @@ def _gd_vector_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta: 
     state = BilinearState.from_vectors(inst, vector_from_coords(inst, alpha0, beta0),
                                        vector_from_coords(inst, beta0, alpha0), eta)
     for _ in range(rows):
-        yield _row(state.alpha, state.beta, state.tau, state.nu,
-                   np.linalg.norm(state.u), np.linalg.norm(state.v),
-                   loss(state.u, state.v, inst))
+        yield _vector_row(inst, state.u, state.v)
         state = gd_step(state, inst)
 
 
@@ -359,9 +352,7 @@ def _alternating_blocks(inst: BilinearInstance, alpha0: float, beta0: float, eta
     u = vector_from_coords(inst, alpha0, beta0)
     for _ in range(rows):
         v, u_next = alt_step(u, inst)
-        alpha, beta = coords_of(inst, u)
-        yield _row(alpha, beta, *eigen_coords(alpha, beta),
-                   np.linalg.norm(u), np.linalg.norm(v), loss(u, v, inst))
+        yield _vector_row(inst, u, v)
         u = u_next
 
 

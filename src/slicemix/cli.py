@@ -129,15 +129,20 @@ def _check_type(name: str, value, default) -> None:
                           f"got {json.dumps(value)}")
 
 
-def merge_config(user: dict, defaults: dict = TRAIN_CONFIG, path: str = "") -> dict:
-    """Overlay a user config onto the defaults, rejecting unknown keys and
+def merge_config(user: dict) -> dict:
+    """Overlay a user config onto TRAIN_CONFIG, rejecting unknown keys and
     values whose type differs from the default's."""
+    return _merge(user, TRAIN_CONFIG, "")
+
+
+def _merge(user, defaults: dict, path: str) -> dict:
+    """merge_config on the section at `path` (its keys' prefix) of the defaults."""
     if not isinstance(user, dict):
         raise ConfigError(f"config section '{path[:-1] or '(top level)'}' must be an object")
     merged = {}
     for key, default_value in defaults.items():
         if key in user and isinstance(default_value, dict):
-            merged[key] = merge_config(user[key], default_value, f"{path}{key}.")
+            merged[key] = _merge(user[key], default_value, f"{path}{key}.")
         elif key in user:
             _check_type(f"{path}{key}", user[key], default_value)
             merged[key] = user[key]

@@ -1,10 +1,10 @@
-"""Shared dense numerics: stable softmax/softplus, GELU, scaled dot-product
-attention with its vector-Jacobian product, seeded generators, and a central
-difference gradient checker.
+"""Shared dense numerics: stable softmax/softplus, the normal CDF and GELU's
+derivative, scaled dot-product attention with its vector-Jacobian product,
+seeded generators, and a central difference gradient checker.
 
 Everything operates on plain float64 numpy arrays; a "matrix" is a 2-D array
-in row-major order and a "vector" is 1-D; attention also takes stacked keys
-and values. Outputs are finite whenever inputs are finite.
+in row-major order and a "vector" is 1-D; attention also takes stacked keys.
+Outputs are finite whenever inputs are finite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "softmax",
     "softplus",
     "normal_cdf",
-    "gelu",
     "gelu_grad",
     "attention_weights",
     "cross_attention_vjp",
@@ -106,19 +105,13 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def gelu(x):
-    """Exact GELU, x * Φ(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * normal_cdf(x)
-
-
-def gelu_grad(x, cdf=None):
-    """Derivative of the exact GELU, Φ(x) + x φ(x); `cdf` is normal_cdf(x) if given."""
+def gelu_grad(x, cdf):
+    """Derivative Φ(x) + x φ(x) of the exact GELU x Φ(x), given `cdf` = normal_cdf(x)."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.exp(-0.5 * x * x)   # then in place: the pdf, x times it, plus the cdf
     grad *= _INV_SQRT_2PI
     grad *= x
-    grad += normal_cdf(x) if cdf is None else cdf
+    grad += cdf
     return grad
 
 
@@ -141,19 +134,19 @@ def attention_weights(queries, keys) -> np.ndarray:
     return s
 
 
-def cross_attention_vjp(keys, values, dout, weights):
-    """Gradient of attention_weights(queries, keys) @ values w.r.t. the
+def cross_attention_vjp(tokens, dout, weights):
+    """Gradient of attention_weights(queries, tokens) @ tokens w.r.t. the
     queries, given dL/dout and the attention weights the forward pass saved,
     whose arrays need no second shape check; the weights carry all it needs
-    of the queries. With stacked keys the gradient sums over the stack."""
-    n_q, d = weights.shape[-2], keys.shape[-1]
-    # gradient of the scaled scores q . k^T / sqrt(d),
+    of the queries. With stacked tokens the gradient sums over the stack."""
+    n_q, d = weights.shape[-2], tokens.shape[-1]
+    # gradient of the scaled scores q . t^T / sqrt(d),
     # weights * (dw - sum(dw * weights)) / sqrt(d), formed in place in dw
-    ds = dout @ values.swapaxes(-1, -2)
+    ds = dout @ tokens.swapaxes(-1, -2)
     ds -= np.add.reduce(ds * weights, axis=-1, keepdims=True)
     ds *= weights
     ds /= math.sqrt(d)
-    return ds.swapaxes(0, -2).reshape(n_q, -1) @ keys.reshape(-1, d)
+    return ds.swapaxes(0, -2).reshape(n_q, -1) @ tokens.reshape(-1, d)
 
 
 def fd_grad_check(f, analytic_grad, point, step: float = 1e-5) -> float:

@@ -472,21 +472,21 @@ def _eval_loss(batch: _Batch, params: PipelineParams, task: ToyTask, mode: str) 
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Training recipe: a step count and a learning rate for each stage of
-    the mode's plan in STAGE_PLANS."""
+    """Training recipe: a step count for each stage of the mode's plan in
+    STAGE_PLANS, and the learning rate of every stage."""
 
     mode: str
     steps: tuple[int, ...]
-    lr: tuple[float, ...]
+    lr: float
     seed: int = 0
 
     def __post_init__(self):
         n = len(stage_plan(self.mode))
-        if len(self.steps) != n or len(self.lr) != n:
+        if len(self.steps) != n:
             raise ValueError(f"mode '{self.mode}' takes exactly {n} stage(s)")
         if any(k < 0 for k in self.steps):
             raise ValueError("step counts must be non-negative")
-        if not all(0.0 < lr < np.inf for lr in self.lr):
+        if not 0.0 < self.lr < np.inf:
             raise ValueError("learning rates must be positive and finite")
 
 
@@ -502,7 +502,7 @@ def default_schedule(mode: str, seed: int = 0, total_steps: int = DEFAULT_TOTAL_
     n = len(stage_plan(mode))
     per = total_steps // n
     steps = tuple([per] * (n - 1) + [total_steps - per * (n - 1)])
-    return StageSchedule(mode=mode, steps=steps, lr=(lr,) * n, seed=seed)
+    return StageSchedule(mode=mode, steps=steps, lr=lr, seed=seed)
 
 
 @dataclass
@@ -551,15 +551,14 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
     parr, garr = params_arrays(params), params_arrays(grads)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
-    # one (stage, learning rate) entry per step
-    plan = [(stage, lr) for stage, n_steps, lr in zip(stage_plan(schedule.mode),
-                                                      schedule.steps, schedule.lr)
+    # one stage entry per step
+    plan = [stage for stage, n_steps in zip(stage_plan(schedule.mode), schedule.steps)
             for _ in range(n_steps)]
     rows: list[tuple[int, str, float]] = []
     diverged = False
     # a diverging run overflows before the flag trips; keep that path quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, ((label, fmode, groups), lr) in enumerate(plan):
+        for step, (label, fmode, groups) in enumerate(plan):
             if fmode == "local_only" or "adapter" in groups:
                 batch.experts = None
             elif batch.experts is None:
@@ -571,7 +570,7 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
                 diverged = True
                 break
             for group in groups:
-                parr[group] -= lr * garr[group]
+                parr[group] -= schedule.lr * garr[group]
         eval_batch = _stack(task.eval_set, params.qf_local.n_queries)
         final_eval, only_global, only_local = (_eval_loss(eval_batch, params, task, fmode)
                                                for fmode in ("full", "global_only", "local_only"))
@@ -585,7 +584,7 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
         config={
             "mode": schedule.mode,
             "steps": list(schedule.steps),
-            "lr": list(schedule.lr),
+            "lr": schedule.lr,
             "seed": schedule.seed,
             "gamma": task.cfg.gamma,
             "local_queries": task.cfg.local_queries,

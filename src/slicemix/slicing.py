@@ -68,6 +68,8 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
         raise ValueError("image size must be positive")
     if base < 1:
         raise ValueError("base (the tile side) must be positive")
+    if max_grid < 1:
+        raise ValueError("max_grid (the most tiles along a side) must be at least 1")
     # the candidates are scored in floats; an area past their range overflows
     if not width * height <= sys.float_info.max:
         raise ValueError("image area is too large for float arithmetic")
@@ -113,6 +115,13 @@ def _output(out, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _image(pixels) -> np.ndarray:
+    p = np.asarray(pixels, dtype=np.float64)
+    if p.ndim != 2 or 0 in p.shape:
+        raise ValueError("image must be a non-empty 2-D array")
+    return p
+
+
 def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = None
                     ) -> np.ndarray:
     """Separable bilinear resampling with half-pixel-aligned sample centers.
@@ -126,9 +135,7 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
     With out (a writable float64 (out_h, out_w) array, such as a view of a
     larger canvas) the result is written there and out is returned. out may
     overlap pixels."""
-    p = np.asarray(pixels, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("image must be 2-D")
+    p = _image(pixels)
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be positive")
     out = _output(out, (out_h, out_w))
@@ -171,12 +178,10 @@ def _resize_onto(p: np.ndarray, h: int, w: int, canvas: np.ndarray) -> np.ndarra
     return canvas
 
 
-def make_global_view(pixels, base: int = BASE_RESOLUTION) -> np.ndarray:
+def make_global_view(pixels, base: int) -> np.ndarray:
     """Aspect-preserving resize so the longer side equals base, then symmetric
     zero padding of the shorter side, yielding a base x base image."""
-    p = np.asarray(pixels, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("image must be 2-D")
+    p = _image(pixels)
     h, w = p.shape
     if w >= h:
         out_w = base
@@ -193,9 +198,7 @@ def scaled_canvas(pixels, plan: PartitionPlan, *, out: np.ndarray | None = None
     (n*base) x (m*base) tile canvas. With out (a writable float64 array of
     the canvas's shape, which may overlap pixels) the canvas is built there
     and out is returned."""
-    p = np.asarray(pixels, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("image must be 2-D")
+    p = _image(pixels)
     h, w = p.shape
     target_w, target_h = plan.grid_px()
     out_w = min(target_w, max(1, int(round(w * plan.scale))))

@@ -208,19 +208,19 @@ class TestAdapterGrads:
 
     def test_saved_cdf_gives_the_gelu_grad_bytes(self):
         # mlp_apply keeps GELU's normal CDF and mlp_vjp reuses it: the hidden
-        # layer is bitwise gelu(pre), and the first layer's gradients are
-        # bitwise those of the VJP written with gelu_grad(pre), which runs
-        # the CDF pass a second time
-        from slicemix.numerics import gelu, gelu_grad
+        # layer is bitwise gelu(pre) = pre * Φ(pre), and the first layer's
+        # gradients are bitwise those of the VJP written with gelu_grad on
+        # the CDF pass run a second time
+        from slicemix.numerics import gelu_grad, normal_cdf
         rng = make_rng(38)
         mlp = ad.init_mlp(rng, 5, 6)
         tokens = 3.0 * rng.standard_normal((4, 7, 5))
         acts = ad.mlp_apply(tokens, mlp)
-        assert acts.hidden.tobytes() == gelu(acts.pre).tobytes()
+        assert acts.hidden.tobytes() == (acts.pre * normal_cdf(acts.pre)).tobytes()
         dout = rng.standard_normal(acts.out.shape)
         got, want = zeros_like_params(mlp), zeros_like_params(mlp)
         ad.mlp_vjp(acts, mlp, dout, got)
-        dh = ((dout @ mlp.w2.T) * gelu_grad(acts.pre)).reshape(-1, 6)
+        dh = ((dout @ mlp.w2.T) * gelu_grad(acts.pre, normal_cdf(acts.pre))).reshape(-1, 6)
         want.w1 += tokens.reshape(-1, 5).T @ dh
         want.b1 += dh.sum(axis=0)
         assert got.w1.tobytes() == want.w1.tobytes()
@@ -352,6 +352,13 @@ class TestStackedQueryHead:
             ad.qformer_apply(self.tokens[None], self.p)
         with pytest.raises(ValueError, match="expects 2-D or 3-D tokens"):
             ad.mlp_apply(self.tokens[None], ad.init_mlp(make_rng(0), 5, 3))
+
+    def test_no_token_rows_rejected(self):
+        # a matrix, or a stack of matrices, with no rows has nothing to attend
+        # over: the attention's reshape failed on it with numpy's message
+        for empty in (self.tokens[0, :0], self.tokens[:, :0]):
+            with pytest.raises(ValueError, match="qformer_apply: tokens must have at least one"):
+                ad.qformer_apply(empty, self.p)
 
 
 class TestStackedMixture:

@@ -51,7 +51,7 @@ class TestLoss:
     def test_at_origin_equals_half_frobenius(self):
         for c in (0.1, 0.5, 0.9):
             inst = bl.make_instance(c=c, seed=9)
-            zero = np.zeros(inst.d)
+            zero = np.zeros(len(inst.a))
             expect = 0.5 * ((1 + c) ** 2 + (1 - c) ** 2)
             assert bl.loss(zero, zero, inst) == pytest.approx(expect, rel=1e-12)
 
@@ -92,7 +92,7 @@ class TestGdStep:
     def test_fixed_point_is_stationary(self):
         inst = bl.make_instance(c=0.5, seed=13)
         # tau = 1, nu = 0 scaled so |u|^2 = 1 + c
-        alpha, beta = bl.coords_from_eigen(1.0, 0.0)
+        alpha, beta = bl.eigen_coords(1.0, 0.0)
         u = bl.vector_from_coords(inst, alpha, beta)
         state = bl.BilinearState.from_vectors(inst, u, u.copy(), eta=0.01)
         after = bl.gd_step(state, inst)
@@ -206,7 +206,7 @@ class TestAltStep:
     def test_degenerate_iterate_rejected(self):
         inst = bl.make_instance(c=0.5, seed=24)
         with pytest.raises(ValueError, match="degenerate iterate"):
-            bl.alt_step(np.zeros(inst.d), inst)
+            bl.alt_step(np.zeros(len(inst.a)), inst)
 
     def test_direction_matches_power_iteration(self):
         inst = bl.make_instance(c=0.5, seed=25)
@@ -322,7 +322,7 @@ class TestRunExperiment:
             rows = []
             for _ in range(10_001):
                 usq = bl.energy(inst, tau, nu)
-                rows.append((*bl.coords_from_eigen(tau, nu), tau, nu, np.sqrt(usq),
+                rows.append((*bl.eigen_coords(tau, nu), tau, nu, np.sqrt(usq),
                              np.sqrt(usq), bl.loss_from_coords(inst, tau, nu)))
                 tau, nu = bl.gd_coord_step(tau, nu, usq, inst, eta)
             ref = np.array(rows).T

@@ -61,6 +61,11 @@ class TestPlanInputs:
         with pytest.raises(ValueError, match="base"):
             plan_partition(100, 100, base=0)
 
+    def test_plan_partition_rejects_no_grid_options(self):
+        # with no tiling to choose from, max() failed on an empty sequence
+        with pytest.raises(ValueError, match="max_grid"):
+            plan_partition(3, 3, base=4, max_grid=0)
+
     @pytest.mark.parametrize("width, height, base, needle", [
         (10**160, 10**160, 336, "image area"),
         (10**400, 5, 336, "image area"),
@@ -132,6 +137,12 @@ class TestTrajectoryInputs:
             for eta in (0.0, math.inf):
                 with pytest.raises(ValueError, match="step size"):
                     bl.run_experiment(inst, method=method, steps=5, eta=eta)
+
+    def test_run_experiment_rejects_an_init_of_three_coordinates(self):
+        # unpacking the start failed with "too many values to unpack"
+        inst = bl.make_instance(d=4, c=0.5, seed=0)
+        with pytest.raises(ValueError, match=r"init must be a name or \(alpha0, beta0\), got 3"):
+            bl.run_experiment(inst, init=(1, 2, 3))
 
     def test_gd_step_rejects_infinite_eta(self):
         inst = bl.make_instance(d=4, c=0.5, seed=0)

@@ -403,7 +403,7 @@ class TestBatchedPass:
 
 class TestTrain:
     def test_zero_steps_reports_initial_state(self, task):
-        sched = pl.StageSchedule(mode="e2e", steps=(0,), lr=(0.5,), seed=1)
+        sched = pl.StageSchedule(mode="e2e", steps=(0,), lr=0.5, seed=1)
         report = pl.train(sched, task)
         assert report.steps == []
         assert np.isfinite(report.final_eval)
@@ -420,19 +420,18 @@ class TestTrain:
         monkeypatch.setattr(pl, "init_params",
                             lambda *args: trained.append(init(*args)) or trained[-1])
         for mode, steps in (("alternating", (4, 4, 4)), ("e2e", (6,))):
-            sched = pl.StageSchedule(mode, steps, (pl.DEFAULT_LR,) * len(steps), seed=4)
+            sched = pl.StageSchedule(mode, steps, pl.DEFAULT_LR, seed=4)
             trained.clear()
             report = pl.train(sched, task)
             rng = make_rng((4 << 8) ^ 0xA17E12)
             p, rows = init(task, 4), []
-            for (label, fmode, groups), n_steps, lr in zip(pl.stage_plan(mode), steps,
-                                                           sched.lr):
+            for (label, fmode, groups), n_steps in zip(pl.stage_plan(mode), steps):
                 before = {g: a.copy() for g, a in pl.params_arrays(p).items()}
                 for _ in range(n_steps):
                     loss, g = pl.batch_loss_and_grads(task.train_set, p, task, fmode, rng=rng)
                     rows.append((len(rows), label, loss))
                     for group in groups:
-                        pl.params_arrays(p)[group] -= lr * pl.params_arrays(g)[group]
+                        pl.params_arrays(p)[group] -= sched.lr * pl.params_arrays(g)[group]
                 # the stage moved exactly its own groups
                 for group, now in pl.params_arrays(p).items():
                     assert np.array_equal(now, before[group]) == (group not in groups)
@@ -473,7 +472,7 @@ class TestTrain:
         # local compression, so mlp_apply counts the experts' passes
         for module, name in ((pl, "adapter_grads"), (ad, "mlp_apply"), (pl, "_stack")):
             counting(module, name)
-        report = pl.train(pl.StageSchedule(mode, steps, (0.25,) * len(steps), seed=4), task)
+        report = pl.train(pl.StageSchedule(mode, steps, 0.25, seed=4), task)
         assert len(report.steps) == sum(steps) and not report.diverged
         train_views = (3,) + task.train_set[0].global_tokens.shape
         eval_views = (2,) + train_views[1:]
@@ -599,11 +598,11 @@ class TestTrain:
         # noise disabled so the descent property is well defined: live gate
         # and router draws perturb individual steps by design
         cfg = pl.PipelineConfig(gate_noise=False, train_noise_sigma=0.0)
-        lr = pl.default_schedule("alternating").lr[0]
+        lr = pl.default_schedule("alternating").lr
         for seed in (1, 2, 3, 4, 5):
             task = pl.make_toy_task(seed, cfg)
             sched = pl.StageSchedule(mode="alternating", steps=(10, 0, 0),
-                                     lr=(lr,) * 3, seed=seed)
+                                     lr=lr, seed=seed)
             report = pl.train(sched, task)
             losses = [row[2] for row in report.steps]
             assert len(losses) == 10
@@ -637,18 +636,18 @@ class TestTrain:
 
     def test_schedule_stage_count_enforced(self):
         with pytest.raises(ValueError):
-            pl.StageSchedule(mode="alternating", steps=(10,), lr=(0.5,))
+            pl.StageSchedule(mode="alternating", steps=(10,), lr=0.5)
         with pytest.raises(ValueError):
-            pl.StageSchedule(mode="e2e", steps=(10, 10), lr=(0.5, 0.5))
+            pl.StageSchedule(mode="e2e", steps=(10, 10), lr=0.5)
         with pytest.raises(ValueError):
             pl.stage_plan("warmup")
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            pl.StageSchedule("e2e", (-3,), (0.1,))
+            pl.StageSchedule("e2e", (-3,), 0.1)
         with pytest.raises(ValueError, match="non-negative"):
             pl.default_schedule("alternating", total_steps=-5)
-        assert pl.StageSchedule("alternating", (10, 0, 0), (0.1,) * 3).steps == (10, 0, 0)
+        assert pl.StageSchedule("alternating", (10, 0, 0), 0.1).steps == (10, 0, 0)
 
     def test_task_without_eval_set_rejected_before_training(self, monkeypatch):
         task = pl.make_toy_task(5, pl.PipelineConfig(n_train=2, n_eval=0, sizes=(96,)))
@@ -670,7 +669,7 @@ class TestTrain:
 
     def test_divergence_flagged_not_crashed(self):
         task = pl.make_toy_task(6)
-        sched = pl.StageSchedule(mode="e2e", steps=(200,), lr=(50.0,), seed=6)
+        sched = pl.StageSchedule(mode="e2e", steps=(200,), lr=50.0, seed=6)
         report = pl.train(sched, task)
         assert report.diverged
         assert report.summary()["diverged"] is True

@@ -419,17 +419,17 @@ def reference_run(schedule, task):
     applies only the stage's groups; returns the report and the parameters."""
     params = pl.init_params(task, schedule.seed)
     rng = make_rng((schedule.seed << 8) ^ 0xA17E12)   # train's noise stream
-    plan = [(stage, lr) for stage, n, lr in zip(pl.stage_plan(schedule.mode), schedule.steps,
-                                                schedule.lr) for _ in range(n)]
+    plan = [stage for stage, n in zip(pl.stage_plan(schedule.mode), schedule.steps)
+            for _ in range(n)]
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, ((label, fmode, groups), lr) in enumerate(plan):
+        for step, (label, fmode, groups) in enumerate(plan):
             loss, grads = pl.batch_loss_and_grads(task.train_set, params, task, fmode, rng=rng)
             rows.append((step, label, loss))
             if not np.isfinite(loss):
                 break
             for group in groups:
-                pl.params_arrays(params)[group] -= lr * pl.params_arrays(grads)[group]
+                pl.params_arrays(params)[group] -= schedule.lr * pl.params_arrays(grads)[group]
         evals = [pl.evaluate(params, task, fmode) for fmode in pl.FORWARD_MODES]
     return pl.RunReport(schedule.mode, schedule.seed, rows, *evals, config={},
                         diverged=bool(rows) and not np.isfinite(rows[-1][2])), params
@@ -470,7 +470,7 @@ class TestStageFreezes:
         task, _, _, seed, _ = case
         for mode in pl.STAGE_PLANS:
             n = len(pl.stage_plan(mode))
-            schedule = pl.StageSchedule(mode, tuple(steps[:n]), (pl.DEFAULT_LR,) * n, seed)
+            schedule = pl.StageSchedule(mode, tuple(steps[:n]), pl.DEFAULT_LR, seed)
             (report, params), (want, want_params) = (trained(schedule, task),
                                                      reference_run(schedule, task))
             assert report.to_csv() == want.to_csv(), mode

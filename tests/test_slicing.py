@@ -150,22 +150,35 @@ def test_a_bad_out_is_rejected_with_one_message(make_out):
         assert str(err.value) == f"out must be a writable float64 array of shape {shape}"
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_an_empty_image_is_rejected_with_one_message(shape):
+    # numpy's take raised IndexError on an empty axis, and the global view of
+    # a (0, 0) image divided by zero
+    img = np.zeros(shape)
+    plan = plan_partition(500, 300, base=96)
+    for call in (lambda: resize_bilinear(img, 40, 60), lambda: make_global_view(img, 96),
+                 lambda: extract_patches(img, plan)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "image must be a non-empty 2-D array"
+
+
 class TestGlobalView:
     def test_identity_at_base(self):
         rng = make_rng(15)
         img = rng.random((336, 336))
-        assert np.array_equal(make_global_view(img), img)
+        assert np.array_equal(make_global_view(img, BASE_RESOLUTION), img)
 
     def test_constant_downscale(self):
         img = np.full((672, 672), 0.3)
-        out = make_global_view(img)
+        out = make_global_view(img, BASE_RESOLUTION)
         assert out.shape == (336, 336)
         np.testing.assert_allclose(out, 0.3, atol=1e-12)
 
     def test_pad_geometry_wide_image(self):
         # 672 wide x 336 tall, all ones: resized to 336x168, padded 84/84
         img = np.ones((336, 672))
-        out = make_global_view(img)
+        out = make_global_view(img, BASE_RESOLUTION)
         assert out.shape == (336, 336)
         assert np.all(out[:84] == 0.0)
         assert np.all(out[-84:] == 0.0)
