@@ -178,10 +178,18 @@ def _build_sample(pixels: np.ndarray, cfg: PipelineConfig, w_feat: np.ndarray,
     plan = plan_partition(w, h, base=cfg.base, max_grid=cfg.max_grid)
     g_tokens = _featurize_tile(make_global_view(pixels, base=cfg.base), w_feat, cfg.grid)
     canvas_w, canvas_h = plan.grid_px()
-    tiles = extract_patches(pixels, plan, out=_shaped(canvas, canvas_h, canvas_w))
-    p_tokens = np.stack([_featurize_tile(p, w_feat, cfg.grid) for p in tiles])
-    target = (p_tokens.reshape(-1, cfg.feat_dim).mean(axis=0) @ w_teacher
-              + g_tokens.mean(axis=0) @ w_teacher_coarse)
+    canvas = _shaped(canvas, canvas_h, canvas_w)
+    extract_patches(pixels, plan, out=canvas)   # its tiles are views of canvas
+    # every tile's cells in one stacked product, tiles in extract_patches' order;
+    # numpy runs it as one (grid^2, cell^2) @ w_feat product per tile, so each
+    # tile's tokens are _featurize_tile's bytes
+    g, c = cfg.grid, cfg.cell
+    cells = canvas.reshape(plan.n, g, c, plan.m, g, c).transpose(0, 3, 1, 4, 2, 5)
+    p_tokens = cells.reshape(plan.n * plan.m, g * g, c * c) @ w_feat
+    # each mean as np.mean forms it: a sum, then one division by the count
+    p_sum = np.add.reduce(p_tokens.reshape(-1, cfg.feat_dim), axis=0)
+    target = ((p_sum / (plan.n * plan.m * g * g)) @ w_teacher
+              + (np.add.reduce(g_tokens, axis=0) / (g * g)) @ w_teacher_coarse)
     return Sample(width=w, height=h, global_tokens=g_tokens,
                   patch_tokens=p_tokens, target=target)
 
@@ -212,8 +220,9 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
         # only survives in the near-full-scale local patches
         out = []
         for _ in range(n):
-            w = int(rng.choice(cfg.sizes))
-            h = int(rng.choice(cfg.sizes))
+            # rng.choice's own draw, without its overhead
+            w = int(cfg.sizes[rng.integers(len(cfg.sizes))])
+            h = int(cfg.sizes[rng.integers(len(cfg.sizes))])
             smooth = resize_bilinear(rng.random((5, 5)), h, w, out=_shaped(smooth_buf, h, w))
             fine = rng.random(out=_shaped(fine_buf, h, w))
             # 0.7 * smooth + 0.3 * fine, in place

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,9 +62,11 @@ def _candidate(width: float, height: float, m: int, n: int, base: int):
     return m, n, s, utilized, wasted
 
 
+@lru_cache(maxsize=256, typed=True)
 def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
                    max_grid: int = MAX_GRID) -> PartitionPlan:
-    """Pick the best tiling among all max_grid x max_grid grid options."""
+    """Pick the best tiling among all max_grid x max_grid grid options. Plans
+    are cached per geometry (a plan is frozen); a bad call is not cached."""
     if width < 1 or height < 1:
         raise ValueError("image size must be positive")
     if base < 1:
@@ -86,12 +89,18 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
     return PartitionPlan(m=m, n=n, scale=s, utilized=utilized, wasted=wasted, base=base)
 
 
+@lru_cache(maxsize=256)
 def _axis_samples(n_in: int, n_out: int):
+    # one axis's source indices and weights, shared by every resize of that
+    # geometry, so the arrays are made read-only
     centers = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     centers = np.clip(centers, 0.0, n_in - 1.0)
     i0 = np.floor(centers).astype(np.intp)
     i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, centers - i0
+    samples = i0, i1, centers - i0
+    for a in samples:
+        a.flags.writeable = False
+    return samples
 
 
 def _lerp_x(rows: np.ndarray, x0, x1, wx, out=None) -> np.ndarray:
@@ -181,6 +190,8 @@ def _resize_onto(p: np.ndarray, h: int, w: int, canvas: np.ndarray) -> np.ndarra
 def make_global_view(pixels, base: int) -> np.ndarray:
     """Aspect-preserving resize so the longer side equals base, then symmetric
     zero padding of the shorter side, yielding a base x base image."""
+    if base < 1:
+        raise ValueError("base (the tile side) must be positive")
     p = _image(pixels)
     h, w = p.shape
     if w >= h:

@@ -18,11 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slicemix import adapters as ad
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
 from slicemix.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, SEED_ENV_VAR, ConfigError,
                           main, merge_config, write_matrix)
-from slicemix.slicing import MAX_GRID, plan_partition
+from slicemix.numerics import fd_grad_check, make_rng
+from slicemix.routing import compress_local, route_layout
+from slicemix.slicing import MAX_GRID, plan_partition, resize_bilinear
 
 
 def run_cli(args, capsys):
@@ -180,6 +183,31 @@ class TestOutputPaths:
         config = {"training": {"total_steps": 2, "n_train": 1, "n_eval": 1}}
         assert_rejected(train_args(tmp_path, config) + ["--out", str(path)], capsys,
                         "cannot write the report")
+
+
+# library doors whose raise no other test runs, each with the message it pins
+DOOR_FAILURES = {
+    "gate-width": (lambda: ad.gate_weights(np.ones(5), ad.init_gate(make_rng(0), 4)),
+                   "pooled feature width does not match gate parameters"),
+    "fd-length": (lambda: fd_grad_check(np.sum, np.ones(3), np.ones(4)),
+                  "gradient and point must have the same length"),
+    # a matrix with columns but no rows: a check on the column count passes it
+    "no-token-rows": (lambda: compress_local(np.zeros((0, 4)),
+                                             ad.init_qformer(make_rng(0), 2, 4, 4)),
+                      "patch tokens must be a non-empty 2-D matrix"),
+    "image-without-rows": (lambda: route_layout([0, 3, 3]),
+                           "every image needs at least one of the token rows"),
+    "resize-to-zero": (lambda: resize_bilinear(np.ones((4, 4)), 0, 3),
+                       "output size must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", DOOR_FAILURES)
+def test_a_library_door_names_its_failure(name):
+    call, message = DOOR_FAILURES[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestTrainConfig:

@@ -15,6 +15,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import replace
 from itertools import accumulate, combinations
 from pathlib import Path
 
@@ -402,6 +403,41 @@ class TestBatchEqualsLoop:
                 for rows, kept, start, c in zip(cache.order, cache.kept, batch.starts, lone):
                     assert np.array_equal(rows[kept] - start, c.order[0][c.kept[0]])
             assert r_batch.bit_generator.state == r_loop.bit_generator.state
+
+
+class TestDrawSites:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pipeline_cases(), st.just(0.0) | st.floats(min_value=1e-3, max_value=1.0),
+           st.booleans())
+    def test_each_site_draws_exactly_when_its_noise_is_live(self, case, sigma, pinned):
+        # the gate draws a pair per image when its noise is on and the mode
+        # runs the global branch; the router one normal per compressed local
+        # token when sigma > 0, the mode runs the local branch and no
+        # selection is pinned. A generator advances by those draws and no more
+        task, params, mode, noise_seed, _ = case
+        task = replace(task, cfg=replace(task.cfg, train_noise_sigma=sigma))
+        batch = task.train_set
+        sels = [pl.forward(s, params, task, "full")[1].selection for s in batch] \
+            if pinned else None
+        gate = mode != "local_only" and task.cfg.gate_noise
+
+        def draws(images, pinned):
+            router = mode != "global_only" and not pinned and sigma > 0.0
+            return sum(2 * gate + router * len(s.patch_tokens) * task.cfg.local_queries
+                       for s in images)
+
+        def advanced(n):
+            rng = make_rng(noise_seed)
+            rng.standard_normal(n)
+            return rng.bit_generator.state
+
+        rng = make_rng(noise_seed)
+        pl.batch_loss_and_grads(batch, params, task, mode, rng=rng, fixed_selections=sels)
+        assert rng.bit_generator.state == advanced(draws(batch, pinned))
+        rng = make_rng(noise_seed)
+        for s in batch:
+            pl.forward(s, params, task, mode, rng=rng)
+        assert rng.bit_generator.state == advanced(draws(batch, False))
 
 
 def trained(schedule, task):

@@ -1,12 +1,18 @@
 """Slicing contracts, checked against an independently written brute-force
-enumerator and direct pixel-geometry arithmetic."""
+enumerator and direct pixel-geometry arithmetic, and the per-geometry
+caches of plans and resample grids."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slicemix import pipeline as pl
 from slicemix.numerics import make_rng
 from slicemix.slicing import (
     BASE_RESOLUTION,
+    _axis_samples,
     extract_patches,
     make_global_view,
     plan_partition,
@@ -163,7 +169,22 @@ def test_an_empty_image_is_rejected_with_one_message(shape):
         assert str(err.value) == "image must be a non-empty 2-D array"
 
 
+@pytest.mark.parametrize("out_h, out_w", [(0, 5), (5, 0), (-1, 5)])
+def test_resize_rejects_a_non_positive_size(out_h, out_w):
+    with pytest.raises(ValueError) as err:
+        resize_bilinear(np.ones((4, 4)), out_h, out_w)
+    assert str(err.value) == "output size must be positive"
+
+
 class TestGlobalView:
+    @pytest.mark.parametrize("base", [0, -3])
+    def test_a_base_below_one_is_named(self, base):
+        # base 0 raised the resize's "output size must be positive", and -3
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError) as err:
+            make_global_view(np.ones((10, 20)), base)
+        assert str(err.value) == "base (the tile side) must be positive"
+
     def test_identity_at_base(self):
         rng = make_rng(15)
         img = rng.random((336, 336))
@@ -270,3 +291,53 @@ class TestExtractPatches:
             rebuilt = np.vstack([np.hstack(patches[r * plan.m:(r + 1) * plan.m])
                                  for r in range(plan.n)])
             assert np.array_equal(rebuilt, canvas)
+
+
+class TestGeometryCaches:
+    """plan_partition and the resample grids are cached per geometry: a
+    cached answer is the uncached one, a bad call is never cached, and the
+    shared grid arrays cannot be written."""
+
+    def test_a_plan_is_the_uncached_plan(self):
+        rng = make_rng(24)
+        sides = rng.integers(1, 2000, size=(300, 2))
+        # repeats, so most of the later calls are cache hits
+        for w, h in np.concatenate([sides, sides[::7]]).tolist():
+            base, max_grid = int(rng.integers(1, 400)), int(rng.integers(1, 7))
+            for _ in range(2):
+                got = plan_partition(w, h, base=base, max_grid=max_grid)
+                assert got == plan_partition.__wrapped__(w, h, base=base, max_grid=max_grid)
+
+    @pytest.mark.parametrize("args, kwargs", [((0, 10), {}), ((10, 10), {"base": 0}),
+                                              ((3, 3), {"base": 4, "max_grid": 0})])
+    def test_a_bad_call_raises_on_every_repeat(self, args, kwargs):
+        cached = plan_partition.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                plan_partition(*args, **kwargs)
+        assert plan_partition.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("n_in, n_out", [(5, 7), (300, 96), (96, 96)])
+    def test_grid_arrays_reject_writes(self, n_in, n_out):
+        cached = _axis_samples(n_in, n_out)
+        fresh = _axis_samples.__wrapped__(n_in, n_out)
+        for a, b in zip(cached, fresh):
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert _axis_samples(n_in, n_out) is cached
+
+    def test_a_build_records_one_plan_span_per_image(self):
+        # one size, so every plan after the first comes from the cache
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        tracer = Tracer()
+        try:
+            tracer.install()
+            pl.make_toy_task(5, pl.PipelineConfig(sizes=(128,), n_train=4, n_eval=3))
+        finally:
+            tracer.uninstall()
+        counts = tracer.phase(0, tracer.mark()).counts()
+        assert counts["slicing.plan_partition"] == 7
+        assert counts["slicing.make_global_view"] == counts["slicing.extract_patches"] == 7
