@@ -184,12 +184,7 @@ def cmd_route(args) -> int:
 
 
 def _parse_init(text: str):
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError("--init expects a name or 'alpha0,beta0'")
-        return float(parts[0]), float(parts[1])
-    return text
+    return bilinear.resolve_init(tuple(float(x) for x in text.split(",")) if "," in text else text)
 
 
 def cmd_bilinear(args) -> int:

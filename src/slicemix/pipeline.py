@@ -10,11 +10,11 @@ the local patches carry the missing detail. Staged training (global adapter
 first, then local compression with the adapter frozen, then everything
 jointly) competes against single-stage joint training on that gap.
 
-All randomness is seeded; evaluation always runs with gate and router noise
-disabled. Selection is a hard gather by the router's padded cut, so training
-gradients flow only through kept tokens and the gradient of one step treats
-that step's selection as constant. The backward pass runs on the activations
-its forward pass saved and draws no random numbers.
+All randomness is seeded, and only `train` draws gate and router noise.
+Selection is a hard gather by the router's padded cut, so training gradients
+flow only through kept tokens and the gradient of one step treats that
+step's selection as constant. The backward pass runs on the activations its
+forward pass saved and draws no random numbers.
 """
 
 from __future__ import annotations
@@ -161,10 +161,13 @@ class ToyTask:
     eval_set: list[Sample]
 
 
-def _featurize_tile(tile: np.ndarray, w_feat: np.ndarray, grid: int) -> np.ndarray:
-    cell = tile.shape[0] // grid
-    cells = tile.reshape(grid, cell, grid, cell).transpose(0, 2, 1, 3)
-    return cells.reshape(grid * grid, cell * cell) @ w_feat
+def _featurize(canvas: np.ndarray, n: int, m: int, w_feat: np.ndarray, grid: int) -> np.ndarray:
+    """(n * m, grid^2, feat_dim) tokens of a canvas of n x m square tiles (a
+    global view is 1 x 1), in extract_patches' order: every tile's cells in one
+    stacked product, which numpy runs as one (grid^2, cell^2) @ w_feat per tile."""
+    c = canvas.shape[0] // (n * grid)
+    cells = canvas.reshape(n, grid, c, m, grid, c).transpose(0, 3, 1, 4, 2, 5)
+    return cells.reshape(n * m, grid * grid, c * c) @ w_feat
 
 
 def _shaped(buffer: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -176,20 +179,15 @@ def _build_sample(pixels: np.ndarray, cfg: PipelineConfig, w_feat: np.ndarray,
                   canvas: np.ndarray) -> Sample:
     h, w = pixels.shape
     plan = plan_partition(w, h, base=cfg.base, max_grid=cfg.max_grid)
-    g_tokens = _featurize_tile(make_global_view(pixels, base=cfg.base), w_feat, cfg.grid)
+    g_tokens = _featurize(make_global_view(pixels, base=cfg.base), 1, 1, w_feat, cfg.grid)[0]
     canvas_w, canvas_h = plan.grid_px()
     canvas = _shaped(canvas, canvas_h, canvas_w)
     extract_patches(pixels, plan, out=canvas)   # its tiles are views of canvas
-    # every tile's cells in one stacked product, tiles in extract_patches' order;
-    # numpy runs it as one (grid^2, cell^2) @ w_feat product per tile, so each
-    # tile's tokens are _featurize_tile's bytes
-    g, c = cfg.grid, cfg.cell
-    cells = canvas.reshape(plan.n, g, c, plan.m, g, c).transpose(0, 3, 1, 4, 2, 5)
-    p_tokens = cells.reshape(plan.n * plan.m, g * g, c * c) @ w_feat
+    p_tokens = _featurize(canvas, plan.n, plan.m, w_feat, cfg.grid)
     # each mean as np.mean forms it: a sum, then one division by the count
     p_sum = np.add.reduce(p_tokens.reshape(-1, cfg.feat_dim), axis=0)
-    target = ((p_sum / (plan.n * plan.m * g * g)) @ w_teacher
-              + (np.add.reduce(g_tokens, axis=0) / (g * g)) @ w_teacher_coarse)
+    target = ((p_sum / (plan.n * plan.m * cfg.tokens_per_tile)) @ w_teacher
+              + (np.add.reduce(g_tokens, axis=0) / cfg.tokens_per_tile) @ w_teacher_coarse)
     return Sample(width=w, height=h, global_tokens=g_tokens,
                   patch_tokens=p_tokens, target=target)
 
@@ -403,19 +401,15 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
-def forward(sample: Sample, params: PipelineParams, task: ToyTask,
-            mode: str = "full", rng: np.random.Generator | None = None):
-    """One image through the pipeline (a batch of one); returns (prediction, cache).
-
-    With a generator the gate noise and router sort noise are live (training
-    mode); without one the pass is deterministic (evaluation mode).
-    """
+def forward(sample: Sample, params: PipelineParams, task: ToyTask, mode: str = "full"):
+    """One image through the pipeline (a batch of one), with gate and router
+    noise off; returns (prediction, cache)."""
     k = len(sample.patch_tokens) * params.qf_local.n_queries
     # route_layout's answer for one image of k local tokens, without its checks
     counts, slots = np.array([k]), np.arange(k)
     batch = _Batch(sample.global_tokens[None], sample.patch_tokens, np.array([0, k]),
                    route=(counts, slots, slots < counts[:, None]))
-    cache = _forward_batch(batch, params, task, mode, rng)
+    cache = _forward_batch(batch, params, task, mode)
     return cache.pred[0], cache
 
 
@@ -440,22 +434,22 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
 
 
 def batch_loss_and_grads(samples, params: PipelineParams, task: ToyTask,
-                         mode: str = "full", rng=None, fixed_selections=None):
-    """Mean loss (0.5 ||pred - target||^2 per image) and mean gradients.
+                         mode: str = "full", fixed_selections=None):
+    """Noiseless mean loss (0.5 ||pred - target||^2 per image) and mean gradients.
 
     The batch runs as one stacked pass. The backward reuses the activations
-    the forward saved in the ForwardCache and draws no random numbers, so
-    the generator advances exactly as over the forward pass alone. Each
-    image's upstream gradient is scaled by 1/B.
+    the forward saved in the ForwardCache. Each image's upstream gradient is
+    scaled by 1/B.
     """
     batch = _stack(samples, params.qf_local.n_queries)
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
-    return _loss_into(grads, batch, params, task, mode, rng, fixed_selections, PARAM_GROUPS), grads
+    return _loss_into(grads, batch, params, task, mode, None, fixed_selections, PARAM_GROUPS), grads
 
 
 def _loss_into(grads: PipelineParams, batch: _Batch, params: PipelineParams, task: ToyTask,
                mode: str, rng, fixed_selections, groups) -> float:
-    """batch_loss_and_grads' loss, adding the gradients of `groups` (names in
+    """batch_loss_and_grads' loss, with the noise `rng` draws if given (the
+    backward draws none), adding the gradients of `groups` (names in
     PARAM_GROUPS) into `grads`, a zeroed store in `params`' layout."""
     cache = _forward_batch(batch, params, task, mode, rng, fixed_selections)
     resid = cache.pred - batch.targets
@@ -496,7 +490,7 @@ class StageSchedule:
         if any(k < 0 for k in self.steps):
             raise ValueError("step counts must be non-negative")
         if not 0.0 < self.lr < np.inf:
-            raise ValueError("learning rates must be positive and finite")
+            raise ValueError("the learning rate must be positive and finite")
 
 
 def stage_plan(mode: str) -> tuple[tuple[str, str, frozenset], ...]:

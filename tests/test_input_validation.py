@@ -112,6 +112,13 @@ class TestTrajectoryInputs:
         with pytest.raises(ValueError, match="init coordinates"):
             bl.resolve_init(tuple(float(x) for x in init.split(",")))
 
+    @pytest.mark.parametrize("command", ["bilinear", "sweep"])
+    def test_init_of_three_coordinates(self, command, capsys):
+        # bilinear.resolve_init's own count check is the CLI's
+        assert_rejected([command, "--c", "0.5", "--method" if command == "bilinear"
+                         else "--methods", "gd", "--init", "1,2,3", "--steps", "5"],
+                        capsys, "init must be a name or (alpha0, beta0), got 3 values")
+
     @pytest.mark.parametrize("c, methods", [("", "gd"), (",", "gd"), ("0.5", "")])
     def test_sweep_empty_grid(self, c, methods, capsys):
         assert_rejected(["sweep", "--c", c, "--methods", methods], capsys,
@@ -227,8 +234,8 @@ class TestTrainConfig:
         ({"router": {"gamma": True}}, "'router.gamma' must be a number"),
         ({"training": {"n_train": 2.5}}, "'training.n_train' must be an integer"),
         ({"adapter": {"gate_noise": 1}}, "'adapter.gate_noise' must be true or false"),
-        ({"training": {"lr": -1}}, "learning rates must be positive and finite"),
-        ({"training": {"lr": 0}}, "learning rates must be positive and finite"),
+        ({"training": {"lr": -1}}, "the learning rate must be positive and finite"),
+        ({"training": {"lr": 0}}, "the learning rate must be positive and finite"),
         ({"training": {"total_steps": -3}}, "total_steps must be at least 1"),
         ({"training": {"total_steps": 0}}, "total_steps must be at least 1"),
         ([1, 2], "config section '(top level)' must be an object"),
@@ -243,7 +250,7 @@ class TestTrainConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"training": {"lr": %s}}' % lr)
         assert_rejected(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
-                        capsys, "learning rates must be positive and finite")
+                        capsys, "the learning rate must be positive and finite")
 
     @pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe"],
                              ids=["missing", "not-json", "not-utf8"])
@@ -268,7 +275,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
     def test_stage_schedule_rejects_lr(self, lr):
-        with pytest.raises(ValueError, match="learning rates"):
+        with pytest.raises(ValueError, match="the learning rate must"):
             pl.default_schedule("alternating", lr=lr)
 
     def test_help_lists_only_the_sections_train_reads(self, capsys):

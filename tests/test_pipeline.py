@@ -31,6 +31,22 @@ def params(task):
     return pl.init_params(task, 1)
 
 
+def noisy_loss_and_grads(samples, params, task, mode="full", rng=None, fixed_selections=None):
+    """batch_loss_and_grads with gate and router noise drawn from `rng`, as a
+    training step draws it: train's private pass on a fresh stack and store."""
+    batch = pl._stack(samples, params.qf_local.n_queries)
+    grads = pl._on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
+    return pl._loss_into(grads, batch, params, task, mode, rng, fixed_selections,
+                         pl.PARAM_GROUPS), grads
+
+
+def noisy_forward(sample, params, task, mode="full", rng=None):
+    """forward with gate and router noise drawn from `rng`: a batch of one."""
+    cache = pl._forward_batch(pl._stack([sample], params.qf_local.n_queries), params, task,
+                              mode, rng)
+    return cache.pred[0], cache
+
+
 def profiler_events(fn) -> collections.Counter:
     """Python-level (`call`) and C-level (`c_call`) profiler events of fn().
     Operator ufuncs (`@`, `*`, `+`) do not appear as `c_call` events on
@@ -155,8 +171,8 @@ class TestGradients:
             sels = [pl.forward(s, params, task, mode)[1].selection for s in batch]
 
         def run(p):
-            return pl.batch_loss_and_grads(batch, p, task, mode, rng=make_rng(11),
-                                           fixed_selections=sels)
+            return noisy_loss_and_grads(batch, p, task, mode, rng=make_rng(11),
+                                        fixed_selections=sels)
 
         _, grads = run(params)
         assert np.any(grads.gate.w_noise != 0.0)
@@ -173,9 +189,9 @@ class TestGradients:
         # the generator must advance exactly as over the forward passes alone
         batch = task.train_set[:3]
         r1, r2 = make_rng(12), make_rng(12)
-        pl.batch_loss_and_grads(batch, params, task, "full", rng=r1)
+        noisy_loss_and_grads(batch, params, task, "full", rng=r1)
         for s in batch:
-            pl.forward(s, params, task, "full", rng=r2)
+            noisy_forward(s, params, task, "full", rng=r2)
         assert r1.bit_generator.state == r2.bit_generator.state
 
     @pytest.mark.parametrize("mode", ["full", "local_only"])
@@ -223,7 +239,7 @@ class TestGradients:
         n_q = params.qf_local.n_queries
         patches = (sum(len(s.patch_tokens) for s in batch),) + batch[0].patch_tokens.shape[1:]
         views = (len(batch),) + batch[0].global_tokens.shape
-        pl.batch_loss_and_grads(batch, params, task, "full", rng=make_rng(13))
+        noisy_loss_and_grads(batch, params, task, "full", rng=make_rng(13))
         assert calls == {"qformer_apply": [patches],
                          "qformer_vjp": [(patches[0], n_q, task.cfg.model_dim)],
                          "moe_apply": [views], "adapter_grads": [views]}
@@ -250,7 +266,7 @@ class TestGradients:
         monkeypatch.setattr(pl, "route_tokens", alone)
         batch = task.train_set[:3]
         n_q = params.qf_local.n_queries
-        pl.batch_loss_and_grads(batch, params, task, "full", rng=make_rng(14))
+        noisy_loss_and_grads(batch, params, task, "full", rng=make_rng(14))
         assert calls == [(3, n_q * sum(len(s.patch_tokens) for s in batch))]
         calls.clear()
         pl.forward(task.eval_set[0], params, task, "local_only")
@@ -298,8 +314,8 @@ class TestFlatStore:
 
     def test_every_field_is_a_view_of_its_buffer(self, task, params):
         p = copy.deepcopy(params)
-        _, grads = pl.batch_loss_and_grads(task.train_set[:3], p, task, "full",
-                                           rng=make_rng(31))
+        _, grads = noisy_loss_and_grads(task.train_set[:3], p, task, "full",
+                                        rng=make_rng(31))
         for store in (params, p, grads):
             arrays = self.arrays(store)
             assert all(np.shares_memory(a, store.buffer) for a in arrays)
@@ -346,7 +362,7 @@ class TestBatchedPass:
         cache = pl._forward_batch(stack, params, task, mode, rng=r_batch)
         preds, sels = [], []
         for s in batch:
-            pred, c = pl.forward(s, params, task, mode, rng=r_loop)
+            pred, c = noisy_forward(s, params, task, mode, rng=r_loop)
             preds.append(pred)
             sels.append(c.selection)
         assert np.array_equal(cache.pred, np.array(preds))
@@ -374,7 +390,7 @@ class TestBatchedPass:
             if mode != "global_only":
                 r_ref.standard_normal(len(s.patch_tokens) * task.cfg.local_queries)
         assert r_batch.bit_generator.state == r_ref.bit_generator.state
-        loss, _ = pl.batch_loss_and_grads(batch, params, task, mode, rng=r_loss)
+        loss, _ = noisy_loss_and_grads(batch, params, task, mode, rng=r_loss)
         expect = 0.0
         for pred, s in zip(preds, batch):
             expect += (1.0 / n) * (0.5 * float((pred - s.target) @ (pred - s.target)))
@@ -384,11 +400,11 @@ class TestBatchedPass:
     @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
     def test_gradients_are_the_mean_of_single_image_gradients(self, task, params, mode):
         batch = task.train_set[:5]
-        _, grads = pl.batch_loss_and_grads(batch, params, task, mode, rng=make_rng(22))
+        _, grads = noisy_loss_and_grads(batch, params, task, mode, rng=make_rng(22))
         rng, total = make_rng(22), 0.0
         for s in batch:
             total = total + pl.params_vector(
-                pl.batch_loss_and_grads([s], params, task, mode, rng=rng)[1])
+                noisy_loss_and_grads([s], params, task, mode, rng=rng)[1])
         got, want = pl.params_vector(grads), total / len(batch)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -428,7 +444,7 @@ class TestTrain:
             for (label, fmode, groups), n_steps in zip(pl.stage_plan(mode), steps):
                 before = {g: a.copy() for g, a in pl.params_arrays(p).items()}
                 for _ in range(n_steps):
-                    loss, g = pl.batch_loss_and_grads(task.train_set, p, task, fmode, rng=rng)
+                    loss, g = noisy_loss_and_grads(task.train_set, p, task, fmode, rng=rng)
                     rows.append((len(rows), label, loss))
                     for group in groups:
                         pl.params_arrays(p)[group] -= sched.lr * pl.params_arrays(g)[group]
@@ -552,8 +568,8 @@ class TestTrain:
             grads.buffer.fill(0.0)
             loss = pl._loss_into(grads, reused, params, task, mode, r_reused, None,
                                  pl.PARAM_GROUPS)
-            want_loss, want = pl.batch_loss_and_grads(task.train_set, params, task, mode,
-                                                      rng=r_fresh)
+            want_loss, want = noisy_loss_and_grads(task.train_set, params, task, mode,
+                                                   rng=r_fresh)
             assert loss == want_loss and grads.buffer.tobytes() == want.buffer.tobytes(), mode
         assert reused.route is not None and sorted(reused.noise) == [(0, 1), (2, 0), (2, 1)]
         evals = pl._stack(task.eval_set, n_q)
@@ -580,7 +596,7 @@ class TestTrain:
         # loss, draws and bytes in its own slices, and exact zeros in the others
         batch = task.train_set[:4]
         r_full = make_rng(41)
-        full_loss, full = pl.batch_loss_and_grads(batch, params, task, mode, rng=r_full)
+        full_loss, full = noisy_loss_and_grads(batch, params, task, mode, rng=r_full)
         stacked = pl._stack(batch, params.qf_local.n_queries)
         for groups in (pl.PARAM_GROUPS, {"adapter"}, {"local"}, {"readout"},
                        {"adapter", "readout"}, ()):

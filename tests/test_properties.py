@@ -31,6 +31,7 @@ from slicemix.numerics import attention_weights, fd_grad_check, make_rng, normal
 from slicemix.routing import (RouterConfig, image_selection, route_batch, route_layout,
                               route_tokens, select_prefix)
 from slicemix.slicing import plan_partition, resize_bilinear
+from test_pipeline import noisy_forward, noisy_loss_and_grads
 
 properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 gammas = st.floats(min_value=1e-6, max_value=1.0)
@@ -366,8 +367,8 @@ class TestDirectionalDerivative:
             sels = [pl.forward(s, params, task, mode)[1].selection for s in batch]
 
         def run(p):
-            return pl.batch_loss_and_grads(batch, p, task, mode, rng=make_rng(noise_seed),
-                                           fixed_selections=sels)
+            return noisy_loss_and_grads(batch, p, task, mode, rng=make_rng(noise_seed),
+                                        fixed_selections=sels)
 
         _, grads = run(params)
         point = pl.params_vector(params)
@@ -396,7 +397,7 @@ class TestBatchEqualsLoop:
         for mode in pl.FORWARD_MODES:
             r_batch, r_loop = make_rng(noise_seed), make_rng(noise_seed)
             cache = pl._forward_batch(batch, params, task, mode, rng=r_batch)
-            lone = [pl.forward(s, params, task, mode, rng=r_loop)[1] for s in images]
+            lone = [noisy_forward(s, params, task, mode, rng=r_loop)[1] for s in images]
             assert cache.pred.tobytes() == np.concatenate([c.pred for c in lone]).tobytes()
             assert cache.n_kept.tolist() == [int(c.n_kept[0]) for c in lone]
             if mode != "global_only":
@@ -432,11 +433,11 @@ class TestDrawSites:
             return rng.bit_generator.state
 
         rng = make_rng(noise_seed)
-        pl.batch_loss_and_grads(batch, params, task, mode, rng=rng, fixed_selections=sels)
+        noisy_loss_and_grads(batch, params, task, mode, rng=rng, fixed_selections=sels)
         assert rng.bit_generator.state == advanced(draws(batch, pinned))
         rng = make_rng(noise_seed)
         for s in batch:
-            pl.forward(s, params, task, mode, rng=rng)
+            noisy_forward(s, params, task, mode, rng=rng)
         assert rng.bit_generator.state == advanced(draws(batch, False))
 
 
@@ -460,7 +461,7 @@ def reference_run(schedule, task):
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step, (label, fmode, groups) in enumerate(plan):
-            loss, grads = pl.batch_loss_and_grads(task.train_set, params, task, fmode, rng=rng)
+            loss, grads = noisy_loss_and_grads(task.train_set, params, task, fmode, rng=rng)
             rows.append((step, label, loss))
             if not np.isfinite(loss):
                 break
@@ -484,8 +485,8 @@ class TestStageFreezes:
         subsets = [set(c) for k in range(4) for c in combinations(pl.PARAM_GROUPS, k)]
         for mode in pl.FORWARD_MODES:
             r_all = make_rng(noise_seed)
-            want_loss, want = pl.batch_loss_and_grads(task.train_set, params, task, mode,
-                                                      rng=r_all)
+            want_loss, want = noisy_loss_and_grads(task.train_set, params, task, mode,
+                                                   rng=r_all)
             for groups in subsets:
                 rng = make_rng(noise_seed)
                 grads = pl._on_buffer(np.zeros_like(params.buffer), params.layout,
@@ -627,11 +628,16 @@ def reference_task(seed: int, cfg: pl.PipelineConfig) -> pl.ToyTask:
     """make_toy_task built from fresh arrays throughout: each resize by the
     four-gather formula, each canvas an np.zeros with the resized image
     copied in, each tile a .copy(), featurized one tile at a time."""
+
     rng = make_rng(seed)
     w_feat = rng.standard_normal((cfg.cell * cfg.cell, cfg.feat_dim)) / cfg.cell
     w_teacher = rng.standard_normal((cfg.feat_dim, cfg.out_dim)) / np.sqrt(cfg.feat_dim)
     w_coarse = 0.3 * rng.standard_normal((cfg.feat_dim, cfg.out_dim)) / np.sqrt(cfg.feat_dim)
     text_embed = rng.standard_normal((1, cfg.model_dim))
+
+    def featurize(tile):
+        cells = tile.reshape(cfg.grid, cfg.cell, cfg.grid, cfg.cell).transpose(0, 2, 1, 3)
+        return cells.reshape(cfg.tokens_per_tile, cfg.cell * cfg.cell) @ w_feat
 
     def padded(img, h, w, canvas_h, canvas_w):
         canvas = np.zeros((canvas_h, canvas_w))
@@ -654,8 +660,8 @@ def reference_task(seed: int, cfg: pl.PipelineConfig) -> pl.ToyTask:
                         min(canvas_w, max(1, int(round(w * plan.scale)))), canvas_h, canvas_w)
         tiles = [canvas[r * base:(r + 1) * base, c * base:(c + 1) * base].copy()
                  for r in range(plan.n) for c in range(plan.m)]
-        g_tokens = pl._featurize_tile(view, w_feat, cfg.grid)
-        p_tokens = np.stack([pl._featurize_tile(t, w_feat, cfg.grid) for t in tiles])
+        g_tokens = featurize(view)
+        p_tokens = np.stack([featurize(t) for t in tiles])
         target = (p_tokens.reshape(-1, cfg.feat_dim).mean(axis=0) @ w_teacher
                   + g_tokens.mean(axis=0) @ w_coarse)
         return pl.Sample(w, h, g_tokens, p_tokens, target)

@@ -1,10 +1,14 @@
 """Every name a module exports exists, so deleting a function without its
-`__all__` entry fails here instead of at a user's import; and every exported
+`__all__` entry fails here instead of at a user's import; every exported
 name has a caller outside the unit tests, so a surface only tests use fails
-here instead of staying to be maintained."""
+here instead of staying to be maintained; and so does every option, unless
+KEPT names the reason it stays."""
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,10 +16,20 @@ import pytest
 import slicemix
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slicemix"
 # the library itself, the benchmark, the demos and the acceptance criteria
-CALLERS = [*sorted((ROOT / "src" / "slicemix").glob("*.py")),
+CALLERS = [*sorted(PACKAGE.glob("*.py")),
            *sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
+# options no caller sets, each with the reason it stays
+KEPT = {
+    "bilinear.run_experiment.stop_window": "the golden bilinear digests vary it",
+    "cli.main.argv": "the entry point's test seam: tests run the CLI in-process through it",
+}
+
+_spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+src_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(src_lines)
 
 
 def _referenced(paths) -> set[str]:
@@ -50,3 +64,96 @@ def test_every_exported_name_has_a_caller_outside_the_unit_tests(module, referen
     mod = importlib.import_module(f"slicemix.{module}")
     unused = [f"{module}.{name}" for name in mod.__all__ if name not in referenced]
     assert unused == []
+
+
+def _setters(paths):
+    """What the code at `paths` does that can set an option: per callee name,
+    each call's positional count before any `*`, whether it passes `*` or
+    `**`, and its keywords; and the attribute names it stores to."""
+    calls, stored = {}, set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "cls" and cls is not None:   # a classmethod's own constructor
+                callee = cls
+            star = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(callee, []).append(
+                (star[0] if star else len(node.args), bool(star) or None in keywords, keywords))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            stored.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), None)
+    return calls, stored
+
+
+def _options() -> list[str]:
+    """Every option tools/src_lines.py counts, as module.qualified_name."""
+    return [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in src_lines.option_names(path)]
+
+
+def _is_set(option: str, setters) -> bool:
+    """Whether a call passes the option by keyword, by position or through
+    `*` or `**`, or, for a dataclass field, whether an attribute store sets
+    it after construction."""
+    calls, stored = setters
+    module, *path, name = option.split(".")
+    owner, obj = None, importlib.import_module(f"slicemix.{module}")
+    for part in path:
+        owner, obj = obj, getattr(obj, part)
+    if dataclasses.is_dataclass(obj):
+        if name in stored:
+            return True
+        params = [f.name for f in dataclasses.fields(obj) if f.init]
+    else:
+        raw = inspect.getattr_static(owner, path[-1]) if inspect.isclass(owner) else obj
+        params = list(inspect.signature(getattr(raw, "__func__", raw)).parameters.values())
+        if inspect.isclass(owner) and not isinstance(raw, staticmethod):
+            params = params[1:]   # a method's self or cls comes from the call's object
+        params = [p.name for p in params if p.kind != p.KEYWORD_ONLY]
+    at = params.index(name) if name in params else len(params)
+    return any(name in keywords or star or at < n_args
+               for n_args, star, keywords in calls.get(path[-1], []))
+
+
+@pytest.fixture(scope="module")
+def setters():
+    return _setters(CALLERS)
+
+
+def test_every_option_has_a_caller_outside_the_unit_tests(setters):
+    unset = [o for o in _options() if o not in KEPT and not _is_set(o, setters)]
+    assert unset == []
+
+
+def test_every_kept_option_exists_and_has_no_caller(setters):
+    options = _options()
+    stale = [o for o in KEPT if o not in options or _is_set(o, setters)]
+    assert stale == []
+
+
+@pytest.mark.parametrize("source, option, sets", [
+    ("default_schedule('e2e', lr=1.0)", "pipeline.default_schedule.lr", True),
+    ("pl.default_schedule('e2e', 0, 240, 1.0)", "pipeline.default_schedule.lr", True),
+    ("default_schedule('e2e', *rest)", "pipeline.default_schedule.lr", True),
+    ("default_schedule('e2e', **kwargs)", "pipeline.default_schedule.lr", True),
+    ("default_schedule('e2e', 0, 240)", "pipeline.default_schedule.lr", False),
+    ("class BilinearState:\n    def f(cls):\n        return cls(1, 2, 3, 4, 5, 6, 7)\n",
+     "bilinear.BilinearState.eta", True),
+    ("def f(cls):\n    return cls(1, 2, 3, 4, 5, 6, 7)\n", "bilinear.BilinearState.eta", False),
+    ("BilinearState(1, 2, 3, 4, 5, 6)", "bilinear.BilinearState.eta", False),
+    ("sample.mlp, sample.qformer = m, q", "adapters.GateSample.qformer", True),
+    ("qformer = q", "adapters.GateSample.qformer", False),
+], ids=["keyword", "position", "star", "double-star", "too-few", "own-cls", "other-cls",
+        "short", "store", "bare-name"])
+def test_what_sets_an_option(source, option, sets, tmp_path):
+    path = tmp_path / "caller.py"
+    path.write_text(source)
+    assert _is_set(option, _setters([path])) == sets

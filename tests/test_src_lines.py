@@ -1,6 +1,6 @@
 """tools/src_lines.py: each line of a fixture module falls in the kind its
 tokens give it, the kinds add up to the file, a fixture module's options are
-counted, and bad paths exit 2."""
+named and counted, and bad paths exit 2."""
 
 import importlib.util
 import json
@@ -96,6 +96,8 @@ def test_cli_prints_strict_json_totals(tmp_path, capsys):
 def test_fixture_options(tmp_path, capsys):
     path = tmp_path / "options.py"
     path.write_text(OPTIONS_FIXTURE)
+    assert sl.option_names(path) == ["f.y", "f.z", "Cfg.b", "Cfg.a", "Cfg.m.k",
+                                     "Plain.m.k", "Plain.m.j"]
     assert sl.file_options(path) == 7
     assert sl.main([str(path)]) == 0
     out = json.loads(capsys.readouterr().out)

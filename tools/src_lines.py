@@ -13,8 +13,10 @@ from: fewer code lines, or fewer docstring, comment or blank lines.
 `options` counts what a caller can set, read off `ast`: each parameter with
 a default of a public function or method, plus each public field of a
 public dataclass. A name is public when neither it nor a class around it
-starts with `_`; functions nested in functions are not counted. A path that
-does not exist or does not parse exits 2 with a one-line message.
+starts with `_`; functions nested in functions are not counted.
+`option_names` lists them, each by its qualified name (`func.param`,
+`Class.method.param` or `Class.field`). A path that does not exist or does
+not parse exits 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -61,24 +63,34 @@ def file_counts(path: Path) -> dict[str, int]:
 
 
 def file_options(path: Path) -> int:
-    """The options one source file offers (see the module docstring)."""
-    return _options(ast.parse(path.read_bytes(), str(path)).body)
+    """How many options one source file offers (see the module docstring)."""
+    return len(option_names(path))
 
 
-def _options(body) -> int:
-    n = 0
+def option_names(path: Path) -> list[str]:
+    """The options one source file offers, by qualified name, in source order."""
+    return _options(ast.parse(path.read_bytes(), str(path)).body, "")
+
+
+def _options(body, prefix: str) -> list[str]:
+    names = []
     for node in body:
         if getattr(node, "name", "_").startswith("_"):   # private, or not a definition
             continue
+        at = f"{prefix}{node.name}."
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            a = node.args
+            positional = a.posonlyargs + a.args
+            names += [at + p.arg for p in positional[len(positional) - len(a.defaults):]]
+            names += [at + p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
         elif isinstance(node, ast.ClassDef):
-            n += _options(node.body)
             if any(_names_dataclass(d) for d in node.decorator_list):
-                n += sum(isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
-                         and not f.target.id.startswith("_")
-                         and "ClassVar" not in ast.unparse(f.annotation) for f in node.body)
-    return n
+                names += [at + f.target.id for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                          and not f.target.id.startswith("_")
+                          and "ClassVar" not in ast.unparse(f.annotation)]
+            names += _options(node.body, at)
+    return names
 
 
 def _names_dataclass(decorator) -> bool:
