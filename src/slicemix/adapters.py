@@ -257,10 +257,6 @@ def moe_apply(tokens, mlp: MlpParams, qf: QFormerParams, gate: GateParams, eps=N
     return g[0] * m.out + g[1] * q.out, sample
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
                   sample: GateSample, grads) -> None:
     """VJP through the soft mixture for a downstream scalar loss.
@@ -287,5 +283,6 @@ def adapter_grads(mlp: MlpParams, qf: QFormerParams, gate: GateParams, dout,
     pooled = sample.pooled.reshape(-1, sample.pooled.shape[-1]).T   # a lone vector is one row
     d_gate.w_g += pooled @ dlogits.reshape(-1, 2)
     if sample.eps is not None:
-        coef = sample.eps * _sigmoid(sample.pooled @ gate.w_noise) * dlogits
+        sigmoid = 0.5 * (1.0 + np.tanh(0.5 * (sample.pooled @ gate.w_noise)))
+        coef = sample.eps * sigmoid * dlogits
         d_gate.w_noise += pooled @ coef.reshape(-1, 2)
