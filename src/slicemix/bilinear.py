@@ -56,6 +56,7 @@ CLASSIFY_RTOL = 1e-4
 DIVERGENCE_NORM = 1e6
 DEGENERATE_TOL = 1e-12
 GD_BLOCK_ROWS = 4096   # rows of the float recurrence per block
+STOP_WINDOW = 100      # a plateau compares each row's loss with the one this many rows back
 CSV_CHUNK_ROWS = 4096  # rows formatted per joined chunk of Trace.to_csv
 DEFAULT_D = 16
 DEFAULT_ETA = 0.01
@@ -118,8 +119,9 @@ def check_instance(d: int, c: float) -> None:
     """make_instance's check of its arguments, for a caller that checks before it builds."""
     if not -1.0 < c < 1.0:
         raise ValueError("c must lie in (-1, 1)")
-    if not 2 <= d <= 4096:
-        raise ValueError("dimension must lie in [2, 4096], as the target is dense d x d")
+    if not isinstance(d, (int, np.integer)) or not 2 <= d <= 4096:
+        raise ValueError("dimension must lie in [2, 4096] and be an integer, as the target is "
+                         "dense d x d")
 
 
 def make_instance(d: int = DEFAULT_D, c: float = 0.5, seed: int = 0) -> BilinearInstance:
@@ -361,21 +363,18 @@ METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
            "alternating": _alternating_blocks}
 
 
-def check_run(method: str, steps: int, eta: float, stop_window: int = 100) -> None:
-    """run_experiment's checks of its step count, window and step size, for a
-    caller that checks before it runs."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if stop_window < 1:
-        raise ValueError("stop_window must be at least 1")
+def check_run(method: str, steps: int, eta: float) -> None:
+    """run_experiment's checks of its step count and step size, for a caller
+    that checks before it runs."""
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError("steps must be non-negative and an integer")
     if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
         raise ValueError("step size must be positive and finite")
 
 
 def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
                    method: str = "alternating", steps: int = 1000,
-                   eta: float = DEFAULT_ETA, stop_tol: float | None = 1e-6,
-                   stop_window: int = 100) -> Trace:
+                   eta: float = DEFAULT_ETA, stop_tol: float | None = 1e-6) -> Trace:
     """Run one trajectory and classify where it lands.
 
     methods:
@@ -387,11 +386,11 @@ def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
     The trace has one row per visited state, at most steps + 1 (steps=0 gives
     the initial row only). Every method stops at the first row t where norm_u
     exceeds DIVERGENCE_NORM (checked first; the run is flagged diverged) or,
-    with stop_tol set, t >= stop_window and |loss[t] - loss[t - stop_window]|
+    with stop_tol set, t >= STOP_WINDOW and |loss[t] - loss[t - STOP_WINDOW]|
     < stop_tol (t is reported as steps_to_converge). Overflow within a run
     raises no numpy warning: the divergence stop reports it.
     """
-    check_run(method, steps, eta, stop_window)
+    check_run(method, steps, eta)
     alpha0, beta0 = resolve_init(init)
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -399,15 +398,15 @@ def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
     diverged, converged_at = False, None
     with np.errstate(over="ignore", invalid="ignore"):
         for block in METHODS[method](inst, alpha0, beta0, eta, steps + 1):
-            # block[:, i] is row n + i; lagged holds the stop_window losses before it
+            # block[:, i] is row n + i; lagged holds the STOP_WINDOW losses before it
             k = block.shape[1]
             over = block[4] > DIVERGENCE_NORM
             plateau = np.zeros(k, dtype=bool)
             if stop_tol is not None:
                 history = np.concatenate([lagged, block[6]])
-                flat = np.abs(history[stop_window:] - history[:-stop_window]) < stop_tol
+                flat = np.abs(history[STOP_WINDOW:] - history[:-STOP_WINDOW]) < stop_tol
                 plateau[k - flat.size:] = flat
-                lagged = history[-stop_window:]
+                lagged = history[-STOP_WINDOW:]
             stop = np.flatnonzero(over | plateau)
             if stop.size:
                 i = int(stop[0])

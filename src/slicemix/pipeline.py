@@ -19,7 +19,7 @@ forward pass saved and draws no random numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
@@ -324,9 +324,7 @@ class _Batch:
     starts: np.ndarray             # (B + 1,) each image's first local token, then the total
     targets: np.ndarray | None = None
     experts: tuple | None = None   # global_experts on the views while the adapter is frozen
-    # the layouts a pass fixes, each built by the first pass that needs it:
-    route: tuple | None = None     # route_layout(starts)
-    noise: dict = field(default_factory=dict)   # per (gate, router) draws: gate_at, routed
+    route: tuple | None = None     # route_layout(starts), built by the first pass routing it
 
 
 def _stack(samples, n_queries: int) -> _Batch:
@@ -342,31 +340,23 @@ def _stack(samples, n_queries: int) -> _Batch:
 def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
                    mode: str, rng=None, fixed_selections=None) -> ForwardCache:
     """A batch through the pipeline in one pass. One normal draw covers the
-    batch's noise, laid out per image as its gate pair, then one router draw
-    per compressed local token, so a generator advances as over the images
-    one by one."""
+    batch's noise in two blocks: the gate's (B, 2) eps, then sigma times one
+    normal per compressed local token for the router, as gate_weights and
+    route_tokens would draw them one after the other."""
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode '{mode}'")
     views, n, d, cfg = batch.views, batch.views.shape[0], params.readout.shape[0], task.cfg
     starts = batch.starts
     gate_s = patches = eps = noise = first = None
-    gate_draws = 2 if (mode != "local_only" and rng is not None
-                       and params.gate.noise_enabled) else 0
-    route_draws = 1 if (mode != "global_only" and rng is not None and fixed_selections is None
-                        and cfg.train_noise_sigma > 0.0) else 0
-    if gate_draws or route_draws:
-        if (gate_draws, route_draws) not in batch.noise:
-            # image i's draws begin after i gate pairs and the router draws of its predecessors
-            gate_at = ((np.arange(n) * gate_draws + starts[:-1] * route_draws)[:, None]
-                       + np.arange(gate_draws))
-            routed = np.ones(n * gate_draws + starts[-1] * route_draws, dtype=bool)
-            routed[gate_at] = False
-            batch.noise[gate_draws, route_draws] = gate_at, routed
-        gate_at, routed = batch.noise[gate_draws, route_draws]
-        draws = rng.standard_normal(len(routed))
-        eps = draws[gate_at] if gate_draws else None
-        if route_draws:
-            noise = cfg.train_noise_sigma * draws[routed]
+    gate_draws = 2 * n if (mode != "local_only" and rng is not None
+                           and params.gate.noise_enabled) else 0
+    routed = (mode != "global_only" and rng is not None and fixed_selections is None
+              and cfg.train_noise_sigma > 0.0)
+    if gate_draws or routed:
+        draws = rng.standard_normal(gate_draws + starts[-1] * routed)
+        eps = draws[:gate_draws].reshape(n, 2) if gate_draws else None
+        if routed:
+            noise = cfg.train_noise_sigma * draws[gate_draws:]
     if mode == "global_only":
         order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
     else:
@@ -487,8 +477,8 @@ class StageSchedule:
         n = len(stage_plan(self.mode))
         if len(self.steps) != n:
             raise ValueError(f"mode '{self.mode}' takes exactly {n} stage(s)")
-        if any(k < 0 for k in self.steps):
-            raise ValueError("step counts must be non-negative")
+        if any(not isinstance(k, (int, np.integer)) or k < 0 for k in self.steps):
+            raise ValueError("step counts must be non-negative integers")
         if not 0.0 < self.lr < np.inf:
             raise ValueError("the learning rate must be positive and finite")
 

@@ -15,6 +15,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -24,7 +25,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_bilinear.json"
 
 INIT_GRID = ("antisym", "generic", "sym", (0.0, 0.0), (3.0, -2.0), (1e-3, 5.0))
 
-# (method, c, seed, init, eta, steps, stop_tol, stop_window) axes
+# (method, c, seed, init, eta, steps, stop_tol, STOP_WINDOW) axes
 GRIDS = {
     "gd": ((0.1, 0.5, 0.9, -0.3), (1, 2), INIT_GRID,
            (0.01, 0.3, 2.0, 1e40, 1e100, 1e200), (0, 1, 50, 3000),
@@ -43,9 +44,10 @@ def cases(method):
 def case_digest(method, c, seed, init, eta, steps, stop_tol, stop_window):
     inst = bl.make_instance(d=16, c=c, seed=seed)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(bl, "STOP_WINDOW", stop_window):
             trace = bl.run_experiment(inst, init=init, method=method, steps=steps, eta=eta,
-                                      stop_tol=stop_tol, stop_window=stop_window)
+                                      stop_tol=stop_tol)
     except Exception as exc:  # the pin covers error types and messages too
         return f"{type(exc).__name__}: {exc}"
     text = trace.to_csv() + json.dumps(trace.summary(), sort_keys=True)

@@ -206,6 +206,14 @@ DOOR_FAILURES = {
                            "every image needs at least one of the token rows"),
     "resize-to-zero": (lambda: resize_bilinear(np.ones((4, 4)), 0, 3),
                        "output size must be positive"),
+    # a count that is not whole would fail later inside range() or numpy, with a TypeError
+    "fractional-stage-steps": (lambda: pl.StageSchedule("e2e", (2.5,), 0.1),
+                               "step counts must be non-negative integers"),
+    "fractional-run-steps": (lambda: bl.run_experiment(bl.make_instance(d=4), steps=2.5),
+                             "steps must be non-negative and an integer"),
+    "fractional-dimension": (lambda: bl.make_instance(d=2.5),
+                             "dimension must lie in [2, 4096] and be an integer, as the "
+                             "target is dense d x d"),
 }
 
 
@@ -215,6 +223,11 @@ def test_a_library_door_names_its_failure(name):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_numpy_integer_counts_pass_the_doors():
+    assert pl.StageSchedule("e2e", (np.int64(2),), 0.1).steps == (2,)
+    assert bl.run_experiment(bl.make_instance(d=np.int32(4)), steps=np.int64(2)).step.size == 3
 
 
 class TestTrainConfig:

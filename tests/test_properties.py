@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 from itertools import accumulate, combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from slicemix.numerics import attention_weights, fd_grad_check, make_rng, normal
 from slicemix.routing import (RouterConfig, image_selection, route_batch, route_layout,
                               route_tokens, select_prefix)
 from slicemix.slicing import plan_partition, resize_bilinear
-from test_pipeline import noisy_forward, noisy_loss_and_grads
+from test_pipeline import lone_generators, noisy_forward, noisy_loss_and_grads
 
 properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 gammas = st.floats(min_value=1e-6, max_value=1.0)
@@ -389,32 +390,42 @@ class TestBatchEqualsLoop:
     # contiguous axis, which numpy sums pairwise rather than row by row
     @given(pipeline_cases(model_dims=st.just(1) | st.integers(min_value=2, max_value=6)))
     def test_one_noisy_pass_is_a_loop_of_forwards(self, case):
-        # the batch's zero padding must not change an image's bytes, nor
-        # may the batch draw otherwise than the loop
+        # the batch's zero padding must not change an image's bytes, given
+        # each lone pass the gate pair and router slice the batch drew for it
         task, params, _, noise_seed, _ = case
         images = task.train_set + task.eval_set
         batch = pl._stack(images, params.qf_local.n_queries)
         for mode in pl.FORWARD_MODES:
-            r_batch, r_loop = make_rng(noise_seed), make_rng(noise_seed)
+            r_batch, r_ref = make_rng(noise_seed), make_rng(noise_seed)
             cache = pl._forward_batch(batch, params, task, mode, rng=r_batch)
-            lone = [noisy_forward(s, params, task, mode, rng=r_loop)[1] for s in images]
+            lone = [noisy_forward(s, params, task, mode, rng=rng)[1] for s, rng in
+                    zip(images, lone_generators(r_ref, images, params, task, mode))]
             assert cache.pred.tobytes() == np.concatenate([c.pred for c in lone]).tobytes()
             assert cache.n_kept.tolist() == [int(c.n_kept[0]) for c in lone]
             if mode != "global_only":
                 for rows, kept, start, c in zip(cache.order, cache.kept, batch.starts, lone):
                     assert np.array_equal(rows[kept] - start, c.order[0][c.kept[0]])
-            assert r_batch.bit_generator.state == r_loop.bit_generator.state
+            assert r_batch.bit_generator.state == r_ref.bit_generator.state
+
+
+def two_image_case():
+    """A pipeline case of two images, gate noise on, in the full mode."""
+    task = pl.make_toy_task(7, pl.PipelineConfig(sizes=(96, 128), n_train=2, n_eval=1))
+    return task, pl.init_params(task, 7), "full", 7, 0
 
 
 class TestDrawSites:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(pipeline_cases(), st.just(0.0) | st.floats(min_value=1e-3, max_value=1.0),
            st.booleans())
+    # both noises live over two images, which the drawn cases may miss
+    @example(two_image_case(), 0.1, False)
     def test_each_site_draws_exactly_when_its_noise_is_live(self, case, sigma, pinned):
         # the gate draws a pair per image when its noise is on and the mode
         # runs the global branch; the router one normal per compressed local
         # token when sigma > 0, the mode runs the local branch and no
-        # selection is pinned. A generator advances by those draws and no more
+        # selection is pinned. A pass draws the gate's block, as (B, 2) eps,
+        # then the router's, scaled by sigma, and advances by those draws and no more
         task, params, mode, noise_seed, _ = case
         task = replace(task, cfg=replace(task.cfg, train_noise_sigma=sigma))
         batch = task.train_set
@@ -432,9 +443,34 @@ class TestDrawSites:
             rng.standard_normal(n)
             return rng.bit_generator.state
 
-        rng = make_rng(noise_seed)
-        noisy_loss_and_grads(batch, params, task, mode, rng=rng, fixed_selections=sels)
-        assert rng.bit_generator.state == advanced(draws(batch, pinned))
+        seen = {}
+
+        def spy(name, fn, pick):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[name] = pick(args, out)
+                return out
+            return wrapper
+
+        rng, twin = make_rng(noise_seed), make_rng(noise_seed)
+        with mock.patch.object(pl, "moe_apply", spy("eps", pl.moe_apply,
+                                                    lambda args, out: out[1].eps)), \
+                mock.patch.object(pl, "route_batch", spy("noise", pl.route_batch,
+                                                         lambda args, out: args[4])):
+            noisy_loss_and_grads(batch, params, task, mode, rng=rng, fixed_selections=sels)
+        n, gate_block = len(batch), 2 * gate * len(batch)
+        if gate:
+            want = twin.standard_normal(gate_block).reshape(n, 2)
+            assert seen["eps"].shape == (n, 2) and seen["eps"].tobytes() == want.tobytes()
+        else:
+            assert seen.get("eps") is None
+        if draws(batch, pinned) > gate_block:
+            want = sigma * twin.standard_normal(draws(batch, pinned) - gate_block)
+            assert seen["noise"].tobytes() == want.tobytes()
+        else:
+            assert seen.get("noise") is None
+        assert rng.bit_generator.state == twin.bit_generator.state == advanced(
+            draws(batch, pinned))
         rng = make_rng(noise_seed)
         for s in batch:
             noisy_forward(s, params, task, mode, rng=rng)
@@ -740,8 +776,9 @@ class TestRunExperimentStopRule:
            st.integers(min_value=1, max_value=100))
     def test_one_rule_ends_every_run(self, c, method, init, eta, steps, stop_tol, window):
         inst = bl.make_instance(d=4, c=c, seed=0)
-        tr = bl.run_experiment(inst, init=init, method=method, steps=steps, eta=eta,
-                               stop_tol=stop_tol, stop_window=window)
+        with mock.patch.object(bl, "STOP_WINDOW", window):
+            tr = bl.run_experiment(inst, init=init, method=method, steps=steps, eta=eta,
+                                   stop_tol=stop_tol)
         n = len(tr.step)
         assert np.array_equal(tr.step, np.arange(n)) and n <= steps + 1
         assert tr.diverged == (tr.norm_u[-1] > bl.DIVERGENCE_NORM)

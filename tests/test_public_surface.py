@@ -23,7 +23,6 @@ CALLERS = [*sorted(PACKAGE.glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 # options no caller sets, each with the reason it stays
 KEPT = {
-    "bilinear.run_experiment.stop_window": "the golden bilinear digests vary it",
     "cli.main.argv": "the entry point's test seam: tests run the CLI in-process through it",
 }
 
