@@ -96,23 +96,19 @@ class BilinearInstance:
 
 @dataclass
 class BilinearState:
-    """One (u, v) iterate with its span and eigen coordinates."""
+    """One (u, v) iterate with u's eigen coordinates."""
 
     u: np.ndarray
     v: np.ndarray
-    alpha: float
-    beta: float
     tau: float
     nu: float
     eta: float
 
     @classmethod
     def from_vectors(cls, inst: BilinearInstance, u, v, eta: float) -> "BilinearState":
-        alpha, beta = coords_of(inst, u)
-        tau, nu = eigen_coords(alpha, beta)
+        tau, nu = eigen_coords(*coords_of(inst, u))
         return cls(u=np.asarray(u, dtype=np.float64),
-                   v=np.asarray(v, dtype=np.float64),
-                   alpha=alpha, beta=beta, tau=tau, nu=nu, eta=eta)
+                   v=np.asarray(v, dtype=np.float64), tau=tau, nu=nu, eta=eta)
 
 
 def check_instance(d: int, c: float) -> None:

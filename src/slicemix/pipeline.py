@@ -107,13 +107,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base", "grid",
-                     "n_train"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.n_eval < 0:
-            raise ValueError("n_eval must be non-negative")
-        if not self.sizes or min(self.sizes) < 1:
-            raise ValueError("sizes must be non-empty and each size at least 1")
+                     "n_train", "n_eval"):
+            least, value = (0 if name == "n_eval" else 1), getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be at least {least} and an integer")
+        if not self.sizes or not all(isinstance(n, (int, np.integer)) and n >= 1
+                                     for n in self.sizes):
+            raise ValueError("sizes must be non-empty and each size an integer of at least 1")
         if self.base % self.grid != 0:
             raise ValueError("tile side must be divisible by the cell grid")
         pixels = (self.n_train + self.n_eval) * (
@@ -144,18 +144,10 @@ class Sample:
 
 @dataclass
 class ToyTask:
-    """Frozen data, featurizer, teacher, and routing text for one experiment.
-
-    The teacher is linear in two frozen views: the mean token over every
-    full-scale patch (fine detail, weight w_teacher) and the mean token of
-    the downsampled global view (coarse context, weight w_teacher_coarse).
-    Each branch therefore carries signal the other cannot fully supply."""
+    """Frozen data and routing text for one experiment (see make_toy_task)."""
 
     cfg: PipelineConfig
     seed: int
-    w_feat: np.ndarray            # (cell^2, feat_dim) shared pixel->token map
-    w_teacher: np.ndarray         # (feat_dim, out_dim) on the patch-token mean
-    w_teacher_coarse: np.ndarray  # (feat_dim, out_dim) on the global-token mean
     text_embed: np.ndarray        # (1, model_dim)
     train_set: list[Sample]
     eval_set: list[Sample]
@@ -193,10 +185,16 @@ def _build_sample(pixels: np.ndarray, cfg: PipelineConfig, w_feat: np.ndarray,
 
 
 def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
+    """Draw a task's frozen featurizer, teacher, routing text and images.
+
+    The teacher is linear in two frozen views: the mean token over every
+    full-scale patch (fine detail, weight w_teacher) and the mean token of
+    the downsampled global view (coarse context, weight w_teacher_coarse).
+    Each branch therefore carries signal the other cannot fully supply."""
     cfg = cfg or PipelineConfig()
     rng = make_rng(seed)
     cell_px = cfg.cell * cfg.cell
-    w_feat = rng.standard_normal((cell_px, cfg.feat_dim)) / cfg.cell
+    w_feat = rng.standard_normal((cell_px, cfg.feat_dim)) / cfg.cell   # pixel -> token
     w_teacher = rng.standard_normal((cfg.feat_dim, cfg.out_dim)) / np.sqrt(cfg.feat_dim)
     # the coarse term is kept small so fine detail dominates the objective,
     # but large enough that dropping the global branch measurably hurts
@@ -231,8 +229,7 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
                                      canvas_buf))
         return out
 
-    return ToyTask(cfg=cfg, seed=seed, w_feat=w_feat, w_teacher=w_teacher,
-                   w_teacher_coarse=w_teacher_coarse, text_embed=text_embed,
+    return ToyTask(cfg=cfg, seed=seed, text_embed=text_embed,
                    train_set=draw(cfg.n_train), eval_set=draw(cfg.n_eval))
 
 
@@ -574,15 +571,6 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
         final_eval=final_eval,
         only_global_eval=only_global,
         only_local_eval=only_local,
-        config={
-            "mode": schedule.mode,
-            "steps": list(schedule.steps),
-            "lr": schedule.lr,
-            "seed": schedule.seed,
-            "gamma": task.cfg.gamma,
-            "local_queries": task.cfg.local_queries,
-            "feat_dim": task.cfg.feat_dim,
-            "model_dim": task.cfg.model_dim,
-        },
+        config={"steps": list(schedule.steps)},
         diverged=diverged,
     )

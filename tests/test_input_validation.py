@@ -228,6 +228,8 @@ def test_a_library_door_names_its_failure(name):
 def test_numpy_integer_counts_pass_the_doors():
     assert pl.StageSchedule("e2e", (np.int64(2),), 0.1).steps == (2,)
     assert bl.run_experiment(bl.make_instance(d=np.int32(4)), steps=np.int64(2)).step.size == 3
+    cfg = pl.PipelineConfig(grid=np.int64(3), n_train=np.int32(2), sizes=(np.int64(96),))
+    assert len(pl.make_toy_task(0, cfg).train_set) == 2
 
 
 class TestTrainConfig:
@@ -350,6 +352,10 @@ class TestConfigRanges:
         # non-positive size failed inside numpy or resize_bilinear
         ({"n_eval": -1}, "n_eval"), ({"sizes": ()}, "sizes"), ({"sizes": (0,)}, "sizes"),
         ({"sizes": (96, -128)}, "sizes"),
+        # a fractional count built, and the task build failed in numpy or range
+        ({"n_train": 2.5}, "n_train"), ({"local_queries": 2.5}, "local_queries"),
+        ({"grid": 1.5}, "grid"), ({"feat_dim": 2.5}, "feat_dim"), ({"n_eval": 1.5}, "n_eval"),
+        ({"sizes": (96.5,)}, "sizes"),
     ])
     def test_pipeline_config_rejects(self, kwargs, needle):
         # max_grid is slicing's class constant, not a field to set

@@ -104,8 +104,7 @@ class TestToyTask:
     def test_deterministic_construction(self):
         t1 = pl.make_toy_task(3)
         t2 = pl.make_toy_task(3)
-        assert np.array_equal(t1.w_feat, t2.w_feat)
-        assert np.array_equal(t1.w_teacher, t2.w_teacher)
+        assert np.array_equal(t1.text_embed, t2.text_embed)
         for a, b in zip(t1.train_set, t2.train_set):
             assert (a.width, a.height) == (b.width, b.height)
             assert np.array_equal(a.target, b.target)

@@ -703,12 +703,11 @@ def reference_task(seed: int, cfg: pl.PipelineConfig) -> pl.ToyTask:
         return pl.Sample(w, h, g_tokens, p_tokens, target)
 
     train_set = [sample() for _ in range(cfg.n_train)]
-    return pl.ToyTask(cfg, seed, w_feat, w_teacher, w_coarse, text_embed, train_set,
-                      [sample() for _ in range(cfg.n_eval)])
+    return pl.ToyTask(cfg, seed, text_embed, train_set, [sample() for _ in range(cfg.n_eval)])
 
 
 def task_bytes(task: pl.ToyTask) -> list:
-    arrays = [task.w_feat, task.w_teacher, task.w_teacher_coarse, task.text_embed]
+    arrays = [task.text_embed]
     for s in task.train_set + task.eval_set:
         arrays += [np.array([s.width, s.height]), s.global_tokens, s.patch_tokens, s.target]
     return [(a.shape, a.tobytes()) for a in arrays]

@@ -1,8 +1,9 @@
 """Every name a module exports exists, so deleting a function without its
 `__all__` entry fails here instead of at a user's import; every exported
 name has a caller outside the unit tests, so a surface only tests use fails
-here instead of staying to be maintained; and so does every option, unless
-KEPT names the reason it stays."""
+here instead of staying to be maintained; so does every option, unless KEPT
+names the reason it stays; and so does every dataclass field that no caller
+reads."""
 
 import ast
 import dataclasses
@@ -98,28 +99,36 @@ def _options() -> list[str]:
             for name in src_lines.option_names(path)]
 
 
+def _declarers(option: str):
+    """The object that declares the option (its function, or its dataclass)
+    and the object that holds that one."""
+    module, *path, _ = option.split(".")
+    owner, obj = None, importlib.import_module(f"slicemix.{module}")
+    for part in path:
+        owner, obj = obj, getattr(obj, part)
+    return owner, obj
+
+
 def _is_set(option: str, setters) -> bool:
     """Whether a call passes the option by keyword, by position or through
     `*` or `**`, or, for a dataclass field, whether an attribute store sets
     it after construction."""
     calls, stored = setters
-    module, *path, name = option.split(".")
-    owner, obj = None, importlib.import_module(f"slicemix.{module}")
-    for part in path:
-        owner, obj = obj, getattr(obj, part)
+    *_, callee, name = option.split(".")
+    owner, obj = _declarers(option)
     if dataclasses.is_dataclass(obj):
         if name in stored:
             return True
         params = [f.name for f in dataclasses.fields(obj) if f.init]
     else:
-        raw = inspect.getattr_static(owner, path[-1]) if inspect.isclass(owner) else obj
+        raw = inspect.getattr_static(owner, callee) if inspect.isclass(owner) else obj
         params = list(inspect.signature(getattr(raw, "__func__", raw)).parameters.values())
         if inspect.isclass(owner) and not isinstance(raw, staticmethod):
             params = params[1:]   # a method's self or cls comes from the call's object
         params = [p.name for p in params if p.kind != p.KEYWORD_ONLY]
     at = params.index(name) if name in params else len(params)
     return any(name in keywords or star or at < n_args
-               for n_args, star, keywords in calls.get(path[-1], []))
+               for n_args, star, keywords in calls.get(callee, []))
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +153,10 @@ def test_every_kept_option_exists_and_has_no_caller(setters):
     ("default_schedule('e2e', *rest)", "pipeline.default_schedule.lr", True),
     ("default_schedule('e2e', **kwargs)", "pipeline.default_schedule.lr", True),
     ("default_schedule('e2e', 0, 240)", "pipeline.default_schedule.lr", False),
-    ("class BilinearState:\n    def f(cls):\n        return cls(1, 2, 3, 4, 5, 6, 7)\n",
+    ("class BilinearState:\n    def f(cls):\n        return cls(1, 2, 3, 4, 5)\n",
      "bilinear.BilinearState.eta", True),
-    ("def f(cls):\n    return cls(1, 2, 3, 4, 5, 6, 7)\n", "bilinear.BilinearState.eta", False),
-    ("BilinearState(1, 2, 3, 4, 5, 6)", "bilinear.BilinearState.eta", False),
+    ("def f(cls):\n    return cls(1, 2, 3, 4, 5)\n", "bilinear.BilinearState.eta", False),
+    ("BilinearState(1, 2, 3, 4)", "bilinear.BilinearState.eta", False),
     ("sample.mlp, sample.qformer = m, q", "adapters.GateSample.qformer", True),
     ("qformer = q", "adapters.GateSample.qformer", False),
 ], ids=["keyword", "position", "star", "double-star", "too-few", "own-cls", "other-cls",
@@ -156,3 +165,56 @@ def test_what_sets_an_option(source, option, sets, tmp_path):
     path = tmp_path / "caller.py"
     path.write_text(source)
     assert _is_set(option, _setters([path])) == sets
+
+
+def _readers(paths):
+    """The attribute names the code at `paths` loads: per class, those a
+    `self.x` inside that class's own body loads; and under None, those any
+    other receiver loads."""
+    loads = {None: set()}
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            own = cls is not None and getattr(node.value, "id", None) == "self"
+            loads.setdefault(cls if own else None, set()).add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), None)
+    return loads
+
+
+def _is_read(field: str, readers) -> bool:
+    """Whether a caller loads the field: through any receiver but `self`, or
+    through `self` inside its own class's body."""
+    *_, cls, name = field.split(".")
+    return name in readers[None] or name in readers.get(cls, set())
+
+
+def test_every_field_has_a_reader_outside_the_unit_tests():
+    readers = _readers(CALLERS)
+    unread = [o for o in _options()
+              if dataclasses.is_dataclass(_declarers(o)[1]) and not _is_read(o, readers)]
+    assert unread == []
+
+
+@pytest.mark.parametrize("source, field, reads", [
+    ("class BilinearState:\n    def f(self):\n        return self.tau\n",
+     "bilinear.BilinearState.tau", True),
+    ("class Trace:\n    def f(self):\n        return self.tau\n",
+     "bilinear.BilinearState.tau", False),
+    ("class Trace:\n    def f(self):\n        return self.state.tau\n",
+     "bilinear.BilinearState.tau", True),
+    ("def f(state):\n    return state.nu\n", "bilinear.BilinearState.tau", False),
+    ("tau = state.tau", "bilinear.BilinearState.tau", True),
+    ("state.tau = tau", "bilinear.BilinearState.tau", False),
+    ("tau = 1.0\nprint(tau)", "bilinear.BilinearState.tau", False),
+], ids=["own-self", "other-class-self", "other-receiver", "other-field", "load", "store",
+        "bare-name"])
+def test_what_reads_a_field(source, field, reads, tmp_path):
+    path = tmp_path / "caller.py"
+    path.write_text(source)
+    assert _is_read(field, _readers([path])) == reads

@@ -274,6 +274,7 @@ class TestExtractPatches:
         plan = plan_partition(1024, 1024)
         patches = extract_patches(img, plan)
         assert len(patches) == 16
+        assert plan.num_patches == len(patches)
         # scale 1.3125 fills the 1344px canvas exactly: reassembly matches
         canvas = scaled_canvas(img, plan)
         rowsets = [np.hstack(patches[i * 4:(i + 1) * 4]) for i in range(4)]
