@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_softmax, attention_weights, cross_attention_vjp, gelu_grad, normal_cdf,
-                       softplus)
+from .numerics import (_softmax, attention_weights, check_count, cross_attention_vjp, gelu_grad,
+                       normal_cdf, softplus)
 
 __all__ = [
     "MlpParams",
@@ -108,6 +108,8 @@ class GateSample:
 
 def init_mlp(rng: np.random.Generator, d_in: int, d_out: int) -> MlpParams:
     """A GELU MLP from d_in to d_out whose hidden layer is d_out wide."""
+    check_count("d_in", d_in, 1)
+    check_count("d_out", d_out, 1)
     return MlpParams(
         w1=rng.standard_normal((d_in, d_out)) / np.sqrt(d_in),
         b1=np.zeros(d_out),
@@ -118,6 +120,8 @@ def init_mlp(rng: np.random.Generator, d_in: int, d_out: int) -> MlpParams:
 
 def init_qformer(rng: np.random.Generator, n_queries: int, d_in: int,
                  d_out: int) -> QFormerParams:
+    for name, n in ("n_queries", n_queries), ("d_in", d_in), ("d_out", d_out):
+        check_count(name, n, 1)
     return QFormerParams(
         queries=rng.standard_normal((n_queries, d_in)) / np.sqrt(d_in),
         wk=rng.standard_normal((d_in, d_in)) / np.sqrt(d_in),
@@ -128,6 +132,9 @@ def init_qformer(rng: np.random.Generator, n_queries: int, d_in: int,
 
 def init_gate(rng: np.random.Generator, d_in: int,
               noise_enabled: bool = True) -> GateParams:
+    check_count("d_in", d_in, 1)
+    if not isinstance(noise_enabled, (bool, np.bool_)):
+        raise ValueError("noise_enabled must be True or False")
     return GateParams(
         w_g=rng.standard_normal((d_in, 2)) / np.sqrt(d_in),
         w_noise=rng.standard_normal((d_in, 2)) / np.sqrt(d_in),

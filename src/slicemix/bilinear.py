@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import make_rng
+from .numerics import check_count, check_finite, make_rng
 
 __all__ = [
     "BilinearInstance",
@@ -113,11 +113,9 @@ class BilinearState:
 
 def check_instance(d: int, c: float) -> None:
     """make_instance's check of its arguments, for a caller that checks before it builds."""
-    if not -1.0 < c < 1.0:
-        raise ValueError("c must lie in (-1, 1)")
-    if not isinstance(d, (int, np.integer)) or not 2 <= d <= 4096:
-        raise ValueError("dimension must lie in [2, 4096] and be an integer, as the target is "
-                         "dense d x d")
+    check_finite("c", c, -1.0, 1.0, "()")
+    check_count("d", d, 2, 4096, "dimension must lie in [2, 4096] and be an integer, as the "
+                "target is dense d x d")
 
 
 def make_instance(d: int = DEFAULT_D, c: float = 0.5, seed: int = 0) -> BilinearInstance:
@@ -191,8 +189,7 @@ def gd_step(state: BilinearState, inst: BilinearInstance) -> BilinearState:
     """One simultaneous raw-vector descent step at `state.eta`; both gradients
     use the pre-step iterates. Coordinates are recomputed from the new vectors."""
     eta = state.eta
-    if not 0.0 < eta < np.inf:
-        raise ValueError("step size must be positive and finite")
+    check_finite("eta", eta, 0.0, np.inf, "()")
     gu, gv = loss_grads(state.u, state.v, inst)
     return BilinearState.from_vectors(inst, state.u - eta * gu, state.v - eta * gv, eta)
 
@@ -362,10 +359,9 @@ METHODS = {"gd": _gd_blocks, "gd_vector": _gd_vector_blocks,
 def check_run(method: str, steps: int, eta: float) -> None:
     """run_experiment's checks of its step count and step size, for a caller
     that checks before it runs."""
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValueError("steps must be non-negative and an integer")
-    if method in ("gd", "gd_vector") and not 0.0 < eta < np.inf:
-        raise ValueError("step size must be positive and finite")
+    check_count("steps", steps, 0)
+    if method in ("gd", "gd_vector"):
+        check_finite("eta", eta, 0.0, np.inf, "()", "step size must be positive and finite (eta)")
 
 
 def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
@@ -387,6 +383,8 @@ def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,
     raises no numpy warning: the divergence stop reports it.
     """
     check_run(method, steps, eta)
+    if stop_tol is not None:
+        check_finite("stop_tol", stop_tol, 0.0, np.inf, "()")
     alpha0, beta0 = resolve_init(init)
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bilinear, pipeline
+from .numerics import check_count
 from .routing import DEFAULT_GAMMA, RouterConfig, route_tokens
 from .slicing import BASE_RESOLUTION, plan_partition
 
@@ -175,10 +176,7 @@ def cmd_plan(args) -> int:
 
 def cmd_route(args) -> int:
     router = RouterConfig(gamma=args.gamma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
-    if not np.isfinite(sel.scores).all():
-        raise ValueError("token-text similarities overflow, so the scores are not finite")
+    sel = route_tokens(read_matrix(args.tokens), read_matrix(args.text), router)
     _emit(sel.to_json())
     return EXIT_OK
 
@@ -243,8 +241,7 @@ def cmd_train(args) -> int:
     cfg = merge_config(user_cfg)
     values = {key: value for section in cfg.values() for key, value in section.items()}
     for key in ("n_eval", "total_steps"):
-        if values[key] < 1:
-            raise ConfigError(f"training.{key} must be at least 1")
+        check_count(f"training.{key}", values[key], 1)
     schedule = pipeline.default_schedule(args.mode, seed=args.seed,
                                          total_steps=values.pop("total_steps"),
                                          lr=values.pop("lr"))

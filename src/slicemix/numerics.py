@@ -1,6 +1,7 @@
 """Shared dense numerics: stable softmax/softplus, the normal CDF and GELU's
 derivative, scaled dot-product attention with its vector-Jacobian product,
-seeded generators, and a central difference gradient checker.
+seeded generators, a central difference gradient checker, and the checks the
+library's doors run on a count or a number.
 
 Everything operates on plain float64 numpy arrays; a "matrix" is a 2-D array
 in row-major order and a "vector" is 1-D; attention also takes stacked keys.
@@ -15,6 +16,8 @@ import math
 import numpy as np
 
 __all__ = [
+    "check_count",
+    "check_finite",
     "make_rng",
     "softmax",
     "softplus",
@@ -81,9 +84,35 @@ def normal_cdf(x) -> np.ndarray:
     return y
 
 
+def check_count(name: str, value, least: int, most: int | None = None, message=None) -> None:
+    """Check that `value` is an integer, not a bool, in [least, most], or raise a ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least
+            or most is not None and value > most):
+        rule = (f"be in [{least}, {most}]" if most is not None
+                else "be non-negative" if least == 0 else f"be at least {least}")
+        raise ValueError(message or f"{name} must {rule} and an integer")
+
+
+def check_finite(name: str, value, low: float, high: float, ends: str, message=None) -> None:
+    """Check that `value` is a number, not a bool, from low to high, each end closed or
+    open as `ends` ("(]", "[)", ...) says, or raise a ValueError; an infinite end is open.
+    It only compares, so a training step that calls it makes no C call for it."""
+    try:
+        ok = ((low < value or ends[0] == "[" and value == low)
+              and (value < high or ends[1] == "]" and value == high)
+              and value.__class__ not in (bool, np.bool_, np.ndarray))
+    except TypeError:   # a string or another non-number
+        ok = False
+    if not ok:
+        rule = (f"be {'positive' if ends[0] == '(' else 'non-negative'} and finite"
+                if (low, high) == (0, math.inf) else f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+        raise ValueError(message or f"{name} must {rule}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator. Equal seeds give bitwise-equal draw sequences."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    check_count("seed", seed, 0)
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def softmax(v) -> np.ndarray:

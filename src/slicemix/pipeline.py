@@ -41,7 +41,7 @@ from .adapters import (
     qformer_apply,
     qformer_vjp,
 )
-from .numerics import make_rng
+from .numerics import check_count, check_finite, make_rng
 from .routing import (RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch,
                       route_layout)
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
@@ -108,12 +108,11 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base", "grid",
                      "n_train", "n_eval"):
-            least, value = (0 if name == "n_eval" else 1), getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be at least {least} and an integer")
-        if not self.sizes or not all(isinstance(n, (int, np.integer)) and n >= 1
-                                     for n in self.sizes):
-            raise ValueError("sizes must be non-empty and each size an integer of at least 1")
+            check_count(name, getattr(self, name), 0 if name == "n_eval" else 1)
+        for size in self.sizes or [None]:   # no sizes check None, which fails
+            check_count("sizes", size, 1, message="sizes must be non-empty, each an integer >= 1")
+        if not isinstance(self.gate_noise, (bool, np.bool_)):
+            raise ValueError("gate_noise must be True or False")
         if self.base % self.grid != 0:
             raise ValueError("tile side must be divisible by the cell grid")
         pixels = (self.n_train + self.n_eval) * (
@@ -263,6 +262,7 @@ def _on_buffer(buffer: np.ndarray, layout: tuple, noise_enabled: bool) -> Pipeli
 
 def init_params(task: ToyTask, seed: int) -> PipelineParams:
     cfg = task.cfg
+    check_count("seed", seed, 0)
     rng = make_rng(seed ^ 0x5EED)
     parts = (init_mlp(rng, cfg.feat_dim, cfg.model_dim),
              init_qformer(rng, cfg.tokens_per_tile, cfg.feat_dim, cfg.model_dim),
@@ -474,10 +474,11 @@ class StageSchedule:
         n = len(stage_plan(self.mode))
         if len(self.steps) != n:
             raise ValueError(f"mode '{self.mode}' takes exactly {n} stage(s)")
-        if any(not isinstance(k, (int, np.integer)) or k < 0 for k in self.steps):
-            raise ValueError("step counts must be non-negative integers")
-        if not 0.0 < self.lr < np.inf:
-            raise ValueError("the learning rate must be positive and finite")
+        check_count("seed", self.seed, 0)
+        for k in self.steps:
+            check_count("steps", k, 0)
+        check_finite("lr", self.lr, 0.0, np.inf, "()",
+                     "the learning rate must be positive and finite (lr)")
 
 
 def stage_plan(mode: str) -> tuple[tuple[str, str, frozenset], ...]:
@@ -490,6 +491,7 @@ def stage_plan(mode: str) -> tuple[tuple[str, str, frozenset], ...]:
 def default_schedule(mode: str, seed: int = 0, total_steps: int = DEFAULT_TOTAL_STEPS,
                      lr: float = DEFAULT_LR) -> StageSchedule:
     n = len(stage_plan(mode))
+    check_count("total_steps", total_steps, 0)
     per = total_steps // n
     steps = tuple([per] * (n - 1) + [total_steps - per * (n - 1)])
     return StageSchedule(mode=mode, steps=steps, lr=lr, seed=seed)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import QFormerParams, qformer_apply
+from .numerics import check_finite
 
 __all__ = [
     "DEFAULT_NUM_QUERIES",
@@ -41,20 +42,14 @@ DEFAULT_NUM_QUERIES = 144
 DEFAULT_GAMMA = 0.75
 
 
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-
-
 @dataclass(frozen=True)
 class RouterConfig:
     gamma: float = DEFAULT_GAMMA
     train_noise_sigma: float = 0.1
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
-        if not 0.0 <= self.train_noise_sigma < np.inf:
-            raise ValueError("train_noise_sigma must be non-negative and finite")
+        check_finite("gamma", self.gamma, 0.0, 1.0, "(]")
+        check_finite("train_noise_sigma", self.train_noise_sigma, 0.0, np.inf, "[)")
 
 
 @dataclass
@@ -86,10 +81,10 @@ def compress_local(patch_tokens, params: QFormerParams) -> np.ndarray:
     return qformer_apply(t, params).out
 
 
-def _matrix(a, what: str) -> np.ndarray:
+def _matrix(a, what: str, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or 0 in m.shape:
-        raise ValueError(f"{what} must be a non-empty 2-D matrix")
+    if m.ndim != 2 or 0 in m.shape or not np.isfinite(m).all():
+        raise ValueError(f"{what} must be a non-empty 2-D matrix of finite values ({name})")
     return m
 
 
@@ -108,7 +103,7 @@ def _cut(scores: np.ndarray, key: np.ndarray, n_tokens, gamma: float):
     tokens each row keeps: up to the first to reach gamma (the mass never falls,
     so all short of it come first), or all if none does or gamma = 1, as the mass
     can round to 1 before a tail too small to move it."""
-    _check_gamma(gamma)
+    check_finite("gamma", gamma, 0.0, 1.0, "(]")
     order = key.argsort(axis=1, kind="stable")
     cum = np.add.accumulate(scores[np.arange(len(key))[:, None], order], axis=1)
     if gamma == 1.0:
@@ -196,8 +191,8 @@ def select_prefix(scores: np.ndarray, gamma: float):
     token that reaches gamma is kept, and every token at gamma = 1, however the
     running mass rounds, or whenever the total mass falls short of gamma."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("scores must be a non-empty 1-D vector")
+    if scores.ndim != 1 or scores.size == 0 or not np.isfinite(scores).all():
+        raise ValueError("scores must be a non-empty 1-D vector of finite values")
     order, cum, (n_kept,) = _cut(scores[None], -scores[None], [scores.size], gamma)
     return order[0, :n_kept].astype(np.int64), float(cum[0, n_kept - 1])
 
@@ -206,13 +201,17 @@ def route_tokens(z_v, z_x, cfg: RouterConfig,
                  rng: np.random.Generator | None = None) -> RouterSelection:
     """Score local tokens against the text embedding and keep the top prefix:
     route_batch on a batch of one. Given a generator and sigma > 0, one
-    normal per token perturbs the order; otherwise nothing is drawn."""
-    v, x = _matrix(z_v, "image tokens"), _matrix(z_x, "text tokens")
+    normal per token perturbs the order; otherwise nothing is drawn. Tokens
+    that are not finite, or whose similarities to the text overflow, fail."""
+    v, x = _matrix(z_v, "image tokens", "z_v"), _matrix(z_x, "text tokens", "z_x")
     if v.shape[1] != x.shape[1]:
         raise ValueError("image and text tokens must share their feature width")
     noise = None
     if rng is not None and cfg.train_noise_sigma > 0.0:
         noise = cfg.train_noise_sigma * rng.standard_normal(len(v))
     starts = np.array([0, len(v)])
-    cut = route_batch(v, starts, x, cfg.gamma, noise, route_layout(starts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cut = route_batch(v, starts, x, cfg.gamma, noise, route_layout(starts))
+    if not np.isfinite(cut[0]).all():
+        raise ValueError("token-text similarities overflow, so the scores are not finite")
     return image_selection(cut, starts, 0, cfg.gamma)

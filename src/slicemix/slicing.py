@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .numerics import check_count
+
 __all__ = [
     "BASE_RESOLUTION",
     "MAX_GRID",
@@ -67,12 +69,10 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
                    max_grid: int = MAX_GRID) -> PartitionPlan:
     """Pick the best tiling among all max_grid x max_grid grid options. Plans
     are cached per geometry (a plan is frozen); a bad call is not cached."""
-    if width < 1 or height < 1:
-        raise ValueError("image size must be positive")
-    if base < 1:
-        raise ValueError("base (the tile side) must be positive")
-    if max_grid < 1:
-        raise ValueError("max_grid (the most tiles along a side) must be at least 1")
+    check_count("width", width, 1, message="width must be positive and an integer")
+    check_count("height", height, 1, message="height must be positive and an integer")
+    check_count("base", base, 1, message="base (the tile side) must be positive and an integer")
+    check_count("max_grid", max_grid, 1)
     # the candidates are scored in floats; an area past their range overflows
     if not width * height <= sys.float_info.max:
         raise ValueError("image area is too large for float arithmetic")
@@ -144,9 +144,9 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
     With out (a writable float64 (out_h, out_w) array, such as a view of a
     larger canvas) the result is written there and out is returned. out may
     overlap pixels."""
+    check_count("out_h", out_h, 1)
+    check_count("out_w", out_w, 1)
     p = _image(pixels)
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be positive")
     out = _output(out, (out_h, out_w))
     in_h, in_w = p.shape
     if out_h == in_h and out_w == in_w:
@@ -190,8 +190,7 @@ def _resize_onto(p: np.ndarray, h: int, w: int, canvas: np.ndarray) -> np.ndarra
 def make_global_view(pixels, base: int) -> np.ndarray:
     """Aspect-preserving resize so the longer side equals base, then symmetric
     zero padding of the shorter side, yielding a base x base image."""
-    if base < 1:
-        raise ValueError("base (the tile side) must be positive")
+    check_count("base", base, 1, message="base (the tile side) must be positive and an integer")
     p = _image(pixels)
     h, w = p.shape
     if w >= h:

@@ -24,8 +24,9 @@ from slicemix import pipeline as pl
 from slicemix.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, SEED_ENV_VAR, ConfigError,
                           main, merge_config, write_matrix)
 from slicemix.numerics import fd_grad_check, make_rng
-from slicemix.routing import compress_local, route_layout
-from slicemix.slicing import MAX_GRID, plan_partition, resize_bilinear
+from slicemix.routing import (RouterConfig, compress_local, route_layout, route_tokens,
+                              select_prefix)
+from slicemix.slicing import MAX_GRID, make_global_view, plan_partition, resize_bilinear
 
 
 def run_cli(args, capsys):
@@ -205,15 +206,55 @@ DOOR_FAILURES = {
     "image-without-rows": (lambda: route_layout([0, 3, 3]),
                            "every image needs at least one of the token rows"),
     "resize-to-zero": (lambda: resize_bilinear(np.ones((4, 4)), 0, 3),
-                       "output size must be positive"),
+                       "out_h must be at least 1 and an integer"),
     # a count that is not whole would fail later inside range() or numpy, with a TypeError
     "fractional-stage-steps": (lambda: pl.StageSchedule("e2e", (2.5,), 0.1),
-                               "step counts must be non-negative integers"),
+                               "steps must be non-negative and an integer"),
     "fractional-run-steps": (lambda: bl.run_experiment(bl.make_instance(d=4), steps=2.5),
                              "steps must be non-negative and an integer"),
     "fractional-dimension": (lambda: bl.make_instance(d=2.5),
                              "dimension must lie in [2, 4096] and be an integer, as the "
                              "target is dense d x d"),
+    "fractional-resize": (lambda: resize_bilinear(np.ones((4, 4)), 2, 2.5),
+                          "out_w must be at least 1 and an integer"),
+    "fractional-global-view": (lambda: make_global_view(np.ones((4, 4)), 2.5),
+                               "base (the tile side) must be positive and an integer"),
+    # an MLP of width 0 was built, with empty parameters
+    "empty-mlp": (lambda: ad.init_mlp(make_rng(0), 0, 4),
+                  "d_in must be at least 1 and an integer"),
+    "fractional-queries": (lambda: ad.init_qformer(make_rng(0), 2.5, 4, 4),
+                           "n_queries must be at least 1 and an integer"),
+    "fractional-gate": (lambda: ad.init_gate(make_rng(0), 2.5),
+                        "d_in must be at least 1 and an integer"),
+    # pixel sizes are whole; a fractional width was planned
+    "fractional-plan": (lambda: plan_partition(1.5, 100), "width must be positive and an integer"),
+    "fractional-seed": (lambda: make_rng(2.5), "seed must be non-negative and an integer"),
+    # a negative or NaN tolerance switched the plateau stop off
+    "negative-stop-tol": (lambda: bl.run_experiment(bl.make_instance(d=4), stop_tol=-1.0),
+                          "stop_tol must be positive and finite"),
+    "nan-stop-tol": (lambda: bl.run_experiment(bl.make_instance(d=4), stop_tol=math.nan),
+                     "stop_tol must be positive and finite"),
+    # a string failed its comparison with a TypeError
+    "text-gamma": (lambda: RouterConfig(gamma="x"), "gamma must lie in (0, 1]"),
+    # a one-element array compared as its element and was kept as the gamma
+    "array-gamma": (lambda: RouterConfig(gamma=np.array([0.5])), "gamma must lie in (0, 1]"),
+    "text-lr": (lambda: pl.StageSchedule("e2e", (2,), "x"),
+                "the learning rate must be positive and finite (lr)"),
+    # any truthy flag turned the noise on
+    "text-gate-noise": (lambda: pl.PipelineConfig(gate_noise="no"),
+                        "gate_noise must be True or False"),
+    "text-noise-flag": (lambda: ad.init_gate(make_rng(0), 4, noise_enabled="no"),
+                        "noise_enabled must be True or False"),
+    # a NaN token was kept, and a NaN score made the kept mass NaN
+    "nan-tokens": (lambda: route_tokens([[math.nan, 0.0]], [[1.0, 1.0]], RouterConfig()),
+                   "image tokens must be a non-empty 2-D matrix of finite values (z_v)"),
+    "nan-scores": (lambda: select_prefix([math.nan, 0.5], 0.5),
+                   "scores must be a non-empty 1-D vector of finite values"),
+    # finite tokens whose similarities overflow gave NaN scores and a warning
+    "overflowing-similarities": (lambda: route_tokens([[1e200, 1e200]], [[1e200, 1e200]],
+                                                      RouterConfig()),
+                                 "token-text similarities overflow, so the scores are not "
+                                 "finite"),
 }
 
 
@@ -228,8 +269,20 @@ def test_a_library_door_names_its_failure(name):
 def test_numpy_integer_counts_pass_the_doors():
     assert pl.StageSchedule("e2e", (np.int64(2),), 0.1).steps == (2,)
     assert bl.run_experiment(bl.make_instance(d=np.int32(4)), steps=np.int64(2)).step.size == 3
-    cfg = pl.PipelineConfig(grid=np.int64(3), n_train=np.int32(2), sizes=(np.int64(96),))
-    assert len(pl.make_toy_task(0, cfg).train_set) == 2
+    cfg = pl.PipelineConfig(grid=np.int64(3), n_train=np.int32(2), sizes=(np.int64(96),),
+                            gate_noise=np.True_)
+    task = pl.make_toy_task(np.int64(0), cfg)
+    assert len(task.train_set) == 2
+    assert pl.init_params(task, np.int64(1)).gate.noise_enabled
+    assert pl.default_schedule("e2e", seed=np.int64(1), total_steps=np.int32(2)).steps == (2,)
+    assert resize_bilinear(np.ones((4, 4)), np.int64(2), np.int32(3)).shape == (2, 3)
+    assert make_global_view(np.ones((4, 4)), np.int64(8)).shape == (8, 8)
+    rng = make_rng(np.int64(0))
+    assert ad.init_mlp(rng, np.int64(4), np.int32(3)).w1.shape == (4, 3)
+    assert ad.init_qformer(rng, np.int64(2), np.int32(4), np.int64(3)).wo.shape == (4, 3)
+    assert ad.init_gate(rng, np.int32(4)).w_g.shape == (4, 2)
+    assert plan_partition(np.int64(1000), np.int32(500), np.int64(336), np.int64(6)) == (
+        plan_partition(1000, 500))
 
 
 class TestTrainConfig:

@@ -3,18 +3,29 @@
 name has a caller outside the unit tests, so a surface only tests use fails
 here instead of staying to be maintained; so does every option, unless KEPT
 names the reason it stays; and so does every dataclass field that no caller
-reads."""
+reads. Every public int, float or bool parameter is checked at its door: a
+bad value raises a ValueError that names it, unless UNCHECKED names the
+reason the door checks nothing."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slicemix
+from slicemix import bilinear as bl
+from slicemix import pipeline as pl
+from slicemix.numerics import make_rng
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "slicemix"
@@ -102,11 +113,17 @@ def _options() -> list[str]:
 def _declarers(option: str):
     """The object that declares the option (its function, or its dataclass)
     and the object that holds that one."""
-    module, *path, _ = option.split(".")
-    owner, obj = None, importlib.import_module(f"slicemix.{module}")
+    door = option.rsplit(".", 1)[0]
+    return _door(door.rpartition(".")[0]), _door(door)
+
+
+def _door(door: str):
+    """The module, function, method or dataclass a name like `pipeline.train` names."""
+    module, *path = door.split(".")
+    obj = importlib.import_module(f"slicemix.{module}")
     for part in path:
-        owner, obj = obj, getattr(obj, part)
-    return owner, obj
+        obj = getattr(obj, part)
+    return obj
 
 
 def _is_set(option: str, setters) -> bool:
@@ -218,3 +235,115 @@ def test_what_reads_a_field(source, field, reads, tmp_path):
     path = tmp_path / "caller.py"
     path.write_text(source)
     assert _is_read(field, _readers([path])) == reads
+
+
+# bad values for a parameter of each kind, the kind read off its annotation
+# or else its default
+BAD = {"int": [2.5, "x", True], "float": [math.nan, math.inf, -math.inf, "x", True],
+       "bool": ["no", 1]}
+# doors that check none of their numeric parameters, each with the reason
+UNCHECKED = {
+    "adapters.GateParams": "a record: _on_buffer builds one on every call, and init_gate "
+                           "checks the flag",
+    "adapters.gate_sample": "core; its checked door is gate_weights",
+    "bilinear.BilinearInstance": "a record: make_instance builds it and checks c",
+    "bilinear.BilinearState": "an iterate: gd_step checks its step size before stepping",
+    "bilinear.BilinearState.from_vectors": "builds an iterate: gd_step checks its step size",
+    "bilinear.Trace": "a record: run_experiment returns it",
+    "bilinear.classify": "labels where a run landed, on run_experiment's own values",
+    "bilinear.eigen_coords": "arithmetic, elementwise on floats or arrays",
+    "bilinear.energy": "arithmetic, elementwise on floats or arrays",
+    "bilinear.gd_coord_step": "one step of the coordinate recurrence, elementwise",
+    "bilinear.loss_from_coords": "arithmetic, elementwise on floats or arrays",
+    "bilinear.vector_from_coords": "arithmetic on floats or arrays",
+    "numerics.check_count": "a check itself: its bounds are the library's constants",
+    "numerics.check_finite": "a check itself: its bounds are the library's constants",
+    "pipeline.PipelineParams": "a record: _on_buffer builds one on every call",
+    "pipeline.RunReport": "a record: train returns it",
+    "pipeline.Sample": "a record: make_toy_task builds it",
+    "pipeline.ToyTask": "a record: make_toy_task builds it",
+    "routing.RouterSelection": "a record: route_tokens returns it",
+    "routing.image_selection": "core: reads an image's record off route_batch's cut; its "
+                               "checked door is route_tokens",
+    "routing.route_batch": "core; its checked door is route_tokens",
+    "slicing.PartitionPlan": "a record: plan_partition builds it",
+}
+
+
+@functools.cache
+def _task():
+    return pl.make_toy_task(0, pl.PipelineConfig(n_train=1, n_eval=0, sizes=(96,)))
+
+
+# a valid call of every other door with a numeric parameter, by its arguments' names
+CALLS = {
+    "adapters.init_gate": lambda: dict(rng=make_rng(0), d_in=4, noise_enabled=True),
+    "adapters.init_mlp": lambda: dict(rng=make_rng(0), d_in=4, d_out=3),
+    "adapters.init_qformer": lambda: dict(rng=make_rng(0), n_queries=2, d_in=4, d_out=3),
+    "bilinear.check_instance": lambda: dict(d=4, c=0.5),
+    # descent reads the step size, which alternating minimization ignores
+    "bilinear.check_run": lambda: dict(method="gd", steps=2, eta=0.1),
+    "bilinear.make_instance": lambda: dict(d=4, c=0.5, seed=0),
+    "bilinear.run_experiment": lambda: dict(inst=bl.make_instance(d=4), method="gd", steps=2,
+                                            eta=0.1, stop_tol=1e-6),
+    "numerics.make_rng": lambda: dict(seed=0),
+    "pipeline.PipelineConfig": dict,
+    "pipeline.StageSchedule": lambda: dict(mode="e2e", steps=(2,), lr=0.1, seed=0),
+    "pipeline.default_schedule": lambda: dict(mode="e2e", seed=0, total_steps=2, lr=0.1),
+    "pipeline.init_params": lambda: dict(task=_task(), seed=0),
+    "pipeline.make_toy_task": lambda: dict(seed=0, cfg=_task().cfg),
+    "routing.RouterConfig": dict,
+    "routing.select_prefix": lambda: dict(scores=[0.5, 0.5], gamma=0.5),
+    "slicing.make_global_view": lambda: dict(pixels=np.ones((4, 4)), base=8),
+    "slicing.plan_partition": lambda: dict(width=100, height=100, base=336, max_grid=6),
+    "slicing.resize_bilinear": lambda: dict(pixels=np.ones((4, 4)), out_h=2, out_w=3),
+}
+
+
+def _numeric_parameters() -> list[tuple[str, str, str]]:
+    """(door, parameter, kind) for every parameter tools/src_lines.py lists whose
+    annotation, or else its default, is an int, a float or a bool."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, annotation, option in src_lines.parameters(path):
+            door, name = f"{path.stem}.{qualified}".rsplit(".", 1)
+            if annotation not in BAD and option:
+                annotation = type(_default(door, name)).__name__
+            if annotation in BAD:
+                found.append((door, name, annotation))
+    return found
+
+
+def _default(door: str, name: str):
+    """An option's default value, or a marker that is no number if a field has none."""
+    obj = _door(door)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default for f in dataclasses.fields(obj)}[name]
+    return inspect.signature(obj).parameters[name].default
+
+
+NUMERIC = _numeric_parameters()
+WALKED = [p for p in NUMERIC if p[0] not in UNCHECKED]
+
+
+@pytest.mark.parametrize("door, name, kind", WALKED, ids=[f"{d}.{n}" for d, n, _ in WALKED])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_bad_number_fails_at_its_door_by_name(door, name, kind, data):
+    args = CALLS[door]()
+    args[name] = data.draw(st.sampled_from(BAD[kind]), label=name)
+    with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
+        _door(door)(**args)
+
+
+def test_every_door_the_property_walks_has_a_valid_call():
+    walked = {door for door, _, _ in WALKED}
+    assert sorted(walked ^ set(CALLS)) == []
+    for door, args in CALLS.items():
+        _door(door)(**args())
+
+
+def test_every_unchecked_door_exists_and_has_a_reason():
+    doors = {f"{path.stem}.{qualified}".rsplit(".", 1)[0] for path in PACKAGE.glob("*.py")
+             for qualified, _, _ in src_lines.parameters(path)}
+    assert [door for door, reason in UNCHECKED.items() if door not in doors or not reason] == []

@@ -173,7 +173,8 @@ def test_an_empty_image_is_rejected_with_one_message(shape):
 def test_resize_rejects_a_non_positive_size(out_h, out_w):
     with pytest.raises(ValueError) as err:
         resize_bilinear(np.ones((4, 4)), out_h, out_w)
-    assert str(err.value) == "output size must be positive"
+    name = "out_h" if out_h < 1 else "out_w"
+    assert str(err.value) == f"{name} must be at least 1 and an integer"
 
 
 class TestGlobalView:
@@ -183,7 +184,7 @@ class TestGlobalView:
         # numpy's "negative dimensions are not allowed"
         with pytest.raises(ValueError) as err:
             make_global_view(np.ones((10, 20)), base)
-        assert str(err.value) == "base (the tile side) must be positive"
+        assert str(err.value) == "base (the tile side) must be positive and an integer"
 
     def test_identity_at_base(self):
         rng = make_rng(15)
@@ -310,7 +311,8 @@ class TestGeometryCaches:
                 assert got == plan_partition.__wrapped__(w, h, base=base, max_grid=max_grid)
 
     @pytest.mark.parametrize("args, kwargs", [((0, 10), {}), ((10, 10), {"base": 0}),
-                                              ((3, 3), {"base": 4, "max_grid": 0})])
+                                              ((3, 3), {"base": 4, "max_grid": 0}),
+                                              ((1.5, 100), {})])
     def test_a_bad_call_raises_on_every_repeat(self, args, kwargs):
         cached = plan_partition.cache_info().currsize
         for _ in range(3):

@@ -108,6 +108,20 @@ def test_fixture_options(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("src_lines: ")
 
 
+def test_fixture_parameters(tmp_path):
+    # every parameter of the options' functions, a default or not, and its
+    # annotation; *args and **kwargs are none
+    path = tmp_path / "options.py"
+    path.write_text(OPTIONS_FIXTURE)
+    params = sl.parameters(path)
+    assert [(name, option) for name, _, option in params] == [
+        ("f.x", False), ("f.y", True), ("f.z", True), ("f.w", False), ("Cfg.b", True),
+        ("Cfg.a", True), ("Cfg.m.self", False), ("Cfg.m.k", True), ("Plain.m.self", False),
+        ("Plain.m.k", True), ("Plain.m.j", True)]
+    assert [annotation for _, annotation, _ in params][4:6] == ["float", "int"]
+    assert {annotation for _, annotation, _ in params[:4] + params[6:]} == {None}
+
+
 def test_kinds_add_up_to_every_line_of_the_package():
     package = ROOT / "src" / "slicemix"
     out = sl.tree_counts([package])

@@ -15,8 +15,9 @@ a default of a public function or method, plus each public field of a
 public dataclass. A name is public when neither it nor a class around it
 starts with `_`; functions nested in functions are not counted.
 `option_names` lists them, each by its qualified name (`func.param`,
-`Class.method.param` or `Class.field`). A path that does not exist or does
-not parse exits 2 with a one-line message.
+`Class.method.param` or `Class.field`); `parameters` lists every parameter
+of those functions, a default or not, with its annotation. A path that does
+not exist or does not parse exits 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -69,11 +70,19 @@ def file_options(path: Path) -> int:
 
 def option_names(path: Path) -> list[str]:
     """The options one source file offers, by qualified name, in source order."""
-    return _options(ast.parse(path.read_bytes(), str(path)).body, "")
+    return [name for name, _, option in parameters(path) if option]
 
 
-def _options(body, prefix: str) -> list[str]:
-    names = []
+def parameters(path: Path) -> list[tuple[str, str | None, bool]]:
+    """Every parameter of one source file's public functions and methods, and
+    every field of its public dataclasses, in source order: the qualified
+    name, the annotation as source text (None if there is none), and whether
+    it is an option."""
+    return _parameters(ast.parse(path.read_bytes(), str(path)).body, "")
+
+
+def _parameters(body, prefix: str) -> list[tuple[str, str | None, bool]]:
+    found = []
     for node in body:
         if getattr(node, "name", "_").startswith("_"):   # private, or not a definition
             continue
@@ -81,16 +90,23 @@ def _options(body, prefix: str) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
             positional = a.posonlyargs + a.args
-            names += [at + p.arg for p in positional[len(positional) - len(a.defaults):]]
-            names += [at + p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            first_default = len(positional) - len(a.defaults)
+            found += [(at + p.arg, _source(p.annotation), i >= first_default)
+                      for i, p in enumerate(positional)]
+            found += [(at + p.arg, _source(p.annotation), d is not None)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults)]
         elif isinstance(node, ast.ClassDef):
             if any(_names_dataclass(d) for d in node.decorator_list):
-                names += [at + f.target.id for f in node.body
+                found += [(at + f.target.id, _source(f.annotation), True) for f in node.body
                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
                           and not f.target.id.startswith("_")
                           and "ClassVar" not in ast.unparse(f.annotation)]
-            names += _options(node.body, at)
-    return names
+            found += _parameters(node.body, at)
+    return found
+
+
+def _source(node) -> str | None:
+    return None if node is None else ast.unparse(node)
 
 
 def _names_dataclass(decorator) -> bool:
