@@ -55,10 +55,6 @@ TRAIN_CONFIG = {section: {key: _LIBRARY_DEFAULTS[key] for key in keys}
                 for section, keys in TRAIN_KEYS.items()}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @contextmanager
 def _writing(what: str):
     """Name what was being written in the message of a failed write."""
@@ -76,9 +72,9 @@ def default_seed() -> int:
     try:
         seed = int(value)
     except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
     if seed < 0:
-        raise ConfigError(f"{SEED_ENV_VAR} must be non-negative, got {value!r}")
+        raise ValueError(f"{SEED_ENV_VAR} must be non-negative, got {value!r}")
     return seed
 
 
@@ -115,43 +111,24 @@ def write_matrix(path: str, arr: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               tuple: "a non-empty list of positive integers"}
-
-
-def _check_type(name: str, value, default) -> None:
-    """Reject a value whose JSON type differs from its default's (an int may be a float)."""
-    if isinstance(default, tuple):
-        ok = isinstance(value, list) and value and all(type(v) is int and v > 0 for v in value)
-    else:
-        ok = type(value) is type(default) or (type(value), type(default)) == (int, float)
-    if not ok:
-        raise ConfigError(f"config value '{name}' must be {_TYPE_NAMES[type(default)]}, "
-                          f"got {json.dumps(value)}")
-
-
-def merge_config(user: dict) -> dict:
-    """Overlay a user config onto TRAIN_CONFIG, rejecting unknown keys and
-    values whose type differs from the default's."""
-    return _merge(user, TRAIN_CONFIG, "")
-
-
-def _merge(user, defaults: dict, path: str) -> dict:
-    """merge_config on the section at `path` (its keys' prefix) of the defaults."""
+def merge_config(user) -> dict:
+    """Overlay a user config onto TRAIN_CONFIG. Only its shape is checked here: the
+    config and each section must be objects, with no unknown key. The values go on
+    as given, and the library's doors reject a bad one by its key's name."""
     if not isinstance(user, dict):
-        raise ConfigError(f"config section '{path[:-1] or '(top level)'}' must be an object")
+        raise ValueError("config section '(top level)' must be an object")
     merged = {}
-    for key, default_value in defaults.items():
-        if key in user and isinstance(default_value, dict):
-            merged[key] = _merge(user[key], default_value, f"{path}{key}.")
-        elif key in user:
-            _check_type(f"{path}{key}", user[key], default_value)
-            merged[key] = user[key]
-        else:
-            merged[key] = default_value
+    for section, defaults in TRAIN_CONFIG.items():
+        given = user.get(section, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"config section '{section}' must be an object")
+        for key in given:
+            if key not in defaults:
+                raise ValueError(f"unknown config key '{section}.{key}'")
+        merged[section] = {**defaults, **given}
     for key in user:
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{path}{key}'")
+        if key not in TRAIN_CONFIG:
+            raise ValueError(f"unknown config key '{key}'")
     return merged
 
 
@@ -237,7 +214,7 @@ def cmd_train(args) -> int:
         try:
             user_cfg = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+            raise ValueError(f"cannot read config: {exc}") from None
     cfg = merge_config(user_cfg)
     values = {key: value for section in cfg.values() for key, value in section.items()}
     for key in ("n_eval", "total_steps"):
@@ -245,7 +222,9 @@ def cmd_train(args) -> int:
     schedule = pipeline.default_schedule(args.mode, seed=args.seed,
                                          total_steps=values.pop("total_steps"),
                                          lr=values.pop("lr"))
-    pcfg = pipeline.PipelineConfig(**{**values, "sizes": tuple(values["sizes"])})
+    if isinstance(values["sizes"], list):
+        values["sizes"] = tuple(values["sizes"])
+    pcfg = pipeline.PipelineConfig(**values)
     report = pipeline.train(schedule, pipeline.make_toy_task(args.seed, pcfg))
     if args.out:
         out = Path(args.out)
@@ -324,8 +303,6 @@ def main(argv=None) -> int:
     try:
         if "seed" in args and args.seed is None:
             args.seed = default_seed()
-        elif "seed" in args and args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 FD_STEP = 1e-5   # the step h of fd_grad_check's central differences
+_FLOAT_MAX = sys.float_info.max
 # normal_cdf's table: centres 1/512 apart span [-8.5, 8.5], past which Φ lies
 # within 1e-17 of 0 or 1, and each value takes its nearest centre. The
 # constants are 0-d arrays because numpy converts a Python float operand anew
@@ -95,11 +97,13 @@ def check_count(name: str, value, least: int, most: int | None = None, message=N
 
 def check_finite(name: str, value, low: float, high: float, ends: str, message=None) -> None:
     """Check that `value` is a number, not a bool, from low to high, each end closed or
-    open as `ends` ("(]", "[)", ...) says, or raise a ValueError; an infinite end is open.
-    It only compares, so a training step that calls it makes no C call for it."""
+    open as `ends` ("(]", "[)", ...) says, or raise a ValueError; an infinite end is open,
+    and a whole number past the float range fails too. It only compares, so a training
+    step that calls it makes no C call for it."""
     try:
         ok = ((low < value or ends[0] == "[" and value == low)
               and (value < high or ends[1] == "]" and value == high)
+              and -_FLOAT_MAX <= value <= _FLOAT_MAX
               and value.__class__ not in (bool, np.bool_, np.ndarray))
     except TypeError:   # a string or another non-number
         ok = False

@@ -109,8 +109,9 @@ class PipelineConfig:
         for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base", "grid",
                      "n_train", "n_eval"):
             check_count(name, getattr(self, name), 0 if name == "n_eval" else 1)
-        for size in self.sizes or [None]:   # no sizes check None, which fails
-            check_count("sizes", size, 1, message="sizes must be non-empty, each an integer >= 1")
+        # sizes that are empty or no tuple check None, which fails
+        for size in self.sizes if isinstance(self.sizes, tuple) and self.sizes else [None]:
+            check_count("sizes", size, 1, message="sizes must be a non-empty tuple of ints >= 1")
         if not isinstance(self.gate_noise, (bool, np.bool_)):
             raise ValueError("gate_noise must be True or False")
         if self.base % self.grid != 0:
@@ -472,8 +473,8 @@ class StageSchedule:
 
     def __post_init__(self):
         n = len(stage_plan(self.mode))
-        if len(self.steps) != n:
-            raise ValueError(f"mode '{self.mode}' takes exactly {n} stage(s)")
+        if not isinstance(self.steps, tuple) or len(self.steps) != n:
+            raise ValueError(f"steps must be a tuple of {n} count(s) for mode '{self.mode}'")
         check_count("seed", self.seed, 0)
         for k in self.steps:
             check_count("steps", k, 0)

@@ -17,7 +17,6 @@ from slicemix.cli import (
     EXIT_DIVERGED,
     EXIT_USAGE,
     SEED_ENV_VAR,
-    ConfigError,
     build_parser,
     main,
     merge_config,
@@ -308,11 +307,11 @@ class TestConfigMerge:
         assert merged["router"]["local_queries"] == 4
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key 'decoder'"):
+        with pytest.raises(ValueError, match="unknown config key 'decoder'"):
             merge_config({"decoder": {}})
 
     def test_unknown_nested_key_rejected(self):
-        with pytest.raises(ConfigError, match="router.top_k"):
+        with pytest.raises(ValueError, match="router.top_k"):
             merge_config({"router": {"top_k": 3}})
 
 

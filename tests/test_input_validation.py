@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 from slicemix import adapters as ad
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
-from slicemix.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, SEED_ENV_VAR, ConfigError,
-                          main, merge_config, write_matrix)
+from slicemix.cli import (EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, SEED_ENV_VAR, TRAIN_CONFIG,
+                          TRAIN_KEYS, main, merge_config, write_matrix)
 from slicemix.numerics import fd_grad_check, make_rng
 from slicemix.routing import (RouterConfig, compress_local, route_layout, route_tokens,
                               select_prefix)
@@ -285,7 +286,35 @@ def test_numpy_integer_counts_pass_the_doors():
         plan_partition(1000, 500))
 
 
+# wrong values for a config key of each kind, as JSON text (10**400 as an
+# integer literal, past the float range)
+HUGE = "1" + "0" * 400
+WRONG_KINDS = {
+    int: ['"x"', "true", "2.5", "[1]", "{}", "null", "0"],
+    float: ['"x"', "true", "[0.5]", "null", HUGE, "-1"],
+    bool: ['"yes"', "1", "null"],
+    tuple: ["5", '"96"', "[]", "[96, 0]", "[96, 128.0]", "[true]", "[[96]]"],
+}
+WRONG_VALUES = [(section, key, text) for section, keys in TRAIN_KEYS.items() for key in keys
+                for text in WRONG_KINDS[type(TRAIN_CONFIG[section][key])]]
+
+
 class TestTrainConfig:
+    @pytest.mark.parametrize("section, key, text", WRONG_VALUES, ids=[
+        f"{key}={text.replace(HUGE, '10**400')}" for _, key, text in WRONG_VALUES])
+    def test_every_wrong_kind(self, section, key, text, tmp_path, capsys, monkeypatch):
+        # the CLI passes every value on as given: the library's doors reject
+        # it by the key's name before a task is built
+        def never(*args):
+            raise AssertionError("a task was built")
+        monkeypatch.setattr(pl, "make_toy_task", never)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"%s": {"%s": %s}}' % (section, key, text))
+        code, out, err = run_cli(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
+                                 capsys)
+        assert (code, out, err.count("\n")) == (EXIT_USAGE, "", 1), err
+        assert err.startswith("train: ") and re.search(rf"\b{key}\b", err), err
+
     @pytest.mark.parametrize("config, needle", [
         ({"slicing": {"base": 7, "max_grid": 1}}, "unknown config key 'slicing'"),
         ({"bilinear": {"d": 4}}, "unknown config key 'bilinear'"),
@@ -294,14 +323,16 @@ class TestTrainConfig:
         ({"router": {"train_noise_sigma": -1}}, "train_noise_sigma must be non-negative"),
         ({"training": {"n_train": 0}}, "n_train must be at least 1"),
         ({"training": {"n_eval": 0}}, "n_eval must be at least 1"),
-        ({"training": {"sizes": 5}}, "'training.sizes' must be a non-empty list"),
-        ({"training": {"sizes": []}}, "'training.sizes' must be a non-empty list"),
-        ({"training": {"sizes": [96, 0]}}, "'training.sizes' must be a non-empty list"),
-        ({"training": {"sizes": [96, 128.0]}}, "'training.sizes' must be a non-empty list"),
-        ({"router": {"gamma": "x"}}, "'router.gamma' must be a number"),
-        ({"router": {"gamma": True}}, "'router.gamma' must be a number"),
-        ({"training": {"n_train": 2.5}}, "'training.n_train' must be an integer"),
-        ({"adapter": {"gate_noise": 1}}, "'adapter.gate_noise' must be true or false"),
+        # the JSON's shape, the one thing the CLI checks itself; a section
+        # is checked before an unknown key beside it
+        ({"router": {"top_k": 3}}, "unknown config key 'router.top_k'"),
+        ({"training": {"lr": 0.1, "epochs": 3}}, "unknown config key 'training.epochs'"),
+        ({"adapter": []}, "config section 'adapter' must be an object"),
+        ({"training": None}, "config section 'training' must be an object"),
+        ("x", "config section '(top level)' must be an object"),
+        (None, "config section '(top level)' must be an object"),
+        ({"bogus": 1, "router": 5}, "config section 'router' must be an object"),
+        ({"decoder": {}, "router": {"gamma": 0.5}}, "unknown config key 'decoder'"),
         ({"training": {"lr": -1}}, "the learning rate must be positive and finite"),
         ({"training": {"lr": 0}}, "the learning rate must be positive and finite"),
         ({"training": {"total_steps": -3}}, "total_steps must be at least 1"),
@@ -354,7 +385,7 @@ class TestTrainConfig:
         assert set(json.loads(epilog)) == {"adapter", "router", "training"}
 
     def test_max_grid_is_not_a_config_key(self):
-        with pytest.raises(ConfigError, match="unknown config key 'slicing'"):
+        with pytest.raises(ValueError, match="unknown config key 'slicing'"):
             merge_config({"slicing": {"max_grid": 1}})
         assert pl.PipelineConfig.max_grid == MAX_GRID
 
@@ -522,8 +553,9 @@ class TestSeedEnvVar:
 
 
 class TestNegativeSeed:
-    """A negative seed is rejected before any work, naming where it came from:
-    numpy's own message names neither the flag nor the variable."""
+    """A negative seed is rejected before any work, by a message that names
+    it: numpy's own names neither the flag nor the variable. The flag meets
+    the library's check of `seed`, the variable the CLI's own."""
 
     COMMANDS = [["bilinear", "--c", "0.5"], ["sweep", "--c", "0.5"], ["train", "--mode", "e2e"]]
 
@@ -534,13 +566,20 @@ class TestNegativeSeed:
         monkeypatch.setattr(pl, "make_toy_task", lambda *args: built.append(args))
         return built
 
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bl, "run_experiment", lambda *args, **kwargs: ran.append(kwargs))
+        monkeypatch.setattr(pl, "train", lambda *args: ran.append(args))
+        return ran
+
     @pytest.mark.parametrize("args", COMMANDS)
-    def test_flag(self, args, built, monkeypatch, capsys):
+    def test_flag(self, args, ran, monkeypatch, capsys):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         code, out, err = run_cli(args + ["--seed", "-1"], capsys)
-        assert (code, out, err) == (EXIT_USAGE, "", f"{args[0]}: --seed must be non-negative, "
-                                                    "got -1\n")
-        assert built == []
+        assert (code, out, err) == (EXIT_USAGE, "", f"{args[0]}: seed must be non-negative "
+                                                    "and an integer\n")
+        assert ran == []
 
     @pytest.mark.parametrize("args", COMMANDS)
     def test_env_var(self, args, built, monkeypatch, capsys):
@@ -717,6 +756,8 @@ class TestCliBoundary:
     @given(invocations())
     @example((["bilinear", "--c=0.5", "--method=gd", "--eta=1e100", "--steps=50", "--seed=1"],
               "", "", "", None))   # a run that diverges: exit 3
+    @example((["train", "--mode=e2e", "--config={config}", "--seed=1"], "", "",
+              '{"training": {"lr": %s}}' % HUGE, None))   # past the float range: exit 2
     def test_exit_codes_and_streams(self, case):
         # whatever arrives at the door: exit 0 or 3 with one strict-JSON
         # document on stdout, or exit 2 with nothing on stdout and one

@@ -3,9 +3,9 @@
 name has a caller outside the unit tests, so a surface only tests use fails
 here instead of staying to be maintained; so does every option, unless KEPT
 names the reason it stays; and so does every dataclass field that no caller
-reads. Every public int, float or bool parameter is checked at its door: a
-bad value raises a ValueError that names it, unless UNCHECKED names the
-reason the door checks nothing."""
+reads. Every public int, float, bool or tuple-of-int parameter is checked at
+its door: a bad value raises a ValueError that names it, unless UNCHECKED
+names the reason the door checks nothing."""
 
 import ast
 import dataclasses
@@ -239,8 +239,8 @@ def test_what_reads_a_field(source, field, reads, tmp_path):
 
 # bad values for a parameter of each kind, the kind read off its annotation
 # or else its default
-BAD = {"int": [2.5, "x", True], "float": [math.nan, math.inf, -math.inf, "x", True],
-       "bool": ["no", 1]}
+BAD = {"int": [2.5, "x", True], "float": [math.nan, math.inf, -math.inf, 10**400, "x", True],
+       "bool": ["no", 1], "tuple[int, ...]": [96, "x", (2.5,), ()]}
 # doors that check none of their numeric parameters, each with the reason
 UNCHECKED = {
     "adapters.GateParams": "a record: _on_buffer builds one on every call, and init_gate "
@@ -302,7 +302,7 @@ CALLS = {
 
 def _numeric_parameters() -> list[tuple[str, str, str]]:
     """(door, parameter, kind) for every parameter tools/src_lines.py lists whose
-    annotation, or else its default, is an int, a float or a bool."""
+    annotation, or else its default, is an int, a float, a bool or a tuple of ints."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qualified, annotation, option in src_lines.parameters(path):
