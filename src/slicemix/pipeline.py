@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -46,7 +46,8 @@ from .routing import (RouterConfig, RouterSelection, image_selection, pinned_cut
                       route_layout)
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
 from .routing import route_tokens  # noqa: F401
-from .slicing import MAX_GRID, extract_patches, make_global_view, plan_partition, resize_bilinear
+from .slicing import (MAX_GRID, _band_rows, extract_patches, make_global_view, plan_partition,
+                      resize_bilinear)
 
 __all__ = [
     "PipelineConfig",
@@ -72,6 +73,9 @@ PARAM_GROUPS = ("adapter", "local", "readout")
 FORWARD_MODES = ("full", "global_only", "local_only")
 DEFAULT_TOTAL_STEPS = 240
 DEFAULT_LR = 0.25
+# the most features, model dimensions, outputs or local queries: bilinear's
+# bound on its dense d, so a width x width weight stays within 128 MiB
+MAX_WIDTH = 4096
 # pixels a task build may touch: per image, the image, its tile canvas (at most
 # (MAX_GRID * base)^2) and its global view; a config past it fails before any work
 TASK_PIXEL_BUDGET = 10**8
@@ -106,8 +110,10 @@ class PipelineConfig:
     max_grid = MAX_GRID        # not a field: tilings range over slicing's grid options
 
     def __post_init__(self):
-        for name in ("feat_dim", "model_dim", "out_dim", "local_queries", "base", "grid",
-                     "n_train", "n_eval"):
+        for name in ("feat_dim", "model_dim", "out_dim", "local_queries"):
+            check_count(name, getattr(self, name), 1, MAX_WIDTH,
+                        f"{name} must be at least 1 and at most {MAX_WIDTH}, and an integer")
+        for name in ("base", "grid", "n_train", "n_eval"):
             check_count(name, getattr(self, name), 0 if name == "n_eval" else 1)
         # sizes that are empty or no tuple check None, which fails
         for size in self.sizes if isinstance(self.sizes, tuple) and self.sizes else [None]:
@@ -155,11 +161,16 @@ class ToyTask:
 
 def _featurize(canvas: np.ndarray, n: int, m: int, w_feat: np.ndarray, grid: int) -> np.ndarray:
     """(n * m, grid^2, feat_dim) tokens of a canvas of n x m square tiles (a
-    global view is 1 x 1), in extract_patches' order: every tile's cells in one
-    stacked product, which numpy runs as one (grid^2, cell^2) @ w_feat per tile."""
+    global view is 1 x 1), in extract_patches' order: one tile row at a time,
+    its tiles' cells in one stacked product, which numpy runs as one
+    (grid^2, cell^2) @ w_feat per tile, so only one tile row is copied."""
     c = canvas.shape[0] // (n * grid)
-    cells = canvas.reshape(n, grid, c, m, grid, c).transpose(0, 3, 1, 4, 2, 5)
-    return cells.reshape(n * m, grid * grid, c * c) @ w_feat
+    tile_rows = canvas.reshape(n, grid, c, m, grid, c)
+    tokens = np.empty((n, m, grid * grid, w_feat.shape[1]))
+    for r in range(n):   # each row's cells are freed before the next row's are copied
+        np.matmul(tile_rows[r].transpose(2, 0, 3, 1, 4).reshape(m, grid * grid, c * c), w_feat,
+                  out=tokens[r])
+    return tokens.reshape(n * m, grid * grid, -1)
 
 
 def _shaped(buffer: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -201,13 +212,13 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
     w_teacher_coarse = 0.3 * rng.standard_normal((cfg.feat_dim, cfg.out_dim)) \
         / np.sqrt(cfg.feat_dim)
     text_embed = rng.standard_normal((1, cfg.model_dim))
-    # the three full-size arrays each image makes (its smooth field, its
-    # texture and its tile canvas) are views of these flat buffers, so the
-    # build faults their pages in once, not once per image. A plan spans no
-    # more tiles along a side than cover that side, since fewer cover it with
-    # less waste, so no canvas side passes canvas_side
-    image_px = max(cfg.sizes) ** 2
-    smooth_buf, fine_buf = np.empty(image_px), np.empty(image_px)
+    # each image's smooth field, one band of its texture (see _band_rows) and
+    # its tile canvas are views of these flat buffers, so the build faults
+    # their pages in once, not once per image. A plan spans no more tiles
+    # along a side than cover that side, since fewer cover it with less
+    # waste, so no canvas side passes canvas_side
+    smooth_buf = np.empty(max(cfg.sizes) ** 2)
+    fine_buf = np.empty(max(_band_rows(h, w) * w for h in cfg.sizes for w in cfg.sizes))
     canvas_side = min(cfg.max_grid, -(-max(cfg.sizes) // cfg.base)) * cfg.base
     canvas_buf = np.empty(canvas_side ** 2)
 
@@ -220,11 +231,15 @@ def make_toy_task(seed: int, cfg: PipelineConfig | None = None) -> ToyTask:
             w = int(cfg.sizes[rng.integers(len(cfg.sizes))])
             h = int(cfg.sizes[rng.integers(len(cfg.sizes))])
             smooth = resize_bilinear(rng.random((5, 5)), h, w, out=_shaped(smooth_buf, h, w))
-            fine = rng.random(out=_shaped(fine_buf, h, w))
-            # 0.7 * smooth + 0.3 * fine, in place
+            # 0.7 * smooth + 0.3 * fine, in place, the texture drawn a band of
+            # rows at a time: the generator fills them in order, so the
+            # uniforms are those of one (h, w) draw
             smooth *= 0.7
-            fine *= 0.3
-            smooth += fine
+            band = _band_rows(h, w)
+            for top in range(0, h, band):
+                fine = rng.random(out=_shaped(fine_buf, min(band, h - top), w))
+                fine *= 0.3
+                smooth[top:top + band] += fine
             out.append(_build_sample(smooth, cfg, w_feat, w_teacher, w_teacher_coarse,
                                      canvas_buf))
         return out
@@ -544,9 +559,9 @@ def train(schedule: StageSchedule, task: ToyTask) -> RunReport:
     grads = _on_buffer(np.zeros_like(params.buffer), params.layout, params.gate.noise_enabled)
     parr, garr = params_arrays(params), params_arrays(grads)
     noise_rng = make_rng((schedule.seed << 8) ^ 0xA17E12)
-    # one stage entry per step
-    plan = [stage for stage, n_steps in zip(stage_plan(schedule.mode), schedule.steps)
-            for _ in range(n_steps)]
+    # each stage repeated for its steps, by C iterators: no list of one entry
+    # per step, and no Python frame per step
+    plan = chain.from_iterable(map(repeat, stage_plan(schedule.mode), schedule.steps))
     rows: list[tuple[int, str, float]] = []
     diverged = False
     # a diverging run overflows before the flag trips; keep that path quiet

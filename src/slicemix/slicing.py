@@ -32,6 +32,11 @@ __all__ = [
 BASE_RESOLUTION = 336
 MAX_GRID = 6
 UTILIZED_RTOL = 1e-9
+# a resize or a texture draw of more than SPLIT_PIXELS pixels runs in bands of
+# about BAND_PIXELS; a smaller one, such as any default toy image (at most
+# 288 x 288), runs in one pass
+BAND_PIXELS = 2**15
+SPLIT_PIXELS = 2**17
 
 
 @dataclass(frozen=True)
@@ -91,24 +96,49 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
 
 @lru_cache(maxsize=256)
 def _axis_samples(n_in: int, n_out: int):
-    # one axis's source indices and weights, shared by every resize of that
-    # geometry, so the arrays are made read-only
+    # one axis's source indices and weights (1 - w, then w), shared by every
+    # resize of that geometry, so the arrays are made read-only
     centers = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     centers = np.clip(centers, 0.0, n_in - 1.0)
     i0 = np.floor(centers).astype(np.intp)
     i1 = np.minimum(i0 + 1, n_in - 1)
-    samples = i0, i1, centers - i0
+    w = centers - i0
+    samples = i0, i1, 1.0 - w, w
     for a in samples:
         a.flags.writeable = False
     return samples
 
 
-def _lerp_x(rows: np.ndarray, x0, x1, wx, out=None) -> np.ndarray:
+def _band_rows(height: int, width: int) -> int:
+    """Rows per band of `height` rows of `width` pixels: all of them up to
+    SPLIT_PIXELS pixels, else as many as fill BAND_PIXELS, at least one."""
+    return height if height * width <= SPLIT_PIXELS else max(1, BAND_PIXELS // width)
+
+
+@lru_cache(maxsize=256)
+def _bands(in_h: int, out_h: int, rows: int) -> tuple:
+    # the output rows in bands of `rows`, each as its first and end output
+    # rows, the first and end input rows it reads (one band reads them all)
+    # and whether the x blend runs before the rows are gathered; cached per
+    # geometry, as the samples are, and plain ints, so the cache stays small
+    if rows >= out_h:
+        return ((0, out_h, 0, in_h, in_h < 2 * out_h),)
+    y0, y1 = _axis_samples(in_h, out_h)[:2]
+    bands = []
+    for a in range(0, out_h, rows):
+        b = min(a + rows, out_h)
+        lo, hi = int(y0[a]), int(y1[b - 1]) + 1
+        bands.append((a, b, lo, hi, hi - lo < 2 * (b - a)))
+    return tuple(bands)
+
+
+def _lerp_x(rows: np.ndarray, xs, out=None) -> np.ndarray:
     # rows[:, x0] * (1 - wx) + rows[:, x1] * wx, into out or a fresh gather;
     # take gathers the same bytes as fancy indexing in about half the time,
     # and its indices are in range by construction, so "clip" changes none
+    x0, x1, vx, wx = xs
     out = rows.take(x0, axis=1, out=out, mode="clip")
-    out *= 1.0 - wx
+    out *= vx
     right = rows.take(x1, axis=1, mode="clip")
     right *= wx
     out += right
@@ -136,10 +166,14 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
     """Separable bilinear resampling with half-pixel-aligned sample centers.
 
     Each output pixel is (p[y0, x0] * (1 - wx) + p[y0, x1] * wx) * (1 - wy)
-    + (p[y1, x0] * (1 - wx) + p[y1, x1] * wx) * wy. The x blend runs either
-    on all in_h input rows before the rows are gathered, or on the 2 * out_h
-    gathered rows, whichever is fewer; each element sees the same operations
-    either way, so both orders give the same bits.
+    + (p[y1, x0] * (1 - wx) + p[y1, x1] * wx) * wy. The output rows are made
+    in one pass when they hold at most SPLIT_PIXELS pixels (rows counted at
+    the wider of out_w and the input's width), else in bands of about
+    BAND_PIXELS, so a large resize makes no temporary larger than a band. In
+    each band the x blend runs either on the input rows the band reads
+    before the rows are gathered, or on its 2 * rows gathered rows,
+    whichever is fewer; each element sees the same operations either way, so
+    every order and band size gives the same bits.
 
     With out (a writable float64 (out_h, out_w) array, such as a view of a
     larger canvas) the result is written there and out is returned. out may
@@ -152,24 +186,34 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
     if out_h == in_h and out_w == in_w:
         np.copyto(out, p)
         return out
-    y0, y1, wy = _axis_samples(in_h, out_h)
-    x0, x1, wx = _axis_samples(in_w, out_w)
+    y0, y1, vy, wy = _axis_samples(in_h, out_h)
+    xs = _axis_samples(in_w, out_w)
+    bands = _bands(in_h, out_h, _band_rows(out_h, max(in_w, out_w)))
+    # one band reads p in full before it writes out; later bands would read
+    # what earlier ones wrote
+    if len(bands) > 1 and np.may_share_memory(p, out):
+        p = p.copy()
     # top gathers straight into out unless out is strided (take would buffer
-    # it), and is weighted before bot is gathered, so a fresh top is freed
-    # first. p is read in full before out is written, so out may overlap it
-    into = out if out.flags.c_contiguous else None
-    x_first = in_h < 2 * out_h
-    if x_first:
-        rows = _lerp_x(p, x0, x1, wx)
-        top = rows.take(y0, axis=0, out=into, mode="clip")
-    else:
-        rows = p.take(y1, axis=0, mode="clip")   # bot's input rows
-        top = _lerp_x(p.take(y0, axis=0, mode="clip"), x0, x1, wx, out=into)
-    np.multiply(top, (1.0 - wy)[:, None], out=out)
-    del top
-    bot = rows.take(y1, axis=0, mode="clip") if x_first else _lerp_x(rows, x0, x1, wx)
-    bot *= wy[:, None]
-    out += bot
+    # it), and is weighted before bot is gathered, so a fresh top is freed first
+    contiguous = out.flags.c_contiguous
+    for a, b, lo, hi, x_first in bands:
+        o, src = out[a:b], p[lo:hi]
+        i0, i1 = y0[a:b], y1[a:b]
+        if lo:   # the band's samples, shifted to the rows it reads
+            i0, i1 = i0 - lo, i1 - lo
+        into = o if contiguous else None
+        if x_first:
+            rows = _lerp_x(src, xs)
+            top = rows.take(i0, axis=0, out=into, mode="clip")
+        else:
+            rows = src.take(i1, axis=0, mode="clip")   # bot's input rows
+            top = _lerp_x(src.take(i0, axis=0, mode="clip"), xs, out=into)
+        np.multiply(top, vy[a:b, None], out=o)
+        del top
+        bot = rows.take(i1, axis=0, mode="clip") if x_first else _lerp_x(rows, xs)
+        bot *= wy[a:b, None]
+        o += bot
+        del rows, bot   # before the next band makes its own
     return out
 
 

@@ -295,13 +295,17 @@ WRONG_KINDS = {
     bool: ['"yes"', "1", "null"],
     tuple: ["5", '"96"', "[]", "[96, 0]", "[96, 128.0]", "[true]", "[[96]]"],
 }
+# widths past pipeline.MAX_WIDTH, which numpy refused with a message naming no key
+TOO_WIDE = {"feat_dim": ["4097", "1" + "0" * 30], "model_dim": ["4097"], "out_dim": [HUGE],
+            "local_queries": ["1" + "0" * 15, "1" + "0" * 40]}
 WRONG_VALUES = [(section, key, text) for section, keys in TRAIN_KEYS.items() for key in keys
-                for text in WRONG_KINDS[type(TRAIN_CONFIG[section][key])]]
+                for text in WRONG_KINDS[type(TRAIN_CONFIG[section][key])] + TOO_WIDE.get(key, [])]
 
 
 class TestTrainConfig:
     @pytest.mark.parametrize("section, key, text", WRONG_VALUES, ids=[
-        f"{key}={text.replace(HUGE, '10**400')}" for _, key, text in WRONG_VALUES])
+        f"{key}={re.sub(r'^10{9,}$', lambda m: f'10**{len(m[0]) - 1}', text)}"
+        for _, key, text in WRONG_VALUES])
     def test_every_wrong_kind(self, section, key, text, tmp_path, capsys, monkeypatch):
         # the CLI passes every value on as given: the library's doors reject
         # it by the key's name before a task is built
@@ -419,12 +423,12 @@ class TestConfigRanges:
         assert_rejected(train_args(tmp_path, config), capsys, needle)
 
     @pytest.mark.parametrize("queries, needle", [
-        (10**15, "Unable to allocate 56.8 PiB"),
-        (10**23, "Maximum allowed dimension exceeded"),
+        (10**15, "local_queries must be at least 1 and at most 4096"),
+        (10**23, "local_queries must be at least 1 and at most 4096"),
     ], ids=["1e15", "1e23"])
     def test_unallocatable_local_queries(self, queries, needle, tmp_path, capsys):
-        # the parameters are built inside pipeline.train; 56.8 PiB is refused
-        # at once, with no memory touched
+        # numpy would refuse these query heads (56.8 PiB, or past its largest
+        # dimension) in words that name no key; the config's door names it
         config = {"router": {"local_queries": queries},
                   "training": {"n_train": 1, "n_eval": 1, "total_steps": 1}}
         assert_rejected(train_args(tmp_path, config), capsys, needle)

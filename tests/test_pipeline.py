@@ -9,6 +9,7 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,24 @@ class TestToyTask:
     def test_grid_divisibility_enforced(self):
         with pytest.raises(ValueError):
             pl.PipelineConfig(base=100, grid=3)
+
+    def test_a_build_holds_one_band_beside_its_image_and_canvas(self):
+        # a 2000-px image on a 2016-px canvas of 336-px tiles: beside the two,
+        # a build holds one tile row's cells (featurized a tile row at a time)
+        # and 3 MiB for its bands, their cached plans, the featurizer's
+        # weights and the tokens; four more full-size temporaries read 5.1
+        # image-sizes here. A small build first does numpy's lazy imports
+        cfg = pl.PipelineConfig(sizes=(2000,), base=336, n_train=1, n_eval=0)
+        side = 6 * cfg.base
+        pl.make_toy_task(1, pl.PipelineConfig(sizes=(100,), n_train=1, n_eval=0))
+        tracemalloc.start()
+        try:
+            pl.make_toy_task(1, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        image, canvas, tile_row = 2000 * 2000 * 8, side * side * 8, cfg.base * side * 8
+        assert peak < image + canvas + tile_row + 3 * 2**20, peak / image
 
 
 class TestForward:
@@ -715,6 +734,20 @@ class TestTrain:
         report = pl.train(sched, task)
         assert report.diverged
         assert report.summary()["diverged"] is True
+
+    def test_a_long_schedule_takes_no_memory_per_step(self, monkeypatch):
+        # the stage plan is iterated, not listed: a list of 5 * 10^6 entries
+        # would take about 40 MB before the first step
+        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=1, n_eval=1, sizes=(96,)))
+        monkeypatch.setattr(pl, "_loss_into", lambda *args: math.nan)
+        tracemalloc.start()
+        try:
+            report = pl.train(pl.StageSchedule("e2e", (5_000_000,), 0.1), task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.diverged and len(report.steps) == 1
+        assert peak < 2**20, peak
 
     def test_divergence_to_nan_flagged_not_crashed(self):
         # at the default learning rate this run's loss turns NaN at step 11,

@@ -28,6 +28,7 @@ from hypothesis.extra import numpy as hnp
 from slicemix import adapters as ad
 from slicemix import bilinear as bl
 from slicemix import pipeline as pl
+from slicemix import slicing as sl
 from slicemix.numerics import attention_weights, fd_grad_check, make_rng, normal_cdf, softmax
 from slicemix.routing import (RouterConfig, image_selection, route_batch, route_layout,
                               route_tokens, select_prefix)
@@ -602,6 +603,17 @@ def four_gather_resize(p, out_h, out_w):
 
 
 @st.composite
+def band_cases(draw):
+    """A finite image of 1-40 by 1-40 pixels, a band of 1-6 output rows and an
+    output height a multiple of it, one row less or one more, by 1-40 columns."""
+    in_h, in_w, out_w = (draw(pixel_sides) for _ in range(3))
+    img = draw(hnp.arrays(np.float64, (in_h, in_w), elements=st.floats(-1e6, 1e6)))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    out_h = max(1, rows * draw(st.integers(1, 5)) + draw(st.integers(-1, 1)))
+    return img, out_h, out_w, rows
+
+
+@st.composite
 def resize_cases(draw):
     """An image of 1-40 by 1-40 pixels, any float64 values (infinities, NaN
     and signed zeros included), and an output size of 1-40 by 1-40."""
@@ -639,6 +651,34 @@ class TestResizeBilinear:
             assert np.all(canvas[:1] == -7.0) and np.all(canvas[-2:] == -7.0)
             assert np.all(canvas[:, :2] == -7.0)
         assert img.tobytes() == before
+
+    @properties
+    @given(band_cases(), st.sampled_from(["fresh", "block", "strided", "overlapping"]))
+    # both pass orders, and bands of one row
+    @example((np.arange(120.0).reshape(8, 15), 17, 9, 4), "block")     # x first
+    @example((np.arange(600.0).reshape(40, 15), 7, 9, 3), "strided")   # gathered rows
+    @example((np.arange(15.0).reshape(3, 5), 5, 4, 1), "overlapping")
+    def test_bands_are_the_four_gather_formula(self, case, into):
+        """Resizes split into bands of `rows` output rows, each band reading
+        only the input rows it needs, into a fresh array, a block, a strided
+        window of a canvas, or the canvas that holds the image itself."""
+        img, out_h, out_w, rows = case
+        want = four_gather_resize(img, out_h, out_w)
+        in_h, in_w = img.shape
+        canvas = np.full((max(out_h, in_h) + 3, max(out_w, in_w) + 2), -7.0)
+        if into == "overlapping":
+            canvas[1:1 + in_h, 2:2 + in_w] = img
+            img = canvas[1:1 + in_h, 2:2 + in_w]
+        out = {"fresh": None, "block": np.empty((out_h, out_w)),
+               "strided": canvas[1:1 + out_h, 2:2 + out_w],
+               "overlapping": canvas[:out_h, :out_w]}[into]
+        width = max(in_w, out_w)
+        with mock.patch.object(sl, "SPLIT_PIXELS", 0), mock.patch.object(
+                sl, "BAND_PIXELS", rows * width):
+            assert sl._band_rows(out_h, width) == rows
+            got = resize_bilinear(img, out_h, out_w, out=out)
+        assert out is None or got is out
+        assert got.tobytes() == want.tobytes()
 
     @properties
     @given(pixel_sides, pixel_sides, pixel_sides, pixel_sides,
@@ -731,14 +771,19 @@ def task_cases(draw):
 
 
 class TestTaskBytes:
-    """A task build reuses its buffers and cuts its tiles as views; its
-    tokens stay those of a build from fresh arrays, byte for byte."""
+    """A task build reuses its buffers, cuts its tiles as views, and resizes,
+    draws its texture and featurizes in bands; its tokens stay those of a
+    build from fresh arrays, byte for byte."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(task_cases())
-    def test_a_build_is_the_fresh_array_reference(self, case):
+    @given(task_cases(), st.integers(min_value=1, max_value=200))
+    def test_a_build_is_the_fresh_array_reference(self, case, band):
+        # every resize and texture draw split into bands of `band` pixels, a
+        # few rows or one row each; a canvas spans up to three tile rows
         seed, cfg = case
-        assert task_bytes(pl.make_toy_task(seed, cfg)) == task_bytes(reference_task(seed, cfg))
+        with mock.patch.object(sl, "SPLIT_PIXELS", 0), mock.patch.object(sl, "BAND_PIXELS", band):
+            built = pl.make_toy_task(seed, cfg)
+        assert task_bytes(built) == task_bytes(reference_task(seed, cfg))
 
     def test_each_workload_builds_the_reference_inputs(self):
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

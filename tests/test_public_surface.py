@@ -241,6 +241,10 @@ def test_what_reads_a_field(source, field, reads, tmp_path):
 # or else its default
 BAD = {"int": [2.5, "x", True], "float": [math.nan, math.inf, -math.inf, 10**400, "x", True],
        "bool": ["no", 1], "tuple[int, ...]": [96, "x", (2.5,), ()]}
+# values past a door's upper bound, by door and parameter
+PAST_BOUND = {**{f"pipeline.PipelineConfig.{name}": [pl.MAX_WIDTH + 1, 10**40]
+                 for name in ("feat_dim", "model_dim", "out_dim", "local_queries")},
+              "bilinear.check_instance.d": [4097], "bilinear.make_instance.d": [4097]}
 # doors that check none of their numeric parameters, each with the reason
 UNCHECKED = {
     "adapters.GateParams": "a record: _on_buffer builds one on every call, and init_gate "
@@ -331,7 +335,8 @@ WALKED = [p for p in NUMERIC if p[0] not in UNCHECKED]
 @given(data=st.data())
 def test_a_bad_number_fails_at_its_door_by_name(door, name, kind, data):
     args = CALLS[door]()
-    args[name] = data.draw(st.sampled_from(BAD[kind]), label=name)
+    bad = BAD[kind] + PAST_BOUND.get(f"{door}.{name}", [])
+    args[name] = data.draw(st.sampled_from(bad), label=name)
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
         _door(door)(**args)
 
