@@ -45,19 +45,22 @@ _CDF_LOW, _CDF_HIGH, _CDF_SCALE, _CDF_SHIFT, _ZERO = (np.array(v) for v in (
 @functools.cache
 def _cdf_table() -> np.ndarray:
     """normal_cdf's (6, 8705) table, built on first use from math.erfc and
-    math.exp alone, so its bytes do not depend on numpy's SIMD dispatch.
-    Column j holds Φ's degree-4 Taylor coefficients c_0..c_4 about its centre
-    m = j/512 - 8.5, then m: c_0 = Φ(m), and c_k = (-1)^(k-1) He_(k-1)(m) φ(m) / k!
-    for k >= 1, He being the probabilists' Hermite polynomials. The two end
-    columns hold Φ = 0 and Φ = 1 outright."""
-    cols = [[0.0] * 5 + [-_CDF_EDGE]]
-    for j in range(1, round(2 * _CDF_EDGE * _CDF_PER_UNIT)):
+    math.exp alone, so its bytes do not depend on numpy's SIMD dispatch, a
+    centre at a time into one float64 buffer. Column j holds Φ's degree-4 Taylor
+    coefficients c_0..c_4 about its centre m = j/512 - 8.5, then m: c_0 = Φ(m),
+    and c_k = (-1)^(k-1) He_(k-1)(m) φ(m) / k! for k >= 1, He being the
+    probabilists' Hermite polynomials. The end columns hold Φ = 0 and 1 outright."""
+    n = round(2 * _CDF_EDGE * _CDF_PER_UNIT)
+
+    def column(j):
         m = j / _CDF_PER_UNIT - _CDF_EDGE   # exact: a multiple of 1/512
         pdf = math.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
-        cols.append([0.5 * math.erfc(-m / math.sqrt(2.0)), pdf, -m * pdf / 2.0,
-                     (m * m - 1.0) * pdf / 6.0, -m * (m * m - 3.0) * pdf / 24.0, m])
-    cols.append([1.0] + [0.0] * 4 + [_CDF_EDGE])
-    return np.array(cols).T.copy()
+        return (0.5 * math.erfc(-m / math.sqrt(2.0)), pdf, -m * pdf / 2.0,
+                (m * m - 1.0) * pdf / 6.0, -m * (m * m - 3.0) * pdf / 24.0, m)
+
+    rows = np.fromiter(map(column, range(n + 1)), np.dtype((np.float64, 6)), n + 1)
+    rows[[0, n], :5] = [0.0] * 5, [1.0] + [0.0] * 4
+    return rows.T.copy()
 
 
 def normal_cdf(x) -> np.ndarray:

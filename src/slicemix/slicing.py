@@ -32,11 +32,9 @@ __all__ = [
 BASE_RESOLUTION = 336
 MAX_GRID = 6
 UTILIZED_RTOL = 1e-9
-# a resize or a texture draw of more than SPLIT_PIXELS pixels runs in bands of
-# about BAND_PIXELS; a smaller one, such as any default toy image (at most
-# 288 x 288), runs in one pass
+# a resize or a texture draw runs in bands of about BAND_PIXELS pixels, so a
+# default toy image (at most 288 x 288) takes 2-3 of them
 BAND_PIXELS = 2**15
-SPLIT_PIXELS = 2**17
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,8 @@ def _axis_samples(n_in: int, n_out: int):
 
 
 def _band_rows(height: int, width: int) -> int:
-    """Rows per band of `height` rows of `width` pixels: all of them up to
-    SPLIT_PIXELS pixels, else as many as fill BAND_PIXELS, at least one."""
-    return height if height * width <= SPLIT_PIXELS else max(1, BAND_PIXELS // width)
+    """Rows per band of `width`-pixel rows: as many as fill BAND_PIXELS, 1 to `height`."""
+    return min(height, max(1, BAND_PIXELS // width))
 
 
 @lru_cache(maxsize=256)
@@ -167,9 +164,8 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
 
     Each output pixel is (p[y0, x0] * (1 - wx) + p[y0, x1] * wx) * (1 - wy)
     + (p[y1, x0] * (1 - wx) + p[y1, x1] * wx) * wy. The output rows are made
-    in one pass when they hold at most SPLIT_PIXELS pixels (rows counted at
-    the wider of out_w and the input's width), else in bands of about
-    BAND_PIXELS, so a large resize makes no temporary larger than a band. In
+    in bands of about BAND_PIXELS (rows counted at the wider of out_w and the
+    input's width), so a resize makes no temporary larger than a band. In
     each band the x blend runs either on the input rows the band reads
     before the rows are gathered, or on its 2 * rows gathered rows,
     whichever is fewer; each element sees the same operations either way, so

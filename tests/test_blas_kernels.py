@@ -5,8 +5,9 @@ picks the kernel for one process. Each kernel sums a matrix product in its
 own order, so bits that hold under one kernel alone (say, only with AVX-512)
 would fail on most other x86 machines. This runs a fixed set of pins in a
 subprocess per kernel: the golden training record, batch-equals-loop, the
-exact stage freezes, one end-to-end FD check and a task build against its
-fresh-array reference. A kernel this machine cannot run is skipped with the
+exact stage freezes, one end-to-end FD check, a task build against its
+fresh-array reference and the normal CDF's table, which comes from `math`
+alone, against its list-built reference. A kernel this machine cannot run is skipped with the
 reason. A BLAS that does not know the variable runs its own kernel each
 time, and the three runs are then one.
 
@@ -37,6 +38,7 @@ PINS = (
     "tests/test_pipeline.py::TestTrain::test_stage_freezes_are_bitwise_exact",
     "tests/test_pipeline.py::TestGradients::test_fd_check_per_mode[full]",
     "tests/test_properties.py::TestTaskBytes::test_a_build_is_the_fresh_array_reference",
+    "tests/test_numerics.py::TestGelu::test_the_table_is_built_in_one_buffer",
 )
 # one product through BLAS: a kernel the CPU cannot run dies here
 PROBE = "import numpy as np; np.ones((64, 64)) @ np.ones((64, 64))"

@@ -2,10 +2,12 @@
 combination, generator reproducibility, and the FD checker itself."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from slicemix import numerics
 from slicemix.numerics import (
     attention_weights,
     cross_attention_vjp,
@@ -149,6 +151,30 @@ class TestGelu:
             return float((vec * normal_cdf(vec)).sum())
 
         assert fd_grad_check(f, gelu_grad(x, normal_cdf(x)), x) < 1e-9
+
+    def test_the_table_is_built_in_one_buffer(self):
+        """The CDF table is the list-of-columns build's, byte for byte, and its
+        rebuild peaks at about its own two copies (0.4 MiB each: the rows, then
+        the transposed table), not at a Python float per coefficient (2.9 MiB)."""
+        cols = [[0.0] * 5 + [-8.5]]
+        for j in range(1, 8704):
+            m = j / 512 - 8.5
+            pdf = math.exp(-0.5 * m * m) / math.sqrt(2.0 * math.pi)
+            cols.append([0.5 * math.erfc(-m / math.sqrt(2.0)), pdf, -m * pdf / 2.0,
+                         (m * m - 1.0) * pdf / 6.0, -m * (m * m - 3.0) * pdf / 24.0, m])
+        cols.append([1.0] + [0.0] * 4 + [8.5])
+        want = np.array(cols).T.copy()
+        del cols
+        numerics._cdf_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = numerics._cdf_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == want.shape == (6, 8705) and table.flags.c_contiguous
+        assert table.tobytes() == want.tobytes()
+        assert peak < 2**20, peak / 2**20
 
 
 class TestRng:

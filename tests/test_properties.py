@@ -673,9 +673,8 @@ class TestResizeBilinear:
                "strided": canvas[1:1 + out_h, 2:2 + out_w],
                "overlapping": canvas[:out_h, :out_w]}[into]
         width = max(in_w, out_w)
-        with mock.patch.object(sl, "SPLIT_PIXELS", 0), mock.patch.object(
-                sl, "BAND_PIXELS", rows * width):
-            assert sl._band_rows(out_h, width) == rows
+        with mock.patch.object(sl, "BAND_PIXELS", rows * width):
+            assert sl._band_rows(out_h, width) == min(rows, out_h)
             got = resize_bilinear(img, out_h, out_w, out=out)
         assert out is None or got is out
         assert got.tobytes() == want.tobytes()
@@ -779,9 +778,10 @@ class TestTaskBytes:
     @given(task_cases(), st.integers(min_value=1, max_value=200))
     def test_a_build_is_the_fresh_array_reference(self, case, band):
         # every resize and texture draw split into bands of `band` pixels, a
-        # few rows or one row each; a canvas spans up to three tile rows
+        # few rows or one row each, and the tiles featurized a few or one at a
+        # time; a canvas spans up to three tile rows
         seed, cfg = case
-        with mock.patch.object(sl, "SPLIT_PIXELS", 0), mock.patch.object(sl, "BAND_PIXELS", band):
+        with mock.patch.object(sl, "BAND_PIXELS", band):
             built = pl.make_toy_task(seed, cfg)
         assert task_bytes(built) == task_bytes(reference_task(seed, cfg))
 
