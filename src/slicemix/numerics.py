@@ -46,10 +46,11 @@ _CDF_LOW, _CDF_HIGH, _CDF_SCALE, _CDF_SHIFT, _ZERO = (np.array(v) for v in (
 def _cdf_table() -> np.ndarray:
     """normal_cdf's (6, 8705) table, built on first use from math.erfc and
     math.exp alone, so its bytes do not depend on numpy's SIMD dispatch, a
-    centre at a time into one float64 buffer. Column j holds Φ's degree-4 Taylor
-    coefficients c_0..c_4 about its centre m = j/512 - 8.5, then m: c_0 = Φ(m),
-    and c_k = (-1)^(k-1) He_(k-1)(m) φ(m) / k! for k >= 1, He being the
-    probabilists' Hermite polynomials. The end columns hold Φ = 0 and 1 outright."""
+    centre at a time into one float64 buffer. Column j holds Φ's degree-4
+    Taylor coefficients c_0..c_4 about its centre m = j/512 - 8.5, then m:
+    c_0 = Φ(m), and c_k = (-1)^(k-1) He_(k-1)(m) φ(m) / k! for k >= 1, He
+    being the probabilists' Hermite polynomials. The end columns hold Φ = 0
+    and 1 outright."""
     n = round(2 * _CDF_EDGE * _CDF_PER_UNIT)
 
     def column(j):

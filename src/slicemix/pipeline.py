@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -161,16 +161,15 @@ class ToyTask:
 
 def _featurize(canvas: np.ndarray, n: int, m: int, w_feat: np.ndarray, grid: int) -> np.ndarray:
     """(n * m, grid^2, feat_dim) tokens of a canvas of n x m square tiles (a
-    global view is 1 x 1), in extract_patches' order: a row's tiles as many at
-    a time as fit a band, at least one, their cells copied for one stacked
-    product, which numpy runs as one (grid^2, cell^2) @ w_feat per tile."""
+    global view is 1 x 1), in extract_patches' order: one tile row at a time,
+    its tiles' cells in one stacked product, which numpy runs as one
+    (grid^2, cell^2) @ w_feat per tile, so only one tile row is copied."""
     c = canvas.shape[0] // (n * grid)
     tile_rows = canvas.reshape(n, grid, c, m, grid, c)
     tokens = np.empty((n, m, grid * grid, w_feat.shape[1]))
-    step = _band_rows(m, (grid * c) ** 2)   # tiles per product
-    for r, a in product(range(n), range(0, m, step)):   # each copy is freed before the next
-        np.matmul(tile_rows[r, :, :, a:a + step].transpose(2, 0, 3, 1, 4)
-                  .reshape(-1, grid * grid, c * c), w_feat, out=tokens[r, a:a + step])
+    for r in range(n):   # each row's cells are freed before the next row's are copied
+        np.matmul(tile_rows[r].transpose(2, 0, 3, 1, 4).reshape(m, grid * grid, c * c), w_feat,
+                  out=tokens[r])
     return tokens.reshape(n * m, grid * grid, -1)
 
 

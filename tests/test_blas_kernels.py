@@ -7,8 +7,8 @@ would fail on most other x86 machines. This runs a fixed set of pins in a
 subprocess per kernel: the golden training record, batch-equals-loop, the
 exact stage freezes, one end-to-end FD check, a task build against its
 fresh-array reference and the normal CDF's table, which comes from `math`
-alone, against its list-built reference. A kernel this machine cannot run is skipped with the
-reason. A BLAS that does not know the variable runs its own kernel each
+alone, against its list-built reference. A kernel this machine cannot run
+is skipped with the reason. A BLAS that does not know the variable runs its own kernel each
 time, and the three runs are then one.
 
 Batch-equals-loop over drawn configs

@@ -126,11 +126,10 @@ class TestToyTask:
 
     def test_a_build_holds_one_band_beside_its_image_and_canvas(self):
         # a 2000-px image on a 2016-px canvas of 336-px tiles: beside the two,
-        # a build holds one tile's cells (whole tiles are featurized as many
-        # at a time as fit a band, at least one) and 3 MiB for its bands,
-        # their cached plans, the featurizer's weights and the tokens; four
-        # more full-size temporaries read 5.1 image-sizes here. A small build
-        # first does numpy's lazy imports
+        # a build holds one tile row's cells (featurized a tile row at a time)
+        # and 3 MiB for its bands, their cached plans, the featurizer's
+        # weights and the tokens; four more full-size temporaries read 5.1
+        # image-sizes here. A small build first does numpy's lazy imports
         cfg = pl.PipelineConfig(sizes=(2000,), base=336, n_train=1, n_eval=0)
         side = 6 * cfg.base
         pl.make_toy_task(1, pl.PipelineConfig(sizes=(100,), n_train=1, n_eval=0))
@@ -140,8 +139,8 @@ class TestToyTask:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        image, canvas, tile = 2000 * 2000 * 8, side * side * 8, cfg.base * cfg.base * 8
-        assert peak < image + canvas + tile + 3 * 2**20, peak / image
+        image, canvas, tile_row = 2000 * 2000 * 8, side * side * 8, cfg.base * side * 8
+        assert peak < image + canvas + tile_row + 3 * 2**20, peak / image
 
     def test_a_default_build_holds_a_few_bands_beside_its_image_and_canvas(self):
         # the default task's largest image and canvas are 288 x 288 pixels. A

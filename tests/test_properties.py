@@ -778,8 +778,7 @@ class TestTaskBytes:
     @given(task_cases(), st.integers(min_value=1, max_value=200))
     def test_a_build_is_the_fresh_array_reference(self, case, band):
         # every resize and texture draw split into bands of `band` pixels, a
-        # few rows or one row each, and the tiles featurized a few or one at a
-        # time; a canvas spans up to three tile rows
+        # few rows or one row each; a canvas spans up to three tile rows
         seed, cfg = case
         with mock.patch.object(sl, "BAND_PIXELS", band):
             built = pl.make_toy_task(seed, cfg)
