@@ -147,7 +147,7 @@ class TestToyTask:
         # resize holds at most four bands at once (its x blend's two operands,
         # each of up to twice a band's rows), and 0.5 MiB covers the task's
         # tokens, the featurizer's weights and the resample grids and plans,
-        # cached afresh here; resizes made in one pass read 3.4 MiB
+        # cached afresh here; resizes made in one pass would read 3.4 MiB
         pl.make_toy_task(1, pl.PipelineConfig(sizes=(100,), n_train=1, n_eval=0))
         for cache in sl._axis_samples, sl._bands, sl.plan_partition:
             cache.cache_clear()
