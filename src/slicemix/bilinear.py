@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_count, check_finite, make_rng
+from .numerics import MAX_WIDTH, check_count, check_finite, make_rng
 
 __all__ = [
     "BilinearInstance",
@@ -114,8 +114,7 @@ class BilinearState:
 def check_instance(d: int, c: float) -> None:
     """make_instance's check of its arguments, for a caller that checks before it builds."""
     check_finite("c", c, -1.0, 1.0, "()")
-    check_count("d", d, 2, 4096, "dimension must lie in [2, 4096] and be an integer, as the "
-                "target is dense d x d")
+    check_count("d", d, 2, MAX_WIDTH)
 
 
 def make_instance(d: int = DEFAULT_D, c: float = 0.5, seed: int = 0) -> BilinearInstance:
@@ -361,7 +360,7 @@ def check_run(method: str, steps: int, eta: float) -> None:
     that checks before it runs."""
     check_count("steps", steps, 0)
     if method in ("gd", "gd_vector"):
-        check_finite("eta", eta, 0.0, np.inf, "()", "step size must be positive and finite (eta)")
+        check_finite("eta", eta, 0.0, np.inf, "()")
 
 
 def run_experiment(inst: BilinearInstance, init=DEFAULT_INIT,

@@ -31,6 +31,8 @@ __all__ = [
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 FD_STEP = 1e-5   # the step h of fd_grad_check's central differences
+# the widest a model width or bilinear's d may be: a width x width array is 128 MiB
+MAX_WIDTH = 4096
 _FLOAT_MAX = sys.float_info.max
 # normal_cdf's table: centres 1/512 apart span [-8.5, 8.5], past which Φ lies
 # within 1e-17 of 0 or 1, and each value takes its nearest centre. The
@@ -90,16 +92,16 @@ def normal_cdf(x) -> np.ndarray:
     return y
 
 
-def check_count(name: str, value, least: int, most: int | None = None, message=None) -> None:
+def check_count(name: str, value, least: int, most: int | None = None) -> None:
     """Check that `value` is an integer, not a bool, in [least, most], or raise a ValueError."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least
             or most is not None and value > most):
         rule = (f"be in [{least}, {most}]" if most is not None
                 else "be non-negative" if least == 0 else f"be at least {least}")
-        raise ValueError(message or f"{name} must {rule} and an integer")
+        raise ValueError(f"{name} must {rule} and an integer")
 
 
-def check_finite(name: str, value, low: float, high: float, ends: str, message=None) -> None:
+def check_finite(name: str, value, low: float, high: float, ends: str) -> None:
     """Check that `value` is a number, not a bool, from low to high, each end closed or
     open as `ends` ("(]", "[)", ...) says, or raise a ValueError; an infinite end is open,
     and a whole number past the float range fails too. It only compares, so a training
@@ -114,7 +116,7 @@ def check_finite(name: str, value, low: float, high: float, ends: str, message=N
     if not ok:
         rule = (f"be {'positive' if ends[0] == '(' else 'non-negative'} and finite"
                 if (low, high) == (0, math.inf) else f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
-        raise ValueError(message or f"{name} must {rule}")
+        raise ValueError(f"{name} must {rule}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

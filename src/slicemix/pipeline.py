@@ -41,7 +41,7 @@ from .adapters import (
     qformer_apply,
     qformer_vjp,
 )
-from .numerics import check_count, check_finite, make_rng
+from .numerics import MAX_WIDTH, check_count, check_finite, make_rng
 from .routing import (RouterConfig, RouterSelection, image_selection, pinned_cut, route_batch,
                       route_layout)
 # unused here; perfbench's traced worker swaps this binding to count kept tokens
@@ -73,9 +73,6 @@ PARAM_GROUPS = ("adapter", "local", "readout")
 FORWARD_MODES = ("full", "global_only", "local_only")
 DEFAULT_TOTAL_STEPS = 240
 DEFAULT_LR = 0.25
-# the most features, model dimensions, outputs or local queries: bilinear's
-# bound on its dense d, so a width x width weight stays within 128 MiB
-MAX_WIDTH = 4096
 # pixels a task build may touch: per image, the image, its tile canvas (at most
 # (MAX_GRID * base)^2) and its global view; a config past it fails before any work
 TASK_PIXEL_BUDGET = 10**8
@@ -111,13 +108,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("feat_dim", "model_dim", "out_dim", "local_queries"):
-            check_count(name, getattr(self, name), 1, MAX_WIDTH,
-                        f"{name} must be at least 1 and at most {MAX_WIDTH}, and an integer")
+            check_count(name, getattr(self, name), 1, MAX_WIDTH)
         for name in ("base", "grid", "n_train", "n_eval"):
             check_count(name, getattr(self, name), 0 if name == "n_eval" else 1)
-        # sizes that are empty or no tuple check None, which fails
-        for size in self.sizes if isinstance(self.sizes, tuple) and self.sizes else [None]:
-            check_count("sizes", size, 1, message="sizes must be a non-empty tuple of ints >= 1")
+        if not isinstance(self.sizes, tuple) or not self.sizes:
+            raise ValueError("sizes must be a non-empty tuple")
+        for size in self.sizes:
+            check_count("sizes", size, 1)
         if not isinstance(self.gate_noise, (bool, np.bool_)):
             raise ValueError("gate_noise must be True or False")
         if self.base % self.grid != 0:
@@ -493,8 +490,7 @@ class StageSchedule:
         check_count("seed", self.seed, 0)
         for k in self.steps:
             check_count("steps", k, 0)
-        check_finite("lr", self.lr, 0.0, np.inf, "()",
-                     "the learning rate must be positive and finite (lr)")
+        check_finite("lr", self.lr, 0.0, np.inf, "()")
 
 
 def stage_plan(mode: str) -> tuple[tuple[str, str, frozenset], ...]:

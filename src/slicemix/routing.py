@@ -169,20 +169,25 @@ def image_selection(cut, starts, i: int, gamma: float) -> RouterSelection:
 
 
 def pinned_cut(selections, starts):
-    """Given records, one per image, laid out as route_batch lays out its own
-    cut: each image's rows in keeping order, its kept count, and the kept slots."""
+    """Records, one per image, each keeping a token or more and none twice, laid
+    out as route_batch lays out its cut: rows in keeping order, kept counts, slots."""
     if len(selections) != len(starts) - 1:
         raise ValueError(f"{len(selections)} pinned selections for {len(starts) - 1} images; "
                          "give one per image")
     indices = [s.kept_indices for s in selections]
-    n_kept = np.array([len(i) for i in indices])
+    lens = list(map(len, indices))
+    n_kept = np.array(lens)
     kept = np.arange(n_kept.max()) < n_kept[:, None]
     order = np.zeros(kept.shape, dtype=np.intp)
     order[kept] = np.concatenate(indices)
     # a negative index wraps to a huge unsigned one, so one test bounds both ends
     if np.count_nonzero(order.view(np.uintp) >= (starts[1:] - starts[:-1])[:, None]):
         raise IndexError("selection index out of range")
-    return order + starts[:-1, None], n_kept, kept
+    rows = order + starts[:-1, None]
+    # no record may keep nothing, or a row twice; `in` on a list makes no profiled call
+    if 0 in lens or np.maximum.reduce(np.bincount(rows[kept])) > 1:
+        raise ValueError("fixed_selections must each keep at least one token, none twice")
+    return rows, n_kept, kept
 
 
 def select_prefix(scores: np.ndarray, gamma: float):
@@ -191,8 +196,8 @@ def select_prefix(scores: np.ndarray, gamma: float):
     token that reaches gamma is kept, and every token at gamma = 1, however the
     running mass rounds, or whenever the total mass falls short of gamma."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0 or not np.isfinite(scores).all():
-        raise ValueError("scores must be a non-empty 1-D vector of finite values")
+    if scores.ndim != 1 or scores.size == 0 or not ((scores >= 0) & (scores < np.inf)).all():
+        raise ValueError("scores must be a non-empty 1-D vector of non-negative finite values")
     order, cum, (n_kept,) = _cut(scores[None], -scores[None], [scores.size], gamma)
     return order[0, :n_kept].astype(np.int64), float(cum[0, n_kept - 1])
 

@@ -72,9 +72,9 @@ def plan_partition(width: int, height: int, base: int = BASE_RESOLUTION,
                    max_grid: int = MAX_GRID) -> PartitionPlan:
     """Pick the best tiling among all max_grid x max_grid grid options. Plans
     are cached per geometry (a plan is frozen); a bad call is not cached."""
-    check_count("width", width, 1, message="width must be positive and an integer")
-    check_count("height", height, 1, message="height must be positive and an integer")
-    check_count("base", base, 1, message="base (the tile side) must be positive and an integer")
+    check_count("width", width, 1)
+    check_count("height", height, 1)
+    check_count("base", base, 1)
     check_count("max_grid", max_grid, 1)
     # the candidates are scored in floats; an area past their range overflows
     if not width * height <= sys.float_info.max:
@@ -115,11 +115,9 @@ def _band_rows(height: int, width: int) -> int:
 @lru_cache(maxsize=256)
 def _bands(in_h: int, out_h: int, rows: int) -> tuple:
     # the output rows in bands of `rows`, each as its first and end output
-    # rows, the first and end input rows it reads (one band reads them all)
-    # and whether the x blend runs before the rows are gathered; cached per
-    # geometry, as the samples are, and plain ints, so the cache stays small
-    if rows >= out_h:
-        return ((0, out_h, 0, in_h, in_h < 2 * out_h),)
+    # rows, the first and end input rows it reads and whether the x blend
+    # runs before the rows are gathered; cached per geometry, as the samples
+    # are, and plain ints, so the cache stays small
     y0, y1 = _axis_samples(in_h, out_h)[:2]
     bands = []
     for a in range(0, out_h, rows):
@@ -230,7 +228,7 @@ def _resize_onto(p: np.ndarray, h: int, w: int, canvas: np.ndarray) -> np.ndarra
 def make_global_view(pixels, base: int) -> np.ndarray:
     """Aspect-preserving resize so the longer side equals base, then symmetric
     zero padding of the shorter side, yielding a base x base image."""
-    check_count("base", base, 1, message="base (the tile side) must be positive and an integer")
+    check_count("base", base, 1)
     p = _image(pixels)
     h, w = p.shape
     if w >= h:

@@ -60,7 +60,7 @@ class TestPlan:
         code, out, err = run_cli(["plan", "--width", "0", "--height", "10"], capsys)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "positive" in err
+        assert "width must be at least 1" in err
 
 
 class TestRoute:

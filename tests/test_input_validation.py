@@ -60,7 +60,7 @@ class TestPlanInputs:
     @pytest.mark.parametrize("base", ["0", "-5"])
     def test_nonpositive_base(self, base, capsys):
         assert_rejected(["plan", "--width", "100", "--height", "100", "--base", base],
-                        capsys, "base (the tile side) must be positive")
+                        capsys, "base must be at least 1 and an integer")
 
     def test_plan_partition_raises(self):
         with pytest.raises(ValueError, match="base"):
@@ -90,7 +90,7 @@ class TestTrajectoryInputs:
         # the dense d x d target is never built: 4097 is one past the bound,
         # and no size that would allocate much is tried
         assert_rejected([command, "--c", "0.5", "--d", d], capsys,
-                        "dimension must lie in [2, 4096]")
+                        "d must be in [2, 4096] and an integer")
 
     @pytest.mark.parametrize("method", ["gd", "alt", "gd_vector"])
     def test_bilinear_negative_steps(self, method, capsys):
@@ -101,7 +101,7 @@ class TestTrajectoryInputs:
     @pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
     def test_bilinear_nonpositive_eta_for_descent(self, method, eta, capsys):
         assert_rejected(["bilinear", "--method", method, "--c", "0.5", "--eta", eta,
-                         "--steps", "10"], capsys, "step size must be positive and finite")
+                         "--steps", "10"], capsys, "eta must be positive and finite")
 
     @pytest.mark.parametrize("command", ["bilinear", "sweep"])
     @pytest.mark.parametrize("init", ["nan,0", "inf,1", "0,-inf"])
@@ -128,11 +128,11 @@ class TestTrajectoryInputs:
 
     @pytest.mark.parametrize("extra, needle", [
         (["--steps", "-1"], "steps must be non-negative"),
-        (["--eta", "0"], "step size must be positive"),
+        (["--eta", "0"], "eta must be positive"),
         # this --c replaces the first: 1.5 is rejected before c = 0.5 runs
         (["--c", "0.5,1.5"], "c must lie in (-1, 1)"),
         # alt ignores the step size, so its run would come before gd's rejection
-        (["--methods", "alt,gd", "--eta", "0"], "step size must be positive"),
+        (["--methods", "alt,gd", "--eta", "0"], "eta must be positive"),
     ])
     def test_sweep_run_errors_exit_2(self, extra, needle, tmp_path, capsys):
         outdir = tmp_path / "traces"
@@ -147,7 +147,7 @@ class TestTrajectoryInputs:
                 bl.run_experiment(inst, method=method, steps=-1)
         for method in ("gd", "gd_vector"):
             for eta in (0.0, math.inf):
-                with pytest.raises(ValueError, match="step size"):
+                with pytest.raises(ValueError, match="eta must be positive and finite"):
                     bl.run_experiment(inst, method=method, steps=5, eta=eta)
 
     def test_run_experiment_rejects_an_init_of_three_coordinates(self):
@@ -214,12 +214,11 @@ DOOR_FAILURES = {
     "fractional-run-steps": (lambda: bl.run_experiment(bl.make_instance(d=4), steps=2.5),
                              "steps must be non-negative and an integer"),
     "fractional-dimension": (lambda: bl.make_instance(d=2.5),
-                             "dimension must lie in [2, 4096] and be an integer, as the "
-                             "target is dense d x d"),
+                             "d must be in [2, 4096] and an integer"),
     "fractional-resize": (lambda: resize_bilinear(np.ones((4, 4)), 2, 2.5),
                           "out_w must be at least 1 and an integer"),
     "fractional-global-view": (lambda: make_global_view(np.ones((4, 4)), 2.5),
-                               "base (the tile side) must be positive and an integer"),
+                               "base must be at least 1 and an integer"),
     # an MLP of width 0 was built, with empty parameters
     "empty-mlp": (lambda: ad.init_mlp(make_rng(0), 0, 4),
                   "d_in must be at least 1 and an integer"),
@@ -228,7 +227,7 @@ DOOR_FAILURES = {
     "fractional-gate": (lambda: ad.init_gate(make_rng(0), 2.5),
                         "d_in must be at least 1 and an integer"),
     # pixel sizes are whole; a fractional width was planned
-    "fractional-plan": (lambda: plan_partition(1.5, 100), "width must be positive and an integer"),
+    "fractional-plan": (lambda: plan_partition(1.5, 100), "width must be at least 1 and an integer"),
     "fractional-seed": (lambda: make_rng(2.5), "seed must be non-negative and an integer"),
     # a negative or NaN tolerance switched the plateau stop off
     "negative-stop-tol": (lambda: bl.run_experiment(bl.make_instance(d=4), stop_tol=-1.0),
@@ -239,8 +238,7 @@ DOOR_FAILURES = {
     "text-gamma": (lambda: RouterConfig(gamma="x"), "gamma must lie in (0, 1]"),
     # a one-element array compared as its element and was kept as the gamma
     "array-gamma": (lambda: RouterConfig(gamma=np.array([0.5])), "gamma must lie in (0, 1]"),
-    "text-lr": (lambda: pl.StageSchedule("e2e", (2,), "x"),
-                "the learning rate must be positive and finite (lr)"),
+    "text-lr": (lambda: pl.StageSchedule("e2e", (2,), "x"), "lr must be positive and finite"),
     # any truthy flag turned the noise on
     "text-gate-noise": (lambda: pl.PipelineConfig(gate_noise="no"),
                         "gate_noise must be True or False"),
@@ -250,7 +248,11 @@ DOOR_FAILURES = {
     "nan-tokens": (lambda: route_tokens([[math.nan, 0.0]], [[1.0, 1.0]], RouterConfig()),
                    "image tokens must be a non-empty 2-D matrix of finite values (z_v)"),
     "nan-scores": (lambda: select_prefix([math.nan, 0.5], 0.5),
-                   "scores must be a non-empty 1-D vector of finite values"),
+                   "scores must be a non-empty 1-D vector of non-negative finite values"),
+    # a negative score let the running mass fall, so the cut kept the wrong
+    # prefix and reported a mass short of gamma
+    "negative-scores": (lambda: select_prefix([0.6, -0.5, 0.5], 0.7),
+                        "scores must be a non-empty 1-D vector of non-negative finite values"),
     # finite tokens whose similarities overflow gave NaN scores and a warning
     "overflowing-similarities": (lambda: route_tokens([[1e200, 1e200]], [[1e200, 1e200]],
                                                       RouterConfig()),
@@ -337,8 +339,8 @@ class TestTrainConfig:
         (None, "config section '(top level)' must be an object"),
         ({"bogus": 1, "router": 5}, "config section 'router' must be an object"),
         ({"decoder": {}, "router": {"gamma": 0.5}}, "unknown config key 'decoder'"),
-        ({"training": {"lr": -1}}, "the learning rate must be positive and finite"),
-        ({"training": {"lr": 0}}, "the learning rate must be positive and finite"),
+        ({"training": {"lr": -1}}, "lr must be positive and finite"),
+        ({"training": {"lr": 0}}, "lr must be positive and finite"),
         ({"training": {"total_steps": -3}}, "total_steps must be at least 1"),
         ({"training": {"total_steps": 0}}, "total_steps must be at least 1"),
         ([1, 2], "config section '(top level)' must be an object"),
@@ -353,7 +355,7 @@ class TestTrainConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"training": {"lr": %s}}' % lr)
         assert_rejected(["train", "--mode", "e2e", "--seed", "1", "--config", str(path)],
-                        capsys, "the learning rate must be positive and finite")
+                        capsys, "lr must be positive and finite")
 
     @pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe"],
                              ids=["missing", "not-json", "not-utf8"])
@@ -378,7 +380,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
     def test_stage_schedule_rejects_lr(self, lr):
-        with pytest.raises(ValueError, match="the learning rate must"):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
             pl.default_schedule("alternating", lr=lr)
 
     def test_help_lists_only_the_sections_train_reads(self, capsys):
@@ -413,18 +415,18 @@ class TestConfigRanges:
     @pytest.mark.parametrize("config, needle", [
         ({"training": {"grid": 0}}, "grid must be at least 1"),
         ({"training": {"base": 0}}, "base must be at least 1"),
-        ({"training": {"out_dim": 0}}, "out_dim must be at least 1"),
-        ({"router": {"local_queries": 0}}, "local_queries must be at least 1"),
-        ({"router": {"local_queries": -2}}, "local_queries must be at least 1"),
-        ({"adapter": {"feat_dim": 0}}, "feat_dim must be at least 1"),
-        ({"adapter": {"model_dim": -1}}, "model_dim must be at least 1"),
+        ({"training": {"out_dim": 0}}, "out_dim must be in [1, 4096]"),
+        ({"router": {"local_queries": 0}}, "local_queries must be in [1, 4096]"),
+        ({"router": {"local_queries": -2}}, "local_queries must be in [1, 4096]"),
+        ({"adapter": {"feat_dim": 0}}, "feat_dim must be in [1, 4096]"),
+        ({"adapter": {"model_dim": -1}}, "model_dim must be in [1, 4096]"),
     ])
     def test_rejected_before_training(self, config, needle, tmp_path, capsys):
         assert_rejected(train_args(tmp_path, config), capsys, needle)
 
     @pytest.mark.parametrize("queries, needle", [
-        (10**15, "local_queries must be at least 1 and at most 4096"),
-        (10**23, "local_queries must be at least 1 and at most 4096"),
+        (10**15, "local_queries must be in [1, 4096] and an integer"),
+        (10**23, "local_queries must be in [1, 4096] and an integer"),
     ], ids=["1e15", "1e23"])
     def test_unallocatable_local_queries(self, queries, needle, tmp_path, capsys):
         # numpy would refuse these query heads (56.8 PiB, or past its largest

@@ -354,6 +354,18 @@ class TestGradients:
             with pytest.raises(IndexError, match="out of range"):
                 pl.batch_loss_and_grads(batch, params, task, "full", fixed_selections=sels)
 
+    @pytest.mark.parametrize("mode, kept", [("full", [0, 0]), ("local_only", [])],
+                             ids=["repeated-index", "empty-in-local-only"])
+    def test_fixed_selection_keeping_a_token_twice_or_none_rejected(self, task, params,
+                                                                     mode, kept):
+        # a repeated index was pooled twice forward but given its gradient
+        # once backward, and a record keeping nothing made the loss NaN
+        batch = task.train_set[:2]
+        sels = [pl.forward(s, params, task)[1].selection for s in batch]
+        sels[0] = RouterSelection(0.75, np.array(kept, dtype=np.int64), sels[0].scores, 1.0)
+        with pytest.raises(ValueError, match="fixed_selections"):
+            pl.batch_loss_and_grads(batch, params, task, mode, fixed_selections=sels)
+
     def test_pinned_selection_count_must_match_the_images(self):
         # images of 2, 4 and 1 patches: too few or too many records would
         # otherwise fail inside numpy, or read as an index out of range
@@ -614,7 +626,7 @@ class TestTrain:
         for op, bounds in (
                 (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
                                                  fixed_selections=sels),
-                 {"call": 62, "c_call": 89}),
+                 {"call": 62, "c_call": 88}),
                 (lambda: pl.forward(image, hires_params, hires), {"call": 35, "c_call": 40})):
             op()
             counts = profiler_events(op)

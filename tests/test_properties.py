@@ -654,10 +654,12 @@ class TestResizeBilinear:
 
     @properties
     @given(band_cases(), st.sampled_from(["fresh", "block", "strided", "overlapping"]))
-    # both pass orders, and bands of one row
+    # both pass orders, bands of one row, and one band whose first input row
+    # is past 0, over the image it reads (288 -> 96 rows samples from row 1)
     @example((np.arange(120.0).reshape(8, 15), 17, 9, 4), "block")     # x first
     @example((np.arange(600.0).reshape(40, 15), 7, 9, 3), "strided")   # gathered rows
     @example((np.arange(15.0).reshape(3, 5), 5, 4, 1), "overlapping")
+    @example((np.arange(864.0).reshape(288, 3), 96, 5, 96), "overlapping")
     def test_bands_are_the_four_gather_formula(self, case, into):
         """Resizes split into bands of `rows` output rows, each band reading
         only the input rows it needs, into a fresh array, a block, a strided

@@ -4,8 +4,9 @@ name has a caller outside the unit tests, so a surface only tests use fails
 here instead of staying to be maintained; so does every option, unless KEPT
 names the reason it stays; and so does every dataclass field that no caller
 reads. Every public int, float, bool or tuple-of-int parameter is checked at
-its door: a bad value raises a ValueError that names it, unless UNCHECKED
-names the reason the door checks nothing."""
+its door: a bad value raises a ValueError that names it, a bad count or
+number in the words of numerics' checks alone, unless UNCHECKED names the
+reason the door checks nothing."""
 
 import ast
 import dataclasses
@@ -330,15 +331,27 @@ NUMERIC = _numeric_parameters()
 WALKED = [p for p in NUMERIC if p[0] not in UNCHECKED]
 
 
+# the sentence numerics.check_count or check_finite makes of a count's or a
+# number's name and bounds, after "<name> "
+CHECK_RULE = (r"must (be (in \[\d+, \d+\]|non-negative|at least \d+) and an integer"
+              r"|be (positive|non-negative) and finite|lie in [(\[]\S+, \S+[)\]])")
+
+
 @pytest.mark.parametrize("door, name, kind", WALKED, ids=[f"{d}.{n}" for d, n, _ in WALKED])
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(data=st.data())
 def test_a_bad_number_fails_at_its_door_by_name(door, name, kind, data):
+    # a count or a number fails in the checks' own words; a flag or a tuple
+    # of sizes in any words that name it
     args = CALLS[door]()
     bad = BAD[kind] + PAST_BOUND.get(f"{door}.{name}", [])
     args[name] = data.draw(st.sampled_from(bad), label=name)
-    with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
+    with pytest.raises(ValueError) as err:
         _door(door)(**args)
+    if kind in ("int", "float"):
+        assert re.fullmatch(rf"{re.escape(name)} {CHECK_RULE}", str(err.value)), err.value
+    else:
+        assert re.search(rf"\b{re.escape(name)}\b", str(err.value)), err.value
 
 
 def test_every_door_the_property_walks_has_a_valid_call():

@@ -184,7 +184,7 @@ class TestGlobalView:
         # numpy's "negative dimensions are not allowed"
         with pytest.raises(ValueError) as err:
             make_global_view(np.ones((10, 20)), base)
-        assert str(err.value) == "base (the tile side) must be positive and an integer"
+        assert str(err.value) == "base must be at least 1 and an integer"
 
     def test_identity_at_base(self):
         rng = make_rng(15)
