@@ -227,7 +227,8 @@ DOOR_FAILURES = {
     "fractional-gate": (lambda: ad.init_gate(make_rng(0), 2.5),
                         "d_in must be at least 1 and an integer"),
     # pixel sizes are whole; a fractional width was planned
-    "fractional-plan": (lambda: plan_partition(1.5, 100), "width must be at least 1 and an integer"),
+    "fractional-plan": (lambda: plan_partition(1.5, 100),
+                        "width must be at least 1 and an integer"),
     "fractional-seed": (lambda: make_rng(2.5), "seed must be non-negative and an integer"),
     # a negative or NaN tolerance switched the plateau stop off
     "negative-stop-tol": (lambda: bl.run_experiment(bl.make_instance(d=4), stop_tol=-1.0),

@@ -654,8 +654,8 @@ class TestResizeBilinear:
 
     @properties
     @given(band_cases(), st.sampled_from(["fresh", "block", "strided", "overlapping"]))
-    # both pass orders, bands of one row, and one band whose first input row
-    # is past 0, over the image it reads (288 -> 96 rows samples from row 1)
+    # both pass orders, bands of one row, and one band that starts past input
+    # row 0 (288 -> 96 rows reads from row 1), written over the image it reads
     @example((np.arange(120.0).reshape(8, 15), 17, 9, 4), "block")     # x first
     @example((np.arange(600.0).reshape(40, 15), 7, 9, 3), "strided")   # gathered rows
     @example((np.arange(15.0).reshape(3, 5), 5, 4, 1), "overlapping")
