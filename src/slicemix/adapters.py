@@ -230,10 +230,13 @@ def gate_sample(x: np.ndarray, p: GateParams, eps=None) -> GateSample:
 def gate_weights(pooled, p: GateParams,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Mixing weights for the two experts; always in the 2-simplex. A noisy
-    gate given a generator draws one normal per weight."""
+    gate given a generator draws one normal per weight. A NaN or infinite
+    pooled feature fails before any draw."""
     x = np.asarray(pooled, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != p.w_g.shape[0]:
         raise ValueError("pooled feature width does not match gate parameters")
+    if not np.isfinite(x).all():
+        raise ValueError("pooled must be finite")
     eps = rng.standard_normal(x.shape[:-1] + (2,)) if rng is not None and p.noise_enabled else None
     return gate_sample(x, p, eps).weights
 

@@ -135,9 +135,10 @@ def softmax(v) -> np.ndarray:
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    """softmax of a non-empty float64 array, for callers that built it."""
+    """softmax of a non-empty float64 array, for callers that built it; a
+    running total adds each row in order at any length, as attention_weights does."""
     e = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    return e / np.add.accumulate(e, axis=-1)[..., -1:]
 
 
 def softplus(x):
@@ -158,19 +159,24 @@ def gelu_grad(x, cdf):
 def attention_weights(queries, keys) -> np.ndarray:
     """Row-stochastic weights softmax(queries . keys^T / sqrt(d)), one row per
     query (per stacked key matrix); callers have already checked the shapes.
-    The bytes are softmax's. The row max is exact in any order, so once the
-    stack has more than twice as many rows as keys it is taken across a
-    transposed copy, whose few long rows numpy reduces faster than many short
-    ones; on fewer rows the copy costs more than it saves."""
+    The bytes are softmax's: both add a row's keys in key order. Once the stack
+    has more than twice as many rows as keys, the whole softmax runs on a
+    key-major copy, whose few long rows numpy reduces faster than many short
+    ones, and is written back row-major; on fewer rows the copy costs more
+    than it saves, and a running total adds each row in order."""
     s = queries @ keys.swapaxes(-1, -2)
     s /= math.sqrt(queries.shape[-1])
     rows = s.reshape(-1, s.shape[-1])   # a view: s is fresh and contiguous
     if rows.shape[0] > 2 * rows.shape[1]:
-        rows -= np.maximum.reduce(rows.T.copy(), axis=0)[:, None]
+        t = rows.T.copy()
+        t -= np.maximum.reduce(t, axis=0)
+        np.exp(t, out=t)
+        t /= np.add.reduce(t, axis=0)   # key by key, each step a pass over every row
+        rows[...] = t.T
     else:
         rows -= np.maximum.reduce(rows, axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= np.add.reduce(s, axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= np.add.accumulate(s, axis=-1)[..., -1:]
     return s
 
 

@@ -11,7 +11,7 @@ first, then local compression with the adapter frozen, then everything
 jointly) competes against single-stage joint training on that gap.
 
 All randomness is seeded, and only `train` draws gate and router noise.
-Selection is a hard gather by the router's padded cut, so training gradients
+Selection is a hard gather of the router's kept rows, so training gradients
 flow only through kept tokens and the gradient of one step treats that
 step's selection as constant. The backward pass runs on the activations its
 forward pass saved and draws no random numbers.
@@ -314,8 +314,8 @@ class ForwardCache:
     gate_sample: GateSample | None
     first: tuple | None                 # image_selection's arguments for the first image
     patches: QFormerActivations | None
-    order: np.ndarray | None            # (B, max n_kept) local token rows in keeping order,
-    kept: np.ndarray | None             # and the mask of its kept slots; None in global_only
+    rows: np.ndarray | None             # kept local token rows, flat, image after image and
+                                        # each image's in keeping order; None in global_only
     n_kept: np.ndarray                  # kept local tokens per image
     n_rows: np.ndarray                  # pooled rows per image
     pooled: np.ndarray                  # (B, model_dim)
@@ -368,7 +368,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         if routed:
             noise = cfg.train_noise_sigma * draws[gate_draws:]
     if mode == "global_only":
-        order, n_kept, kept = None, np.zeros(n, dtype=np.intp), None
+        rows, n_kept = None, np.zeros(n, dtype=np.intp)
     else:
         patches = qformer_apply(batch.patch_tokens, params.qf_local)
         local = patches.out.reshape(-1, d)
@@ -376,28 +376,28 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
             if batch.route is None:
                 batch.route = route_layout(starts)
             cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise, batch.route)
-            _, order, n_kept, kept = cut
+            _, rows, n_kept = cut
             first = cut, starts, 0, cfg.gamma
         else:
-            order, n_kept, kept = pinned_cut(fixed_selections, starts)
+            rows, n_kept = pinned_cut(fixed_selections, starts)
     if mode == "local_only":
         g_out = np.empty((n, 0, d))
     else:
         g_out, gate_s = moe_apply(views, params.mlp, params.qf_global, params.gate, eps=eps,
                                   experts=batch.experts)
-    # each image's global rows, then its kept local rows in keeping order,
-    # zero-padded to the most any image keeps; a running sum adds rows in order at
-    # any width, so the zeros add nothing and each sum is bitwise a lone image's
-    feats = g_out
-    if order is not None:
-        local_rows = local.take(order, axis=0, mode="clip")
-        local_rows[~kept] = 0.0
-        feats = np.concatenate([g_out, local_rows], axis=1)
+    # each image's global rows summed, plus its kept local rows summed as one
+    # segment of their flat gather (each image keeps one or more); each sum runs
+    # along the long axis over the image's own rows alone, so it is bitwise a
+    # lone image's
+    pooled = np.add.reduce(g_out, axis=1)
+    if rows is not None:
+        pooled += np.add.reduceat(local.take(rows, axis=0), np.add.accumulate(n_kept) - n_kept,
+                                  axis=0)
     n_rows = g_out.shape[1] + n_kept
-    pooled = np.add.accumulate(feats, axis=1)[:, -1] / n_rows[:, None]
+    pooled /= n_rows[:, None]
     # a row-by-row readout: bitwise a lone image's pass
-    return ForwardCache(gate_sample=gate_s, first=first, patches=patches, order=order,
-                        kept=kept, n_kept=n_kept, n_rows=n_rows, pooled=pooled,
+    return ForwardCache(gate_sample=gate_s, first=first, patches=patches, rows=rows,
+                        n_kept=n_kept, n_rows=n_rows, pooled=pooled,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
@@ -428,8 +428,7 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
     if cache.patches is not None and "local" in groups:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
-        dlocal.reshape(-1, drow.shape[1])[cache.order[cache.kept]] = drow.repeat(
-            cache.n_kept, axis=0)
+        dlocal.reshape(-1, drow.shape[1])[cache.rows] = drow.repeat(cache.n_kept, axis=0)
         qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local)
 
 

@@ -10,8 +10,9 @@ perturbs the sort order only, and the gamma accounting always uses the
 noiseless scores; without a generator routing is deterministic.
 
 route_batch scores, sorts and cuts a batch's images in one pass, as the rows
-of one padded array, and returns the cut in that layout; image_selection
-reads an image's record off it. route_tokens is a batch of one.
+of one padded array, and returns each image's kept rows flat, image after
+image; image_selection reads an image's record off that cut. route_tokens is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -136,11 +137,10 @@ def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, l
 
     The caller checks the float64 matrices against each other and passes
     `layout`, route_layout(starts); route_tokens does both. Returns the cut
-    as (scores, rows, n_kept, kept): the (B, K_max) noiseless scores, zero
-    past an image's tokens; each image's rows of z_v in keeping order, as
-    many per image as the most any image keeps; its kept count; and the mask
-    of each row's first n_kept slots. Past them the rows are padding and may
-    point anywhere, even past the last row.
+    as (scores, rows, n_kept): the (B, K_max) noiseless scores, zero past an
+    image's tokens; the kept rows of z_v, flat, image after image and each
+    image's in keeping order; and each image's kept count, at least one, so
+    image i's rows are the n_kept[i] after those of the images before it.
     """
     counts, slots, real = layout
     # each token's dot products with every text token, summed and averaged;
@@ -155,39 +155,41 @@ def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, l
     key = -scores if noise is None else np.negative(scores + _padded(noise, real, -np.inf))
     # padding slots come last and weigh exactly zero
     order, _, n_kept = _cut(scores, key, counts, gamma)
-    most = max(n_kept.tolist())
-    return scores, order[:, :most] + starts[:-1, None], n_kept, slots[:most] < n_kept[:, None]
+    order += starts[:-1, None]
+    return scores, order[slots < n_kept[:, None]], n_kept
 
 
 def image_selection(cut, starts, i: int, gamma: float) -> RouterSelection:
     """Image i's record, read off route_batch's cut of the batch laid out by
     `starts`: its kept scores summed in keeping order, as the cut sums them."""
-    scores, rows, n_kept, _ = cut
-    kept = rows[i, :n_kept[i]] - starts[i]
+    scores, rows, n_kept = cut
+    first = int(np.add.reduce(n_kept[:i]))
+    kept = rows[first:first + n_kept[i]] - starts[i]
     s = scores[i, :starts[i + 1] - starts[i]]
     return RouterSelection(gamma, kept, s, float(np.add.accumulate(s[kept])[-1]))
 
 
 def pinned_cut(selections, starts):
     """Records, one per image, each keeping a token or more and none twice, laid
-    out as route_batch lays out its cut: rows in keeping order, kept counts, slots."""
+    out as route_batch lays out its cut: the kept rows flat, and the kept counts."""
     if len(selections) != len(starts) - 1:
         raise ValueError(f"{len(selections)} pinned selections for {len(starts) - 1} images; "
                          "give one per image")
     indices = [s.kept_indices for s in selections]
     lens = list(map(len, indices))
     n_kept = np.array(lens)
-    kept = np.arange(n_kept.max()) < n_kept[:, None]
-    order = np.zeros(kept.shape, dtype=np.intp)
-    order[kept] = np.concatenate(indices)
+    # each kept index's image: its first row, and its row count
+    first = starts[:-1].repeat(n_kept)
+    kept = np.concatenate(indices, dtype=np.intp, casting="unsafe")
     # a negative index wraps to a huge unsigned one, so one test bounds both ends
-    if np.count_nonzero(order.view(np.uintp) >= (starts[1:] - starts[:-1])[:, None]):
+    if np.maximum.reduce(kept.view(np.uintp) >= starts[1:].repeat(n_kept) - first,
+                         initial=False):
         raise IndexError("selection index out of range")
-    rows = order + starts[:-1, None]
+    kept += first
     # no record may keep nothing, or a row twice; `in` on a list makes no profiled call
-    if 0 in lens or np.maximum.reduce(np.bincount(rows[kept])) > 1:
+    if 0 in lens or np.maximum.reduce(np.bincount(kept)) > 1:
         raise ValueError("fixed_selections must each keep at least one token, none twice")
-    return rows, n_kept, kept
+    return kept, n_kept
 
 
 def select_prefix(scores: np.ndarray, gamma: float):

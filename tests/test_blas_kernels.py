@@ -6,9 +6,10 @@ own order, so bits that hold under one kernel alone (say, only with AVX-512)
 would fail on most other x86 machines. This runs a fixed set of pins in a
 subprocess per kernel: the golden training record, batch-equals-loop, the
 exact stage freezes, one end-to-end FD check, a task build against its
-fresh-array reference and the normal CDF's table, which comes from `math`
-alone, against its list-built reference. A kernel this machine cannot run
-is skipped with the reason. A BLAS that does not know the variable runs its own kernel each
+fresh-array reference, the normal CDF's table, which comes from `math`
+alone, against its list-built reference, and the attention weights: bitwise
+softmax's, and on a tall stack each matrix's lone bytes. A kernel this
+machine cannot run is skipped with the reason. A BLAS that does not know the variable runs its own kernel each
 time, and the three runs are then one.
 
 Batch-equals-loop over drawn configs
@@ -39,6 +40,9 @@ PINS = (
     "tests/test_pipeline.py::TestGradients::test_fd_check_per_mode[full]",
     "tests/test_properties.py::TestTaskBytes::test_a_build_is_the_fresh_array_reference",
     "tests/test_numerics.py::TestGelu::test_the_table_is_built_in_one_buffer",
+    "tests/test_properties.py::TestAttentionWeights::test_bitwise_softmax_of_the_scaled_scores",
+    "tests/test_properties.py::TestAttentionWeights::"
+    "test_a_tall_stack_gives_each_matrix_its_lone_bytes",
 )
 # one product through BLAS: a kernel the CPU cannot run dies here
 PROBE = "import numpy as np; np.ones((64, 64)) @ np.ones((64, 64))"

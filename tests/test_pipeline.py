@@ -451,14 +451,14 @@ class TestBatchedPass:
         assert all(rng.values.size == 0 for rng in lone)
         assert np.array_equal(cache.pred, np.array(preds))
         if mode == "global_only":
-            assert cache.selection is None and cache.order is None and sels == [None] * n
+            assert cache.selection is None and cache.rows is None and sels == [None] * n
         else:
-            # the batch's cut, row by row, is each lone image's kept local
-            # tokens shifted by the image's first row in the stack
+            # the batch's cut, a segment per image, is each lone image's kept
+            # local tokens shifted by the image's first row in the stack
             starts = stack.starts
             assert cache.n_kept.tolist() == [len(s.kept_indices) for s in sels]
-            for rows, kept, start, want in zip(cache.order, cache.kept, starts, sels):
-                assert np.array_equal(rows[kept], start + want.kept_indices)
+            want = [start + s.kept_indices for start, s in zip(starts, sels)]
+            assert np.array_equal(cache.rows, np.concatenate(want))
             # the cache keeps the first image's record, bit for bit a lone pass's
             first = cache.selection
             assert np.array_equal(first.kept_indices, sels[0].kept_indices)
@@ -598,8 +598,9 @@ class TestTrain:
         30-step and a 60-step run, so the run's fixed cost cancels. The
         bounds sit at the counts measured once a step stopped re-checking
         the arrays the pipeline built, the query head's backward stopped
-        forming key and value gradients and the noise gate's sigmoid was
-        written into its backward (see profiler_events)."""
+        forming key and value gradients, the noise gate's sigmoid was
+        written into its backward and the pooling summed each image's kept
+        rows as one segment of a flat gather (see profiler_events)."""
         task = pl.make_toy_task(3)
         pl.train(pl.default_schedule("e2e", seed=3, total_steps=3), task)  # lazy imports
 
@@ -607,8 +608,8 @@ class TestTrain:
             schedule = pl.default_schedule(mode, seed=3, total_steps=n_steps)
             return profiler_events(lambda: pl.train(schedule, task))
 
-        for mode, bounds in (("e2e", {"call": 46.0, "c_call": 76.0}),
-                             ("alternating", {"call": 103 / 3, "c_call": 54.0})):
+        for mode, bounds in (("e2e", {"call": 45.0, "c_call": 76.0}),
+                             ("alternating", {"call": 101 / 3, "c_call": 54.0})):
             short, long = events(mode, 30), events(mode, 60)
             per_step = {e: (long[e] - short[e]) / 30 for e in bounds}
             assert all(per_step[e] <= bounds[e] for e in bounds), (mode, per_step)
@@ -626,8 +627,8 @@ class TestTrain:
         for op, bounds in (
                 (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
                                                  fixed_selections=sels),
-                 {"call": 62, "c_call": 88}),
-                (lambda: pl.forward(image, hires_params, hires), {"call": 35, "c_call": 40})):
+                 {"call": 58, "c_call": 88}),
+                (lambda: pl.forward(image, hires_params, hires), {"call": 34, "c_call": 40})):
             op()
             counts = profiler_events(op)
             assert all(counts[e] <= bounds[e] for e in bounds), (bounds, counts)

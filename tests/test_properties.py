@@ -106,12 +106,13 @@ class TestRouteBatch:
     def test_each_row_is_select_prefix_on_its_scores(self, batch, gamma):
         # the batch and the one-vector paths share one cut, bit for bit
         tokens, starts, text = batch
-        cut = scores, rows, n_kept, _ = route_batch(tokens, starts, text, gamma, None,
-                                                   route_layout(starts))
+        cut = scores, rows, n_kept = route_batch(tokens, starts, text, gamma, None,
+                                                route_layout(starts))
+        segments = np.split(rows, np.cumsum(n_kept)[:-1])
         for i in range(len(starts) - 1):
             kept, cum = select_prefix(scores[i, :starts[i + 1] - starts[i]], gamma)
             assert n_kept[i] == len(kept)
-            assert np.array_equal(rows[i, :n_kept[i]] - starts[i], kept)
+            assert np.array_equal(segments[i] - starts[i], kept)
             assert cum == image_selection(cut, starts, i, gamma).cumulative_at_cut
 
     @properties
@@ -126,25 +127,24 @@ class TestRouteBatch:
         if seed is not None:
             r_batch, r_alone = make_rng(seed), make_rng(seed)
             noise = cfg.train_noise_sigma * r_batch.standard_normal(len(tokens))
-        cut = scores, rows, n_kept, kept = route_batch(tokens, starts, text, gamma, noise,
-                                                       route_layout(starts))
+        cut = scores, rows, n_kept = route_batch(tokens, starts, text, gamma, noise,
+                                                route_layout(starts))
         sels = [image_selection(cut, starts, i, gamma) for i in range(len(starts) - 1)]
         assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
         # the batch layout: a score slot per token of the longest image, zero
-        # past an image's own; as many kept slots per image as the most any
-        # keeps, and a mask of the kept ones
+        # past an image's own; the kept rows flat, image after image, each
+        # image's n_kept of them one segment
         real = np.arange(scores.shape[1]) < np.diff(starts)[:, None]
         assert scores.shape == real.shape and np.all(scores[~real] == 0.0)
-        slots = np.arange(rows.shape[1]) < n_kept[:, None]
-        assert rows.shape[1] == n_kept.max()
-        assert np.array_equal(kept, slots)
+        assert rows.shape == (n_kept.sum(),) and n_kept.min() >= 1
+        segments = np.split(rows, np.cumsum(n_kept)[:-1])
         for i, sel in enumerate(sels):
             # bit for bit, so a tie breaks the same way in the batch and alone
             alone = route_tokens(tokens[starts[i]:starts[i + 1]], text, cfg, r_alone)
             assert np.array_equal(sel.kept_indices, alone.kept_indices)
             assert np.array_equal(sel.scores, alone.scores)
             assert sel.cumulative_at_cut == alone.cumulative_at_cut
-            assert np.array_equal(rows[i][slots[i]], starts[i] + sel.kept_indices)
+            assert np.array_equal(segments[i], starts[i] + sel.kept_indices)
         if seed is not None:
             assert r_batch.bit_generator.state == r_alone.bit_generator.state
 
@@ -200,17 +200,45 @@ def attention_stacks(draw):
     return q, k
 
 
+@st.composite
+def tall_stacks(draw):
+    """1-4 queries and a stack of key matrices, 1-5 features wide with 1-12
+    keys each (from 8 keys on, numpy's own sum along a row is pairwise), just
+    deep enough or up to six deeper for the stack to have more than twice as
+    many score rows as keys, while one matrix alone has at most twice as many;
+    the values come from a drawn seed and scale."""
+    n_keys, d = draw(st.integers(min_value=1, max_value=12)), draw(st.integers(1, 5))
+    n_q = draw(st.integers(min_value=1, max_value=min(4, 2 * n_keys)))
+    least = 2 * n_keys // n_q + 1   # the fewest matrices whose rows pass 2 * n_keys
+    depth = draw(st.integers(min_value=least, max_value=least + 6))
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return scale * rng.standard_normal((n_q, d)), rng.standard_normal((depth, n_keys, d))
+
+
 class TestAttentionWeights:
+    @properties
+    @given(tall_stacks())
+    def test_a_tall_stack_gives_each_matrix_its_lone_bytes(self, case):
+        # a tall stack runs its softmax on a key-major copy and a lone matrix
+        # along its rows; both add a row's keys in key order, so each matrix
+        # of the stack gets, byte for byte, what it gets alone
+        q, k = case
+        got = attention_weights(q, k)
+        assert got.shape[0] * got.shape[1] > 2 * got.shape[2] >= got.shape[1]
+        for keys, weights in zip(k, got):
+            assert weights.tobytes() == attention_weights(q, keys).tobytes()
+
     @properties
     @given(attention_stacks())
     def test_bitwise_softmax_of_the_scaled_scores(self, case):
-        # the weights take their row max across a transposed copy on tall
-        # stacks and along each row on short ones, and are bitwise softmax's,
-        # which takes it along each row: a max is exact in
-        # any order, and -0.0 against 0.0 only changes the sign of zeros that
-        # exp maps to 1.0. A row with a NaN is all NaN either way, but numpy's
-        # own last-axis max picks the payload and sign of its NaN by row
-        # length and position, so NaNs compare as NaNs
+        # the weights run the softmax on a key-major copy on tall stacks and
+        # along each row on short ones, and are bitwise softmax's, which runs
+        # it along each row: a max is exact in any order, each total adds the
+        # keys in key order, and -0.0 against 0.0 only changes the sign of
+        # zeros that exp maps to 1.0. A row with a NaN is all NaN either way,
+        # but numpy's own last-axis max picks the payload and sign of its NaN
+        # by row length and position, so NaNs compare as NaNs
         q, k = case
         with np.errstate(all="ignore"):
             got = attention_weights(q, k)
@@ -391,8 +419,9 @@ class TestBatchEqualsLoop:
     # contiguous axis, which numpy sums pairwise rather than row by row
     @given(pipeline_cases(model_dims=st.just(1) | st.integers(min_value=2, max_value=6)))
     def test_one_noisy_pass_is_a_loop_of_forwards(self, case):
-        # the batch's zero padding must not change an image's bytes, given
-        # each lone pass the gate pair and router slice the batch drew for it
+        # the router's padding and the pooling's segments must not change an
+        # image's bytes, given each lone pass the gate pair and router slice
+        # the batch drew for it
         task, params, _, noise_seed, _ = case
         images = task.train_set + task.eval_set
         batch = pl._stack(images, params.qf_local.n_queries)
@@ -404,8 +433,8 @@ class TestBatchEqualsLoop:
             assert cache.pred.tobytes() == np.concatenate([c.pred for c in lone]).tobytes()
             assert cache.n_kept.tolist() == [int(c.n_kept[0]) for c in lone]
             if mode != "global_only":
-                for rows, kept, start, c in zip(cache.order, cache.kept, batch.starts, lone):
-                    assert np.array_equal(rows[kept] - start, c.order[0][c.kept[0]])
+                want = [start + c.rows for start, c in zip(batch.starts, lone)]
+                assert np.array_equal(cache.rows, np.concatenate(want))
             assert r_batch.bit_generator.state == r_ref.bit_generator.state
 
 
