@@ -314,7 +314,7 @@ class ForwardCache:
     gate_sample: GateSample | None
     first: tuple | None                 # image_selection's arguments for the first image
     patches: QFormerActivations | None
-    rows: np.ndarray | None             # kept local token rows, flat, image after image and
+    kept_rows: np.ndarray | None        # kept local token rows, flat, image after image and
                                         # each image's in keeping order; None in global_only
     n_kept: np.ndarray                  # kept local tokens per image
     n_rows: np.ndarray                  # pooled rows per image
@@ -396,7 +396,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
     n_rows = g_out.shape[1] + n_kept
     pooled /= n_rows[:, None]
     # a row-by-row readout: bitwise a lone image's pass
-    return ForwardCache(gate_sample=gate_s, first=first, patches=patches, rows=rows,
+    return ForwardCache(gate_sample=gate_s, first=first, patches=patches, kept_rows=rows,
                         n_kept=n_kept, n_rows=n_rows, pooled=pooled,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
@@ -428,7 +428,7 @@ def _backward(params: PipelineParams, cache: ForwardCache, dpred: np.ndarray,
     if cache.patches is not None and "local" in groups:
         # the selection is a hard gather: unkept rows add exact zero gradient
         dlocal = np.zeros(cache.patches.out.shape)
-        dlocal.reshape(-1, drow.shape[1])[cache.rows] = drow.repeat(cache.n_kept, axis=0)
+        dlocal.reshape(-1, drow.shape[1])[cache.kept_rows] = drow.repeat(cache.n_kept, axis=0)
         qformer_vjp(cache.patches, params.qf_local, dlocal, grads.qf_local)
 
 

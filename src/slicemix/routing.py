@@ -178,10 +178,10 @@ def pinned_cut(selections, starts):
     indices = [s.kept_indices for s in selections]
     lens = list(map(len, indices))
     n_kept = np.array(lens)
-    # each kept index's image: its first row, and its row count
-    first = starts[:-1].repeat(n_kept)
+    first = starts[:-1].repeat(n_kept)   # the first row of each kept index's image
     kept = np.concatenate(indices, dtype=np.intp, casting="unsafe")
-    # a negative index wraps to a huge unsigned one, so one test bounds both ends
+    # each index against its image's row count; a negative index wraps to a
+    # huge unsigned one, so one test bounds both ends
     if np.maximum.reduce(kept.view(np.uintp) >= starts[1:].repeat(n_kept) - first,
                          initial=False):
         raise IndexError("selection index out of range")

@@ -9,8 +9,8 @@ exact stage freezes, one end-to-end FD check, a task build against its
 fresh-array reference, the normal CDF's table, which comes from `math`
 alone, against its list-built reference, and the attention weights: bitwise
 softmax's, and on a tall stack each matrix's lone bytes. A kernel this
-machine cannot run is skipped with the reason. A BLAS that does not know the variable runs its own kernel each
-time, and the three runs are then one.
+machine cannot run is skipped with the reason. A BLAS that does not know the
+variable runs its own kernel each time, and the three runs are then one.
 
 Batch-equals-loop over drawn configs
 (`tests/test_properties.py::TestBatchEqualsLoop`) is not a pin: under

@@ -202,7 +202,7 @@ DOOR_FAILURES = {
     "gate-nan": (lambda: ad.gate_weights(np.array([0.5, np.nan, 1.0, 2.0]),
                                          ad.init_gate(make_rng(0), 4)),
                  "pooled must be finite"),
-    "gate-inf": (lambda: ad.gate_weights(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, -np.inf, 1.0]]),
+    "gate-inf": (lambda: ad.gate_weights(np.array([[1.0, 2.0, 3.0, 4.0], [0, 0, -np.inf, 1]]),
                                          ad.init_gate(make_rng(0), 4), make_rng(1)),
                  "pooled must be finite"),
     "fd-length": (lambda: fd_grad_check(np.sum, np.ones(3), np.ones(4)),

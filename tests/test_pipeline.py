@@ -451,14 +451,14 @@ class TestBatchedPass:
         assert all(rng.values.size == 0 for rng in lone)
         assert np.array_equal(cache.pred, np.array(preds))
         if mode == "global_only":
-            assert cache.selection is None and cache.rows is None and sels == [None] * n
+            assert cache.selection is None and cache.kept_rows is None and sels == [None] * n
         else:
             # the batch's cut, a segment per image, is each lone image's kept
             # local tokens shifted by the image's first row in the stack
             starts = stack.starts
             assert cache.n_kept.tolist() == [len(s.kept_indices) for s in sels]
             want = [start + s.kept_indices for start, s in zip(starts, sels)]
-            assert np.array_equal(cache.rows, np.concatenate(want))
+            assert np.array_equal(cache.kept_rows, np.concatenate(want))
             # the cache keeps the first image's record, bit for bit a lone pass's
             first = cache.selection
             assert np.array_equal(first.kept_indices, sels[0].kept_indices)

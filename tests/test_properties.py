@@ -207,7 +207,7 @@ def tall_stacks(draw):
     deep enough or up to six deeper for the stack to have more than twice as
     many score rows as keys, while one matrix alone has at most twice as many;
     the values come from a drawn seed and scale."""
-    n_keys, d = draw(st.integers(min_value=1, max_value=12)), draw(st.integers(1, 5))
+    n_keys, d = (draw(st.integers(min_value=1, max_value=hi)) for hi in (12, 5))
     n_q = draw(st.integers(min_value=1, max_value=min(4, 2 * n_keys)))
     least = 2 * n_keys // n_q + 1   # the fewest matrices whose rows pass 2 * n_keys
     depth = draw(st.integers(min_value=least, max_value=least + 6))
@@ -433,8 +433,8 @@ class TestBatchEqualsLoop:
             assert cache.pred.tobytes() == np.concatenate([c.pred for c in lone]).tobytes()
             assert cache.n_kept.tolist() == [int(c.n_kept[0]) for c in lone]
             if mode != "global_only":
-                want = [start + c.rows for start, c in zip(batch.starts, lone)]
-                assert np.array_equal(cache.rows, np.concatenate(want))
+                want = [start + c.kept_rows for start, c in zip(batch.starts, lone)]
+                assert np.array_equal(cache.kept_rows, np.concatenate(want))
             assert r_batch.bit_generator.state == r_ref.bit_generator.state
 
 
