@@ -20,7 +20,7 @@ forward pass saved and draws no random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 
@@ -376,7 +376,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
             if batch.route is None:
                 batch.route = route_layout(starts)
             cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise, batch.route)
-            _, rows, n_kept = cut
+            _, rows, n_kept, _ = cut
             first = cut, starts, 0, cfg.gamma
         else:
             rows, n_kept = pinned_cut(fixed_selections, starts)
@@ -401,14 +401,21 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
+@lru_cache(maxsize=256)
+def _lone_route(k: int):
+    # the starts and route layout of one image of k local tokens, made read-only
+    starts = np.array([0, k])
+    route = route_layout(starts)
+    for a in (starts, *route):
+        a.flags.writeable = False
+    return starts, route
+
+
 def forward(sample: Sample, params: PipelineParams, task: ToyTask, mode: str = "full"):
     """One image through the pipeline (a batch of one), with gate and router
     noise off; returns (prediction, cache)."""
-    k = len(sample.patch_tokens) * params.qf_local.n_queries
-    # route_layout's answer for one image of k local tokens, without its checks
-    counts, slots = np.array([k]), np.arange(k)
-    batch = _Batch(sample.global_tokens[None], sample.patch_tokens, np.array([0, k]),
-                   route=(counts, slots, slots < counts[:, None]))
+    starts, route = _lone_route(len(sample.patch_tokens) * params.qf_local.n_queries)
+    batch = _Batch(sample.global_tokens[None], sample.patch_tokens, starts, route=route)
     cache = _forward_batch(batch, params, task, mode)
     return cache.pred[0], cache
 

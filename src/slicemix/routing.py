@@ -10,9 +10,9 @@ perturbs the sort order only, and the gamma accounting always uses the
 noiseless scores; without a generator routing is deterministic.
 
 route_batch scores, sorts and cuts a batch's images in one pass, as the rows
-of one padded array, and returns each image's kept rows flat, image after
-image; image_selection reads an image's record off that cut. route_tokens is
-a batch of one.
+of one array, padded only when their lengths differ, and returns each image's
+kept rows flat, image after image; image_selection reads an image's record
+off that cut. route_tokens is a batch of one.
 """
 
 from __future__ import annotations
@@ -90,8 +90,10 @@ def _matrix(a, what: str, name: str) -> np.ndarray:
 
 
 def _padded(flat: np.ndarray, real: np.ndarray, fill: float) -> np.ndarray:
-    """Values stacked image after image, laid out as the rows of the
-    (B, K_max) array whose entries `real` marks, the rest set to `fill`."""
+    """Values stacked image after image, laid out as the rows of the (B, K_max)
+    array whose entries `real` marks, the rest `fill`: a view if all are real."""
+    if flat.size == real.size:
+        return flat.reshape(real.shape)
     out = np.empty(real.shape)
     out.fill(fill)
     out[real] = flat
@@ -106,7 +108,7 @@ def _cut(scores: np.ndarray, key: np.ndarray, n_tokens, gamma: float):
     can round to 1 before a tail too small to move it."""
     check_finite("gamma", gamma, 0.0, 1.0, "(]")
     order = key.argsort(axis=1, kind="stable")
-    cum = np.add.accumulate(scores[np.arange(len(key))[:, None], order], axis=1)
+    cum = np.add.accumulate(scores.take(order + np.arange(0, key.size, key.shape[1])[:, None]), 1)
     if gamma == 1.0:
         return order, cum, n_tokens
     return order, cum, np.minimum(np.add.reduce(cum < gamma, axis=1, initial=1), n_tokens)
@@ -131,16 +133,16 @@ def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, l
     over the text tokens. It keeps the shortest prefix of its rows, in
     descending order of score (of score + noise, where `noise` gives one
     value per row), whose score mass reaches gamma. The images are the rows
-    of one (B, K_max) array, padded to sort last and weigh nothing, and
-    every step works on each row alone (the softmax total is summed in token
-    order), so an image gets bit for bit what routing it on its own gives.
+    of one (B, K_max) array, a ragged batch padded to sort last and weigh
+    nothing, and every step works on each row alone (the softmax total is
+    summed in token order), so an image gets bit for bit its lone routing.
 
     The caller checks the float64 matrices against each other and passes
     `layout`, route_layout(starts); route_tokens does both. Returns the cut
-    as (scores, rows, n_kept): the (B, K_max) noiseless scores, zero past an
-    image's tokens; the kept rows of z_v, flat, image after image and each
-    image's in keeping order; and each image's kept count, at least one, so
-    image i's rows are the n_kept[i] after those of the images before it.
+    as (scores, rows, n_kept, cum): the (B, K_max) noiseless scores, zero past
+    an image's tokens; the kept rows of z_v, flat, image after image and each
+    image's in keeping order; each image's kept count, at least one, so image
+    i's rows follow the images' before it; and the scores' running masses.
     """
     counts, slots, real = layout
     # each token's dot products with every text token, summed and averaged;
@@ -154,19 +156,18 @@ def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, l
     scores /= np.add.accumulate(scores, axis=1)[:, -1:]
     key = -scores if noise is None else np.negative(scores + _padded(noise, real, -np.inf))
     # padding slots come last and weigh exactly zero
-    order, _, n_kept = _cut(scores, key, counts, gamma)
+    order, cum, n_kept = _cut(scores, key, counts, gamma)
     order += starts[:-1, None]
-    return scores, order[slots < n_kept[:, None]], n_kept
+    return scores, order[slots < n_kept[:, None]], n_kept, cum
 
 
 def image_selection(cut, starts, i: int, gamma: float) -> RouterSelection:
     """Image i's record, read off route_batch's cut of the batch laid out by
-    `starts`: its kept scores summed in keeping order, as the cut sums them."""
-    scores, rows, n_kept = cut
-    first = int(np.add.reduce(n_kept[:i]))
-    kept = rows[first:first + n_kept[i]] - starts[i]
-    s = scores[i, :starts[i + 1] - starts[i]]
-    return RouterSelection(gamma, kept, s, float(np.add.accumulate(s[kept])[-1]))
+    `starts`: its kept scores and the cut's running mass at its last kept one."""
+    scores, rows, n_kept, cum = cut
+    first = sum(n_kept[:i].tolist())
+    return RouterSelection(gamma, rows[first:first + n_kept[i]] - starts[i],
+                           scores[i, :starts[i + 1] - starts[i]], float(cum[i, n_kept[i] - 1]))
 
 
 def pinned_cut(selections, starts):
@@ -177,18 +178,22 @@ def pinned_cut(selections, starts):
                          "give one per image")
     indices = [s.kept_indices for s in selections]
     lens = list(map(len, indices))
+    if 0 in lens:   # before the cast, as `[]` is a float array; no profiled call
+        raise ValueError("fixed_selections must each keep at least one token")
     n_kept = np.array(lens)
     first = starts[:-1].repeat(n_kept)   # the first row of each kept index's image
-    kept = np.concatenate(indices, dtype=np.intp, casting="unsafe")
+    try:
+        kept = np.concatenate(indices, dtype=np.intp, casting="same_kind")
+    except TypeError:
+        raise ValueError("fixed_selections must keep integer indices") from None
     # each index against its image's row count; a negative index wraps to a
     # huge unsigned one, so one test bounds both ends
     if np.maximum.reduce(kept.view(np.uintp) >= starts[1:].repeat(n_kept) - first,
                          initial=False):
         raise IndexError("selection index out of range")
     kept += first
-    # no record may keep nothing, or a row twice; `in` on a list makes no profiled call
-    if 0 in lens or np.maximum.reduce(np.bincount(kept)) > 1:
-        raise ValueError("fixed_selections must each keep at least one token, none twice")
+    if np.maximum.reduce(np.bincount(kept)) > 1:
+        raise ValueError("fixed_selections must keep no token twice")
     return kept, n_kept
 
 

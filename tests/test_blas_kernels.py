@@ -7,8 +7,9 @@ would fail on most other x86 machines. This runs a fixed set of pins in a
 subprocess per kernel: the golden training record, batch-equals-loop, the
 exact stage freezes, one end-to-end FD check, a task build against its
 fresh-array reference, the normal CDF's table, which comes from `math`
-alone, against its list-built reference, and the attention weights: bitwise
-softmax's, and on a tall stack each matrix's lone bytes. A kernel this
+alone, against its list-built reference, the attention weights: bitwise
+softmax's, and on a tall stack each matrix's lone bytes, and the router: each
+image of a batch, padded or not, routed as on its own. A kernel this
 machine cannot run is skipped with the reason. A BLAS that does not know the
 variable runs its own kernel each time, and the three runs are then one.
 
@@ -43,6 +44,7 @@ PINS = (
     "tests/test_properties.py::TestAttentionWeights::test_bitwise_softmax_of_the_scaled_scores",
     "tests/test_properties.py::TestAttentionWeights::"
     "test_a_tall_stack_gives_each_matrix_its_lone_bytes",
+    "tests/test_properties.py::TestRouteBatch::test_each_image_routes_as_on_its_own",
 )
 # one product through BLAS: a kernel the CPU cannot run dies here
 PROBE = "import numpy as np; np.ones((64, 64)) @ np.ones((64, 64))"

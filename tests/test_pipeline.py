@@ -18,7 +18,7 @@ import pytest
 from slicemix import pipeline as pl
 from slicemix import slicing as sl
 from slicemix.numerics import fd_grad_check, make_rng
-from slicemix.routing import RouterSelection
+from slicemix.routing import RouterSelection, route_layout
 
 GOLDEN = Path(__file__).parent / "data" / "golden_forward.json"
 GOLDEN_TRAIN = Path(__file__).parent / "data" / "golden_train.json"
@@ -354,17 +354,49 @@ class TestGradients:
             with pytest.raises(IndexError, match="out of range"):
                 pl.batch_loss_and_grads(batch, params, task, "full", fixed_selections=sels)
 
-    @pytest.mark.parametrize("mode, kept", [("full", [0, 0]), ("local_only", [])],
-                             ids=["repeated-index", "empty-in-local-only"])
+    @pytest.mark.parametrize("mode, kept", [("full", np.array([0, 0])),
+                                            ("local_only", np.array([], dtype=np.int64)),
+                                            ("full", None)],
+                             ids=["repeated-index", "empty-in-local-only", "fractional-index"])
     def test_fixed_selection_keeping_a_token_twice_or_none_rejected(self, task, params,
                                                                      mode, kept):
         # a repeated index was pooled twice forward but given its gradient
-        # once backward, and a record keeping nothing made the loss NaN
+        # once backward, a record keeping nothing made the loss NaN, and
+        # fractional indices (the real ones plus 0.7) were truncated to the
+        # real ones, giving the real record's loss
         batch = task.train_set[:2]
         sels = [pl.forward(s, params, task)[1].selection for s in batch]
-        sels[0] = RouterSelection(0.75, np.array(kept, dtype=np.int64), sels[0].scores, 1.0)
+        if kept is None:
+            kept = sels[0].kept_indices + 0.7
+        sels[0] = RouterSelection(0.75, kept, sels[0].scores, 1.0)
         with pytest.raises(ValueError, match="fixed_selections"):
             pl.batch_loss_and_grads(batch, params, task, mode, fixed_selections=sels)
+
+    def test_a_lone_forward_shares_one_read_only_layout_per_token_count(self, monkeypatch):
+        # images of 2, 4 and 1 patches: every forward of one token count routes
+        # on the same starts and layout, route_layout's, which no pass can write
+        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=3, n_eval=1, sizes=(96, 128)))
+        params = pl.init_params(task, 1)
+        seen = []
+        route = pl.route_batch
+
+        def spy(z_v, starts, *args):
+            seen.append((starts, args[-1]))
+            return route(z_v, starts, *args)
+
+        monkeypatch.setattr(pl, "route_batch", spy)
+        layouts = {}
+        for s, mode in zip(task.train_set * 2, ("full", "local_only") * 3):
+            pl.forward(s, params, task, mode)
+            k = len(s.patch_tokens) * params.qf_local.n_queries
+            starts, layout = seen.pop()
+            first = layouts.setdefault(k, (starts, layout))
+            assert first[0] is starts and first[1] is layout
+            assert not starts.flags.writeable and starts.tolist() == [0, k]
+            for a, b in zip(layout, route_layout(np.array([0, k]))):
+                assert not a.flags.writeable and a.tobytes() == b.tobytes()
+        # one layout per count, none shared between counts
+        assert len({id(layout) for _, layout in layouts.values()}) == len(layouts) == 3
 
     def test_pinned_selection_count_must_match_the_images(self):
         # images of 2, 4 and 1 patches: too few or too many records would
@@ -616,8 +648,9 @@ class TestTrain:
 
     def test_calls_per_operation_are_bounded(self):
         # criterion 08's unit of work, a 2-image all-groups loss and gradient
-        # with the selections pinned, and one 30-patch forward, each after a
-        # first call that does the lazy imports (see profiler_events)
+        # with the selections pinned, one 30-patch forward, and that forward
+        # with its record read, each after a first call that does the lazy
+        # imports (see profiler_events)
         task = pl.make_toy_task(900, pl.PipelineConfig(n_train=2, n_eval=1, sizes=(96, 128)))
         params = pl.init_params(task, 0)
         sels = [pl.forward(s, params, task)[1].selection for s in task.train_set]
@@ -628,7 +661,9 @@ class TestTrain:
                 (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
                                                  fixed_selections=sels),
                  {"call": 58, "c_call": 88}),
-                (lambda: pl.forward(image, hires_params, hires), {"call": 34, "c_call": 40})):
+                (lambda: pl.forward(image, hires_params, hires), {"call": 34, "c_call": 36}),
+                (lambda: pl.forward(image, hires_params, hires)[1].selection,
+                 {"call": 38, "c_call": 41})):
             op()
             counts = profiler_events(op)
             assert all(counts[e] <= bounds[e] for e in bounds), (bounds, counts)

@@ -73,14 +73,21 @@ class TestSelectPrefix:
         assert dropped.size == 0 or scores[dropped].max() <= scores[kept[-1]]
 
 
+def image_lengths(draw, most: int, images: int) -> list:
+    """1 to `images` image lengths in 1..`most`, half the time all one length:
+    route_batch pads only images of differing lengths."""
+    lens = draw(st.lists(st.integers(min_value=1, max_value=most), min_size=1, max_size=images))
+    return [lens[0]] * len(lens) if draw(st.booleans()) else lens
+
+
 @st.composite
 def ragged_batches(draw):
-    """1-20 images of 1-40 tokens each, 1-12 features wide, stacked, with
-    their row offsets and a text matrix. Hypothesis fills arrays with repeated
-    values, so ties occur; widths from 8 on make BLAS products depend on a
-    row's position, which the router must not."""
+    """1-20 images of 1-40 tokens each (of one length or not), 1-12 features
+    wide, stacked, with their row offsets and a text matrix. Hypothesis fills
+    arrays with repeated values, so ties occur; widths from 8 on make BLAS
+    products depend on a row's position, which the router must not."""
     width = draw(st.integers(min_value=1, max_value=12))
-    lens = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=20))
+    lens = image_lengths(draw, 40, 20)
     values = st.floats(min_value=-4.0, max_value=4.0)
     tokens = draw(hnp.arrays(np.float64, (sum(lens), width), elements=values))
     text = draw(hnp.arrays(np.float64, (draw(st.integers(min_value=1, max_value=3)), width),
@@ -90,10 +97,11 @@ def ragged_batches(draw):
 
 @st.composite
 def logit_batches(draw):
-    """1-8 images of 1-60 tokens, one feature wide, against a text of one 1.0:
-    each token's similarity is its logit, a value in [-1, 1] scaled by up to
-    50, so an image's score mass may sit on one token or spread over all."""
-    lens = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
+    """1-8 images of 1-60 tokens (of one length or not), one feature wide,
+    against a text of one 1.0: each token's similarity is its logit, a value
+    in [-1, 1] scaled by up to 50, so an image's score mass may sit on one
+    token or spread over all."""
+    lens = image_lengths(draw, 60, 8)
     scale = draw(st.floats(min_value=0.0, max_value=50.0))
     logits = draw(hnp.arrays(np.float64, (sum(lens), 1),
                              elements=st.floats(min_value=-1.0, max_value=1.0)))
@@ -106,14 +114,18 @@ class TestRouteBatch:
     def test_each_row_is_select_prefix_on_its_scores(self, batch, gamma):
         # the batch and the one-vector paths share one cut, bit for bit
         tokens, starts, text = batch
-        cut = scores, rows, n_kept = route_batch(tokens, starts, text, gamma, None,
-                                                route_layout(starts))
+        cut = scores, rows, n_kept, cum = route_batch(tokens, starts, text, gamma, None,
+                                                     route_layout(starts))
+        assert cum.shape == scores.shape
         segments = np.split(rows, np.cumsum(n_kept)[:-1])
         for i in range(len(starts) - 1):
-            kept, cum = select_prefix(scores[i, :starts[i + 1] - starts[i]], gamma)
+            kept, mass = select_prefix(scores[i, :starts[i + 1] - starts[i]], gamma)
             assert n_kept[i] == len(kept)
             assert np.array_equal(segments[i] - starts[i], kept)
-            assert cum == image_selection(cut, starts, i, gamma).cumulative_at_cut
+            # the cut's running mass at its last kept token: the kept scores
+            # added in keeping order
+            assert cum[i, n_kept[i] - 1] == np.add.accumulate(scores[i, kept])[-1] == mass
+            assert mass == image_selection(cut, starts, i, gamma).cumulative_at_cut
 
     @properties
     @given(ragged_batches(), gammas | st.just(1.0),
@@ -127,15 +139,16 @@ class TestRouteBatch:
         if seed is not None:
             r_batch, r_alone = make_rng(seed), make_rng(seed)
             noise = cfg.train_noise_sigma * r_batch.standard_normal(len(tokens))
-        cut = scores, rows, n_kept = route_batch(tokens, starts, text, gamma, noise,
-                                                route_layout(starts))
+        cut = scores, rows, n_kept, cum = route_batch(tokens, starts, text, gamma, noise,
+                                                     route_layout(starts))
         sels = [image_selection(cut, starts, i, gamma) for i in range(len(starts) - 1)]
         assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
         # the batch layout: a score slot per token of the longest image, zero
-        # past an image's own; the kept rows flat, image after image, each
-        # image's n_kept of them one segment
+        # past an image's own; a running mass per slot; the kept rows flat,
+        # image after image, each image's n_kept of them one segment
         real = np.arange(scores.shape[1]) < np.diff(starts)[:, None]
         assert scores.shape == real.shape and np.all(scores[~real] == 0.0)
+        assert cum.shape == real.shape
         assert rows.shape == (n_kept.sum(),) and n_kept.min() >= 1
         segments = np.split(rows, np.cumsum(n_kept)[:-1])
         for i, sel in enumerate(sels):
@@ -145,6 +158,8 @@ class TestRouteBatch:
             assert np.array_equal(sel.scores, alone.scores)
             assert sel.cumulative_at_cut == alone.cumulative_at_cut
             assert np.array_equal(segments[i], starts[i] + sel.kept_indices)
+            assert (cum[i, n_kept[i] - 1]
+                    == np.add.accumulate(scores[i, sel.kept_indices])[-1])
         if seed is not None:
             assert r_batch.bit_generator.state == r_alone.bit_generator.state
 
