@@ -208,6 +208,32 @@ class TestForward:
             assert cache.selection.cumulative_at_cut == pytest.approx(
                 rec["cumulative"], abs=1e-12)
 
+    def test_a_lone_forward_shares_one_read_only_layout_per_token_count(self, monkeypatch):
+        # images of 2, 4 and 1 patches: every forward of one token count routes
+        # on the same starts and layout, route_layout's, which no pass can write
+        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=3, n_eval=1, sizes=(96, 128)))
+        params = pl.init_params(task, 1)
+        seen = []
+        route = pl.route_batch
+
+        def spy(z_v, starts, *args):
+            seen.append((starts, args[-1]))
+            return route(z_v, starts, *args)
+
+        monkeypatch.setattr(pl, "route_batch", spy)
+        layouts = {}
+        for s, mode in zip(task.train_set * 2, ("full", "local_only") * 3):
+            pl.forward(s, params, task, mode)
+            k = len(s.patch_tokens) * params.qf_local.n_queries
+            starts, layout = seen.pop()
+            first = layouts.setdefault(k, (starts, layout))
+            assert first[0] is starts and first[1] is layout
+            assert not starts.flags.writeable and starts.tolist() == [0, k]
+            for a, b in zip(layout, route_layout(np.array([0, k]))):
+                assert not a.flags.writeable and a.tobytes() == b.tobytes()
+        # one layout per count, none shared between counts
+        assert len({id(layout) for _, layout in layouts.values()}) == len(layouts) == 3
+
 
 class TestGradients:
     @pytest.mark.parametrize("mode", ["full", "global_only", "local_only"])
@@ -371,32 +397,6 @@ class TestGradients:
         sels[0] = RouterSelection(0.75, kept, sels[0].scores, 1.0)
         with pytest.raises(ValueError, match="fixed_selections"):
             pl.batch_loss_and_grads(batch, params, task, mode, fixed_selections=sels)
-
-    def test_a_lone_forward_shares_one_read_only_layout_per_token_count(self, monkeypatch):
-        # images of 2, 4 and 1 patches: every forward of one token count routes
-        # on the same starts and layout, route_layout's, which no pass can write
-        task = pl.make_toy_task(5, pl.PipelineConfig(n_train=3, n_eval=1, sizes=(96, 128)))
-        params = pl.init_params(task, 1)
-        seen = []
-        route = pl.route_batch
-
-        def spy(z_v, starts, *args):
-            seen.append((starts, args[-1]))
-            return route(z_v, starts, *args)
-
-        monkeypatch.setattr(pl, "route_batch", spy)
-        layouts = {}
-        for s, mode in zip(task.train_set * 2, ("full", "local_only") * 3):
-            pl.forward(s, params, task, mode)
-            k = len(s.patch_tokens) * params.qf_local.n_queries
-            starts, layout = seen.pop()
-            first = layouts.setdefault(k, (starts, layout))
-            assert first[0] is starts and first[1] is layout
-            assert not starts.flags.writeable and starts.tolist() == [0, k]
-            for a, b in zip(layout, route_layout(np.array([0, k]))):
-                assert not a.flags.writeable and a.tobytes() == b.tobytes()
-        # one layout per count, none shared between counts
-        assert len({id(layout) for _, layout in layouts.values()}) == len(layouts) == 3
 
     def test_pinned_selection_count_must_match_the_images(self):
         # images of 2, 4 and 1 patches: too few or too many records would
