@@ -20,7 +20,7 @@ forward pass saved and draws no random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 
@@ -331,10 +331,9 @@ class ForwardCache:
 class _Batch:
     views: np.ndarray              # (B, grid^2, feat_dim) global views
     patch_tokens: np.ndarray       # every image's patches in one stack
-    starts: np.ndarray             # (B + 1,) each image's first local token, then the total
+    route: tuple                   # route_layout of the images' local token counts
     targets: np.ndarray | None = None
     experts: tuple | None = None   # global_experts on the views while the adapter is frozen
-    route: tuple | None = None     # route_layout(starts), built by the first pass routing it
 
 
 def _stack(samples, n_queries: int) -> _Batch:
@@ -343,7 +342,7 @@ def _stack(samples, n_queries: int) -> _Batch:
         raise ValueError("a batch needs at least one sample")
     return _Batch(np.array([s.global_tokens for s in samples]),
                   np.concatenate([s.patch_tokens for s in samples]),
-                  n_queries * np.array([0, *accumulate(len(s.patch_tokens) for s in samples)]),
+                  route_layout(tuple(n_queries * len(s.patch_tokens) for s in samples)),
                   np.array([s.target for s in samples]))
 
 
@@ -356,7 +355,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
     if mode not in FORWARD_MODES:
         raise ValueError(f"unknown forward mode '{mode}'")
     views, n, d, cfg = batch.views, batch.views.shape[0], params.readout.shape[0], task.cfg
-    starts = batch.starts
+    starts = batch.route[0]
     gate_s = patches = eps = noise = first = None
     gate_draws = 2 * n if (mode != "local_only" and rng is not None
                            and params.gate.noise_enabled) else 0
@@ -373,9 +372,7 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
         patches = qformer_apply(batch.patch_tokens, params.qf_local)
         local = patches.out.reshape(-1, d)
         if fixed_selections is None:
-            if batch.route is None:
-                batch.route = route_layout(starts)
-            cut = route_batch(local, starts, task.text_embed, cfg.gamma, noise, batch.route)
+            cut = route_batch(local, task.text_embed, cfg.gamma, noise, batch.route)
             _, rows, n_kept, _ = cut
             first = cut, starts, 0, cfg.gamma
         else:
@@ -401,21 +398,11 @@ def _forward_batch(batch: _Batch, params: PipelineParams, task: ToyTask,
                         pred=(pooled[:, None, :] @ params.readout)[:, 0])
 
 
-@lru_cache(maxsize=256)
-def _lone_route(k: int):
-    # the starts and route layout of one image of k local tokens, made read-only
-    starts = np.array([0, k])
-    route = route_layout(starts)
-    for a in (starts, *route):
-        a.flags.writeable = False
-    return starts, route
-
-
 def forward(sample: Sample, params: PipelineParams, task: ToyTask, mode: str = "full"):
     """One image through the pipeline (a batch of one), with gate and router
     noise off; returns (prediction, cache)."""
-    starts, route = _lone_route(len(sample.patch_tokens) * params.qf_local.n_queries)
-    batch = _Batch(sample.global_tokens[None], sample.patch_tokens, starts, route=route)
+    batch = _Batch(sample.global_tokens[None], sample.patch_tokens,
+                   route_layout((len(sample.patch_tokens) * params.qf_local.n_queries,)))
     cache = _forward_batch(batch, params, task, mode)
     return cache.pred[0], cache
 

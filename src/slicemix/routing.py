@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -114,21 +116,30 @@ def _cut(scores: np.ndarray, key: np.ndarray, n_tokens, gamma: float):
     return order, cum, np.minimum(np.add.reduce(cum < gamma, axis=1, initial=1), n_tokens)
 
 
-def route_layout(starts):
-    """route_batch's padded layout of `starts`: row counts, slots, real-slot mask."""
-    starts = np.asarray(starts)
-    counts = starts[1:] - starts[:-1]
-    lens = counts.tolist()
-    if starts[0] != 0 or min(lens) < 1:
+@lru_cache(maxsize=256)
+def route_layout(counts: tuple[int, ...]):
+    """route_batch's layout of images of `counts` token rows: their starts (each
+    image's first row, then the total), the counts, the padded slots and the
+    (B, K_max) real-slot mask; cached per counts and read-only. A hit skips the
+    check, safely: only checked counts are cached, and an equal key, such as
+    (3.0,) for (3,), names the same rows."""
+    if not (isinstance(counts, tuple) and counts and all(
+            isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in counts)):
+        raise ValueError("counts must be a non-empty tuple of ints")
+    if min(counts) < 1:
         raise ValueError("every image needs at least one of the token rows")
-    slots = np.arange(max(lens))
-    return counts, slots, slots < counts[:, None]
+    n = np.array(counts)
+    slots = np.arange(max(counts))
+    layout = np.array([0, *accumulate(counts)]), n, slots, slots < n[:, None]
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
-def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, layout):
+def route_batch(z_v: np.ndarray, z_x: np.ndarray, gamma: float, noise, layout):
     """Route every image of a batch in one pass.
 
-    Image i owns rows starts[i]:starts[i+1] of z_v, at least one. Its scores
+    Image i owns rows starts[i]:starts[i+1] of z_v, as `layout` says. Its scores
     are the softmax over its rows of their similarity to the text, averaged
     over the text tokens. It keeps the shortest prefix of its rows, in
     descending order of score (of score + noise, where `noise` gives one
@@ -138,13 +149,14 @@ def route_batch(z_v: np.ndarray, starts, z_x: np.ndarray, gamma: float, noise, l
     summed in token order), so an image gets bit for bit its lone routing.
 
     The caller checks the float64 matrices against each other and passes
-    `layout`, route_layout(starts); route_tokens does both. Returns the cut
-    as (scores, rows, n_kept, cum): the (B, K_max) noiseless scores, zero past
-    an image's tokens; the kept rows of z_v, flat, image after image and each
-    image's in keeping order; each image's kept count, at least one, so image
-    i's rows follow the images' before it; and the scores' running masses.
+    `layout`, route_layout of the images' row counts; route_tokens does both.
+    Returns the cut as (scores, rows, n_kept, cum): the (B, K_max) noiseless
+    scores, zero past an image's tokens; the kept rows of z_v, flat, image
+    after image and each image's in keeping order; each image's kept count,
+    at least one, so image i's rows follow the images' before it; and the
+    scores' running masses.
     """
-    counts, slots, real = layout
+    starts, counts, slots, real = layout
     # each token's dot products with every text token, summed and averaged;
     # row by row, so a token's similarity does not depend on its neighbours
     sim = np.einsum("nd,td->n", z_v, z_x)
@@ -221,9 +233,9 @@ def route_tokens(z_v, z_x, cfg: RouterConfig,
     noise = None
     if rng is not None and cfg.train_noise_sigma > 0.0:
         noise = cfg.train_noise_sigma * rng.standard_normal(len(v))
-    starts = np.array([0, len(v)])
+    layout = route_layout((len(v),))
     with np.errstate(over="ignore", invalid="ignore"):
-        cut = route_batch(v, starts, x, cfg.gamma, noise, route_layout(starts))
+        cut = route_batch(v, x, cfg.gamma, noise, layout)
     if not np.isfinite(cut[0]).all():
         raise ValueError("token-text similarities overflow, so the scores are not finite")
-    return image_selection(cut, starts, 0, cfg.gamma)
+    return image_selection(cut, layout[0], 0, cfg.gamma)

@@ -170,12 +170,14 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
     every order and band size gives the same bits.
 
     With out (a writable float64 (out_h, out_w) array, such as a view of a
-    larger canvas) the result is written there and out is returned. out may
-    overlap pixels."""
+    larger canvas) the result is written there and out is returned. out must
+    not overlap pixels."""
     check_count("out_h", out_h, 1)
     check_count("out_w", out_w, 1)
     p = _image(pixels)
     out = _output(out, (out_h, out_w))
+    if np.may_share_memory(p, out):
+        raise ValueError("out must not overlap pixels")
     in_h, in_w = p.shape
     if out_h == in_h and out_w == in_w:
         np.copyto(out, p)
@@ -183,10 +185,6 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
     y0, y1, vy, wy = _axis_samples(in_h, out_h)
     xs = _axis_samples(in_w, out_w)
     bands = _bands(in_h, out_h, _band_rows(out_h, max(in_w, out_w)))
-    # one band reads p in full before it writes out; later bands would read
-    # what earlier ones wrote
-    if len(bands) > 1 and np.may_share_memory(p, out):
-        p = p.copy()
     # top gathers straight into out unless out is strided (take would buffer
     # it), and is weighted before bot is gathered, so a fresh top is freed first
     contiguous = out.flags.c_contiguous
@@ -213,8 +211,8 @@ def resize_bilinear(pixels, out_h: int, out_w: int, *, out: np.ndarray | None = 
 
 def _resize_onto(p: np.ndarray, h: int, w: int, canvas: np.ndarray) -> np.ndarray:
     # p resized to (h, w) in the middle of canvas, the rest zeroed afterwards,
-    # so the image's pixels are written once and p is read before canvas is
-    # written; the padding is symmetric, an odd leftover pixel after the image
+    # so the image's pixels are written once; the padding is symmetric, an odd
+    # leftover pixel after the image
     top = (canvas.shape[0] - h) // 2
     left = (canvas.shape[1] - w) // 2
     resize_bilinear(p, h, w, out=canvas[top:top + h, left:left + w])
@@ -244,7 +242,7 @@ def scaled_canvas(pixels, plan: PartitionPlan, *, out: np.ndarray | None = None
                   ) -> np.ndarray:
     """Image scaled by plan.scale and zero-padded symmetrically onto the
     (n*base) x (m*base) tile canvas. With out (a writable float64 array of
-    the canvas's shape, which may overlap pixels) the canvas is built there
+    the canvas's shape, not overlapping pixels) the canvas is built there
     and out is returned."""
     p = _image(pixels)
     h, w = p.shape

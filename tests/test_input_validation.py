@@ -211,7 +211,7 @@ DOOR_FAILURES = {
     "no-token-rows": (lambda: compress_local(np.zeros((0, 4)),
                                              ad.init_qformer(make_rng(0), 2, 4, 4)),
                       "patch tokens must be a non-empty 2-D matrix"),
-    "image-without-rows": (lambda: route_layout([0, 3, 3]),
+    "image-without-rows": (lambda: route_layout((3, 0)),
                            "every image needs at least one of the token rows"),
     "resize-to-zero": (lambda: resize_bilinear(np.ones((4, 4)), 0, 3),
                        "out_h must be at least 1 and an integer"),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from slicemix import pipeline as pl
+from slicemix import routing
 from slicemix import slicing as sl
 from slicemix.numerics import fd_grad_check, make_rng
 from slicemix.routing import RouterSelection, route_layout
@@ -69,7 +70,7 @@ def lone_generators(rng, samples, params, task, mode):
     slice: a Replay per image, so a lone pass draws what the batch gave it."""
     n, gate = len(samples), mode != "local_only" and params.gate.noise_enabled
     routed = mode != "global_only" and task.cfg.train_noise_sigma > 0.0
-    starts = pl._stack(samples, params.qf_local.n_queries).starts
+    starts = pl._stack(samples, params.qf_local.n_queries).route[0]
     pairs = rng.standard_normal(2 * n * gate).reshape(n, 2 * gate)
     router = rng.standard_normal(starts[-1] * routed)
     return [Replay(np.concatenate([pairs[i], router[starts[i]:starts[i + 1]]]))
@@ -208,31 +209,35 @@ class TestForward:
             assert cache.selection.cumulative_at_cut == pytest.approx(
                 rec["cumulative"], abs=1e-12)
 
-    def test_a_lone_forward_shares_one_read_only_layout_per_token_count(self, monkeypatch):
-        # images of 2, 4 and 1 patches: every forward of one token count routes
-        # on the same starts and layout, route_layout's, which no pass can write
+    def test_forward_stack_and_route_tokens_share_one_read_only_layout(self, monkeypatch):
+        # images of 2, 4 and 1 patches: a forward, a stack of the image alone
+        # and route_tokens on as many tokens all route on route_layout's one
+        # layout for that token count, with its starts, which no pass can write
         task = pl.make_toy_task(5, pl.PipelineConfig(n_train=3, n_eval=1, sizes=(96, 128)))
         params = pl.init_params(task, 1)
-        seen = []
-        route = pl.route_batch
+        n_q, seen = params.qf_local.n_queries, []
+        route = routing.route_batch
 
-        def spy(z_v, starts, *args):
-            seen.append((starts, args[-1]))
-            return route(z_v, starts, *args)
+        def spy(*args):
+            seen.append(args[-1])
+            return route(*args)
 
         monkeypatch.setattr(pl, "route_batch", spy)
+        monkeypatch.setattr(routing, "route_batch", spy)
         layouts = {}
         for s, mode in zip(task.train_set * 2, ("full", "local_only") * 3):
+            k = len(s.patch_tokens) * n_q
             pl.forward(s, params, task, mode)
-            k = len(s.patch_tokens) * params.qf_local.n_queries
-            starts, layout = seen.pop()
-            first = layouts.setdefault(k, (starts, layout))
-            assert first[0] is starts and first[1] is layout
-            assert not starts.flags.writeable and starts.tolist() == [0, k]
-            for a, b in zip(layout, route_layout(np.array([0, k]))):
+            routing.route_tokens(np.ones((k, task.cfg.model_dim)), task.text_embed,
+                                 routing.RouterConfig())
+            layout = layouts.setdefault(k, pl._stack([s], n_q).route)
+            assert len(seen) == 2 and all(a is layout for a in seen)
+            seen.clear()
+            assert layout[0].tolist() == [0, k]
+            for a, b in zip(layout, route_layout.__wrapped__((k,))):
                 assert not a.flags.writeable and a.tobytes() == b.tobytes()
         # one layout per count, none shared between counts
-        assert len({id(layout) for _, layout in layouts.values()}) == len(layouts) == 3
+        assert len({id(layout) for layout in layouts.values()}) == len(layouts) == 3
 
 
 class TestGradients:
@@ -352,9 +357,9 @@ class TestGradients:
         calls = []
         route = pl.route_batch
 
-        def counting(z_v, starts, *args, **kwargs):
-            calls.append((len(starts) - 1, len(z_v)))
-            return route(z_v, starts, *args, **kwargs)
+        def counting(z_v, z_x, gamma, noise, layout):
+            calls.append((len(layout[0]) - 1, len(z_v)))
+            return route(z_v, z_x, gamma, noise, layout)
 
         def alone(*args, **kwargs):
             raise AssertionError("route_tokens called by the pipeline")
@@ -487,7 +492,7 @@ class TestBatchedPass:
         else:
             # the batch's cut, a segment per image, is each lone image's kept
             # local tokens shifted by the image's first row in the stack
-            starts = stack.starts
+            starts = stack.route[0]
             assert cache.n_kept.tolist() == [len(s.kept_indices) for s in sels]
             want = [start + s.kept_indices for start, s in zip(starts, sels)]
             assert np.array_equal(cache.kept_rows, np.concatenate(want))
@@ -523,6 +528,22 @@ class TestBatchedPass:
             resid = pl.forward(s, params, task, mode)[0] - s.target
             total += 0.5 * float(resid @ resid)
         assert pl.evaluate(params, task, mode) == total / len(task.eval_set)
+
+    @pytest.mark.parametrize("mode", pl.FORWARD_MODES)
+    @pytest.mark.parametrize("run", ["forward", "batch_loss_and_grads", "evaluate"])
+    def test_a_patchless_sample_fails_in_every_pass(self, task, params, run, mode):
+        # the route layout is built with the batch, so a sample without
+        # patches fails even in a pass that routes nothing
+        s = task.train_set[0]
+        bare = dataclasses.replace(s, patch_tokens=s.patch_tokens[:0])
+        passes = {
+            "forward": lambda: pl.forward(bare, params, task, mode),
+            "batch_loss_and_grads": lambda: pl.batch_loss_and_grads([s, bare], params, task,
+                                                                    mode),
+            "evaluate": lambda: pl.evaluate(params, dataclasses.replace(
+                task, eval_set=[*task.eval_set, bare]), mode)}
+        with pytest.raises(ValueError, match="every image needs at least one of the token rows"):
+            passes[run]()
 
 
 class TestTrain:
@@ -660,7 +681,7 @@ class TestTrain:
         for op, bounds in (
                 (lambda: pl.batch_loss_and_grads(task.train_set, params, task,
                                                  fixed_selections=sels),
-                 {"call": 58, "c_call": 88}),
+                 {"call": 58, "c_call": 87}),
                 (lambda: pl.forward(image, hires_params, hires), {"call": 34, "c_call": 36}),
                 (lambda: pl.forward(image, hires_params, hires)[1].selection,
                  {"call": 38, "c_call": 41})):
@@ -684,7 +705,8 @@ class TestTrain:
             want_loss, want = noisy_loss_and_grads(task.train_set, params, task, mode,
                                                    rng=r_fresh)
             assert loss == want_loss and grads.buffer.tobytes() == want.buffer.tobytes(), mode
-        assert reused.route is not None
+        assert reused.route is route_layout(tuple(n_q * len(s.patch_tokens)
+                                                  for s in task.train_set))
         evals = pl._stack(task.eval_set, n_q)
         for mode in pl.FORWARD_MODES * 2:
             assert pl._eval_loss(evals, params, task, mode) == pl.evaluate(params, task, mode)

@@ -21,6 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -80,6 +81,11 @@ def image_lengths(draw, most: int, images: int) -> list:
     return [lens[0]] * len(lens) if draw(st.booleans()) else lens
 
 
+def layout_of(starts):
+    """route_layout of the images whose rows `starts` bounds."""
+    return route_layout(tuple(np.diff(starts).tolist()))
+
+
 @st.composite
 def ragged_batches(draw):
     """1-20 images of 1-40 tokens each (of one length or not), 1-12 features
@@ -114,8 +120,8 @@ class TestRouteBatch:
     def test_each_row_is_select_prefix_on_its_scores(self, batch, gamma):
         # the batch and the one-vector paths share one cut, bit for bit
         tokens, starts, text = batch
-        cut = scores, rows, n_kept, cum = route_batch(tokens, starts, text, gamma, None,
-                                                     route_layout(starts))
+        cut = scores, rows, n_kept, cum = route_batch(tokens, text, gamma, None,
+                                                     layout_of(starts))
         assert cum.shape == scores.shape
         segments = np.split(rows, np.cumsum(n_kept)[:-1])
         for i in range(len(starts) - 1):
@@ -139,8 +145,8 @@ class TestRouteBatch:
         if seed is not None:
             r_batch, r_alone = make_rng(seed), make_rng(seed)
             noise = cfg.train_noise_sigma * r_batch.standard_normal(len(tokens))
-        cut = scores, rows, n_kept, cum = route_batch(tokens, starts, text, gamma, noise,
-                                                     route_layout(starts))
+        cut = scores, rows, n_kept, cum = route_batch(tokens, text, gamma, noise,
+                                                     layout_of(starts))
         sels = [image_selection(cut, starts, i, gamma) for i in range(len(starts) - 1)]
         assert n_kept.tolist() == [len(s.kept_indices) for s in sels]
         # the batch layout: a score slot per token of the longest image, zero
@@ -169,7 +175,7 @@ class TestRouteBatch:
     def test_cut_is_the_shortest_prefix_reaching_gamma(self, batch, gamma, seed):
         tokens, starts, text = batch
         noise = None if seed is None else 0.1 * make_rng(seed).standard_normal(len(tokens))
-        cut = route_batch(tokens, starts, text, gamma, noise, route_layout(starts))
+        cut = route_batch(tokens, text, gamma, noise, layout_of(starts))
         for i in range(len(starts) - 1):
             sel = image_selection(cut, starts, i, gamma)
             mass = np.cumsum(sel.scores[sel.kept_indices])
@@ -354,8 +360,8 @@ class TestPeakedCut:
     def test_gamma_one_keeps_all_and_lower_cuts_are_minimal_and_monotone(self, batch, g1, g2):
         tokens, starts = batch
         lo, hi = sorted((g1, g2))
-        layout = route_layout(starts)
-        cuts = {g: route_batch(tokens, starts, np.ones((1, 1)), g, None, layout)
+        layout = layout_of(starts)
+        cuts = {g: route_batch(tokens, np.ones((1, 1)), g, None, layout)
                 for g in (lo, hi, 1.0)}
         assert np.array_equal(cuts[1.0][2], np.diff(starts))
         for i in range(len(starts) - 1):
@@ -448,7 +454,7 @@ class TestBatchEqualsLoop:
             assert cache.pred.tobytes() == np.concatenate([c.pred for c in lone]).tobytes()
             assert cache.n_kept.tolist() == [int(c.n_kept[0]) for c in lone]
             if mode != "global_only":
-                want = [start + c.kept_rows for start, c in zip(batch.starts, lone)]
+                want = [start + c.kept_rows for start, c in zip(batch.route[0], lone)]
                 assert np.array_equal(cache.kept_rows, np.concatenate(want))
             assert r_batch.bit_generator.state == r_ref.bit_generator.state
 
@@ -501,7 +507,7 @@ class TestDrawSites:
         with mock.patch.object(pl, "moe_apply", spy("eps", pl.moe_apply,
                                                     lambda args, out: out[1].eps)), \
                 mock.patch.object(pl, "route_batch", spy("noise", pl.route_batch,
-                                                         lambda args, out: args[4])):
+                                                         lambda args, out: args[3])):
             noisy_loss_and_grads(batch, params, task, mode, rng=rng, fixed_selections=sels)
         n, gate_block = len(batch), 2 * gate * len(batch)
         if gate:
@@ -699,15 +705,17 @@ class TestResizeBilinear:
     @properties
     @given(band_cases(), st.sampled_from(["fresh", "block", "strided", "overlapping"]))
     # both pass orders, bands of one row, and one band that starts past input
-    # row 0 (288 -> 96 rows reads from row 1), written over the image it reads
+    # row 0 (288 -> 96 rows reads from row 1), the last two written over the
+    # image they read
     @example((np.arange(120.0).reshape(8, 15), 17, 9, 4), "block")     # x first
     @example((np.arange(600.0).reshape(40, 15), 7, 9, 3), "strided")   # gathered rows
     @example((np.arange(15.0).reshape(3, 5), 5, 4, 1), "overlapping")
     @example((np.arange(864.0).reshape(288, 3), 96, 5, 96), "overlapping")
     def test_bands_are_the_four_gather_formula(self, case, into):
         """Resizes split into bands of `rows` output rows, each band reading
-        only the input rows it needs, into a fresh array, a block, a strided
-        window of a canvas, or the canvas that holds the image itself."""
+        only the input rows it needs, into a fresh array, a block or a strided
+        window of a canvas; into the canvas that holds the image itself, the
+        resize is rejected, whatever the band count, and writes nothing."""
         img, out_h, out_w, rows = case
         want = four_gather_resize(img, out_h, out_w)
         in_h, in_w = img.shape
@@ -717,10 +725,16 @@ class TestResizeBilinear:
             img = canvas[1:1 + in_h, 2:2 + in_w]
         out = {"fresh": None, "block": np.empty((out_h, out_w)),
                "strided": canvas[1:1 + out_h, 2:2 + out_w],
-               "overlapping": canvas[:out_h, :out_w]}[into]
+               "overlapping": canvas[1:1 + out_h, 2:2 + out_w]}[into]
         width = max(in_w, out_w)
+        before = canvas.tobytes()
         with mock.patch.object(sl, "BAND_PIXELS", rows * width):
             assert sl._band_rows(out_h, width) == min(rows, out_h)
+            if into == "overlapping":
+                with pytest.raises(ValueError, match="out must not overlap pixels"):
+                    resize_bilinear(img, out_h, out_w, out=out)
+                assert canvas.tobytes() == before
+                return
             got = resize_bilinear(img, out_h, out_w, out=out)
         assert out is None or got is out
         assert got.tobytes() == want.tobytes()

@@ -298,6 +298,7 @@ CALLS = {
     "pipeline.init_params": lambda: dict(task=_task(), seed=0),
     "pipeline.make_toy_task": lambda: dict(seed=0, cfg=_task().cfg),
     "routing.RouterConfig": dict,
+    "routing.route_layout": lambda: dict(counts=(3, 1)),
     "routing.select_prefix": lambda: dict(scores=[0.5, 0.5], gamma=0.5),
     "slicing.make_global_view": lambda: dict(pixels=np.ones((4, 4)), base=8),
     "slicing.plan_partition": lambda: dict(width=100, height=100, base=336, max_grid=6),

@@ -65,9 +65,8 @@ class TestGammaAtTheCut:
     @pytest.mark.parametrize("gamma", [np.nan, 0.0, 1.5])
     def test_route_batch_rejects_gamma(self, gamma):
         z_v, z_x = embed_scores([0.5, 0.3, 0.2])
-        starts = np.array([0, 3])
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
-            route_batch(z_v, starts, z_x, gamma, None, route_layout(starts))
+            route_batch(z_v, z_x, gamma, None, route_layout((3,)))
 
     @pytest.mark.parametrize("scores", [[], [[0.5, 0.5]], 0.5])
     def test_select_prefix_takes_a_non_empty_vector(self, scores):

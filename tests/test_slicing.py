@@ -121,13 +121,15 @@ class TestResize:
         ((60, 30), (21, 44)),   # rows gathered, then x blend
         ((20, 30), (20, 30)),   # same size: a copy
     ])
-    def test_out_may_overlap_the_image(self, in_shape, out_shape):
+    def test_out_must_not_overlap_the_image(self, in_shape, out_shape):
+        # rejected on every path, before anything is written
         buffer = make_rng(21).random(3000)
         img = buffer[:in_shape[0] * in_shape[1]].reshape(in_shape)
-        want = resize_bilinear(img.copy(), *out_shape)
         out = buffer[7:7 + out_shape[0] * out_shape[1]].reshape(out_shape)
-        assert resize_bilinear(img, *out_shape, out=out) is out
-        assert out.tobytes() == want.tobytes()
+        before = buffer.tobytes()
+        with pytest.raises(ValueError, match="out must not overlap pixels"):
+            resize_bilinear(img, *out_shape, out=out)
+        assert buffer.tobytes() == before
 
 
 def _read_only(shape):
