@@ -230,8 +230,9 @@ class TestForward:
             pl.forward(s, params, task, mode)
             routing.route_tokens(np.ones((k, task.cfg.model_dim)), task.text_embed,
                                  routing.RouterConfig())
-            layout = layouts.setdefault(k, pl._stack([s], n_q).route)
-            assert len(seen) == 2 and all(a is layout for a in seen)
+            stacked = pl._stack([s], n_q).route
+            layout = layouts.setdefault(k, stacked)
+            assert stacked is layout and len(seen) == 2 and all(a is layout for a in seen)
             seen.clear()
             assert layout[0].tolist() == [0, k]
             for a, b in zip(layout, route_layout.__wrapped__((k,))):
